@@ -45,13 +45,14 @@ def _coords_values(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, ordered by (distance, index)."""
+    """Indices of the k smallest distances in strict (distance, index)
+    order, so a tie at the k-th distance goes to the lower sample index."""
     if k >= dists.size:
         chosen = np.arange(dists.size)
     else:
-        chosen = np.argpartition(dists, k - 1)[:k]
+        chosen = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
     order = np.lexsort((chosen, dists[chosen]))
-    return chosen[order]
+    return chosen[order[:k]]
 
 
 def idw_predict(samples: Sequence[Sample], target: Region,

@@ -22,7 +22,7 @@ from .features import featurize_all, load_features, save_features
 from .hetgraph import build_graph, save_graph
 from .model import (HgnnConfig, SslConfig, finetune_head, load_checkpoint,
                     load_embeddings, predict_all, pretrain_contrastive,
-                    save_checkpoint, save_head, save_training_log,
+                    save_checkpoint, save_training_log,
                     train_end_to_end, write_embeddings)
 from .evaluation import (ExperimentInputs, RunSettings, make_split,
                          run_experiment, similarity_map, write_predictions,
@@ -237,7 +237,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                               "masked_ratio": args.masked_ratio,
                               "seed": args.seed,
                               "label_transform": config.label_transform})
-    save_head(head, _out_path(args, "head.json"))
+    save_checkpoint(head, _out_path(args, "head.json"))
     save_training_log(log, _out_path(args, "finetune_log.csv"), echo)
     best = min(row[2] for row in log)
     print(f"finetune: {len(log)} epochs, best validation MSE {best:.6f} "

@@ -59,12 +59,6 @@ class HeteroGraph:
     def n_nodes(self) -> int:
         return self.n_regions + self.n_env + self.n_soc
 
-    def env_node(self, j: int) -> int:
-        return self.n_regions + j
-
-    def soc_node(self, k: int) -> int:
-        return self.n_regions + self.n_env + k
-
     def validate(self, grid: GridSpec | None = None) -> None:
         """Check the structural invariants; raises GeoDataError on violation."""
         theta_env, theta_soc = self.thresholds

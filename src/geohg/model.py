@@ -2,9 +2,10 @@
 
 Layer rule, per node and layer: new = act(self_transform(old) + sum over
 relations of W_rel @ (edge-weight-weighted mean of neighbor vectors)), with
-ReLU between layers and identity on the last. Regions start from a linear
-projection of [e_pos, e_env, e_soc]; entity nodes start from learnable
-embeddings. The head is a three-layer MLP (d -> d -> d -> 1, ReLU between).
+ReLU between layers and identity on the last, each layer one stacked product
+(tensor.relational_layer). Regions start from a linear projection of [e_pos,
+e_env, e_soc]; entity nodes start from learnable embeddings. The head is a
+three-layer MLP (d -> d -> d -> 1, ReLU between).
 
 Training regimes:
   * end-to-end: full-batch Adam on the MSE over train regions, early stopping
@@ -15,9 +16,9 @@ Training regimes:
 
 Internally all node rows are kept in a canonical order obtained by
 lexicographically sorting the raw region feature rows (positions make rows
-distinct), and every edge plan is frozen in that order. Relabeling regions
-therefore changes nothing but the final row gather, which makes the forward
-pass exactly permutation-equivariant, bit for bit.
+distinct), and every aggregation table is frozen in that order. Relabeling
+regions therefore changes nothing but the final row gather, which makes the
+forward pass exactly permutation-equivariant, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import AdamState, AggregationPlan, NumericError, Tensor
+from .tensor import (DenseMean, NumericError, PaddedGather, RelationBlock,
+                     Tensor)
 from .geodata import GeoDataError, LabelSet, Region
 from .features import RegionFeatures, feature_matrix
 from .hetgraph import HeteroGraph
@@ -104,10 +106,6 @@ class ModelState:
     label_std: float = 1.0
     trained: bool = False
 
-    @property
-    def in_dim(self) -> int:
-        return 2 + self.n_env + self.n_soc
-
     def backbone_names(self) -> list[str]:
         return [k for k in self.params if not k.startswith("head.")]
 
@@ -123,40 +121,46 @@ class HeadState:
     trained: bool = False
 
 
-def _head_param_shapes(d: int) -> list[tuple[str, tuple[int, int], bool]]:
-    return [("head.0.w", (d, d), True), ("head.0.b", (1, d), False),
-            ("head.1.w", (d, d), True), ("head.1.b", (1, d), False),
-            ("head.2.w", (d, 1), True), ("head.2.b", (1, 1), False)]
+# (name, shape, Glorot (fan_in, fan_out) or None for a zero bias)
+ParamSpec = tuple[str, tuple[int, int], Optional[tuple[int, int]]]
+
+
+def _head_layout(d: int) -> list[ParamSpec]:
+    return [("head.0.w", (d, d), (d, d)), ("head.0.b", (1, d), None),
+            ("head.1.w", (d, d), (d, d)), ("head.1.b", (1, d), None),
+            ("head.2.w", (d, 1), (d, 1)), ("head.2.b", (1, 1), None)]
+
+
+def _model_layout(config: HgnnConfig, n_env: int, n_soc: int) -> list[ParamSpec]:
+    """Every model parameter in init order, which fixes the seeded draws."""
+    d = config.hidden_dim
+    in_dim = 2 + n_env + n_soc
+    layout: list[ParamSpec] = [("w_in", (in_dim, d), (in_dim, d)),
+                               ("b_in", (1, d), None),
+                               ("entity_emb", (n_env + n_soc, d), (d, d))]
+    for layer in range(config.n_layers):
+        for rel in ("self", *config.relations):
+            layout += [(f"layer{layer}.{rel}.w", (d, d), (d, d)),
+                       (f"layer{layer}.{rel}.b", (1, d), None)]
+    return layout + _head_layout(d)
+
+
+def _init_params(seed: int, layout: list[ParamSpec]) -> dict[str, np.ndarray]:
+    """Seeded init: Glorot-uniform weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    return {name: (T.glorot_uniform(rng, *fans, shape=shape) if fans
+                   else np.zeros(shape))
+            for name, shape, fans in layout}
 
 
 def init_state(config: HgnnConfig, n_env: int, n_soc: int) -> ModelState:
-    """Seeded parameter init: Glorot-uniform weights, zero biases."""
-    rng = np.random.default_rng(config.seed)
-    d = config.hidden_dim
-    in_dim = 2 + n_env + n_soc
-    params: dict[str, np.ndarray] = {}
-    params["w_in"] = T.glorot_uniform(rng, in_dim, d)
-    params["b_in"] = np.zeros((1, d))
-    params["entity_emb"] = T.glorot_uniform(rng, d, d, shape=(n_env + n_soc, d))
-    for layer in range(config.n_layers):
-        params[f"layer{layer}.self.w"] = T.glorot_uniform(rng, d, d)
-        params[f"layer{layer}.self.b"] = np.zeros((1, d))
-        for rel in config.relations:
-            params[f"layer{layer}.{rel}.w"] = T.glorot_uniform(rng, d, d)
-            params[f"layer{layer}.{rel}.b"] = np.zeros((1, d))
-    for name, shape, is_weight in _head_param_shapes(d):
-        params[name] = (T.glorot_uniform(rng, shape[0], shape[1])
-                        if is_weight else np.zeros(shape))
+    params = _init_params(config.seed, _model_layout(config, n_env, n_soc))
     return ModelState(config=config, n_env=n_env, n_soc=n_soc, params=params)
 
 
 def init_head(config: HgnnConfig, d: int) -> HeadState:
-    rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape, is_weight in _head_param_shapes(d):
-        params[name] = (T.glorot_uniform(rng, shape[0], shape[1])
-                        if is_weight else np.zeros(shape))
-    return HeadState(config=config, params=params)
+    return HeadState(config=config,
+                     params=_init_params(config.seed, _head_layout(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +169,13 @@ def init_head(config: HgnnConfig, d: int) -> HeadState:
 
 @dataclass(frozen=True)
 class GraphTensors:
-    """Immutable per-run tensors: canonical-order inputs and frozen edge plans."""
+    """Immutable per-run tensors: canonical-order inputs and frozen aggregations."""
 
     n_regions: int
     n_nodes: int
-    x: np.ndarray                      # (n_regions, in_dim), canonical order
-    order: np.ndarray                  # internal row -> external region index
-    rank: np.ndarray                   # external region index -> internal row
-    plans: dict[str, AggregationPlan]  # per relation, over all node rows
-    masks: dict[str, np.ndarray]       # (n_nodes, 1) has-in-edge indicator
+    x: np.ndarray                         # (n_regions, in_dim), canonical order
+    rank: np.ndarray                      # external region index -> internal row
+    relations: dict[str, RelationBlock]   # per relation that has edges
 
 
 def prepare_graph(graph: HeteroGraph, features: Sequence[RegionFeatures],
@@ -196,29 +198,34 @@ def prepare_graph(graph: HeteroGraph, features: Sequence[RegionFeatures],
             lo, hi = x[:, col].min(), x[:, col].max()
             x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
 
-    def region_rows(ext: np.ndarray) -> np.ndarray:
-        return rank[ext]
-
-    plans: dict[str, AggregationPlan] = {}
+    regions = slice(0, n)
+    relations: dict[str, RelationBlock] = {}
     rnr = graph.edges_rnr
-    if "rnr" in config.relations:
-        u = region_rows(rnr.endpoints[:, 0])
-        v = region_rows(rnr.endpoints[:, 1])
-        plans["rnr"] = T.build_plan(np.concatenate([u, v]),
-                                    np.concatenate([v, u]),
-                                    np.concatenate([rnr.weights, rnr.weights]),
-                                    n_out=graph.n_nodes)
-    for fam, r2e, e2r in ((graph.edges_elr, "elr_r2e", "elr_e2r"),
-                          (graph.edges_slr, "slr_r2e", "slr_e2r")):
-        reg = region_rows(fam.endpoints[:, 0])
-        ent = fam.endpoints[:, 1]    # entity ids are labeling-independent
+    if "rnr" in config.relations and len(rnr):
+        u, v = rank[rnr.endpoints[:, 0]], rank[rnr.endpoints[:, 1]]
+        relations["rnr"] = RelationBlock(
+            PaddedGather.build(np.concatenate([u, v]), np.concatenate([v, u]),
+                               np.concatenate([rnr.weights, rnr.weights]),
+                               n_in=n, n_out=n), regions, regions)
+    for fam, r2e, e2r, lo, n_ent in (
+            (graph.edges_elr, "elr_r2e", "elr_e2r", n, graph.n_env),
+            (graph.edges_slr, "slr_r2e", "slr_e2r", n + graph.n_env,
+             graph.n_soc)):
+        if not len(fam):
+            continue
+        reg = rank[fam.endpoints[:, 0]]
+        ent = fam.endpoints[:, 1] - lo   # entity ids are labeling-independent
+        entities = slice(lo, lo + n_ent)
         if r2e in config.relations:
-            plans[r2e] = T.build_plan(reg, ent, fam.weights, n_out=graph.n_nodes)
+            relations[r2e] = RelationBlock(
+                DenseMean.build(reg, ent, fam.weights, n_in=n, n_out=n_ent),
+                regions, entities)
         if e2r in config.relations:
-            plans[e2r] = T.build_plan(ent, reg, fam.weights, n_out=graph.n_nodes)
-    masks = {rel: plan.has_in_edge()[:, None] for rel, plan in plans.items()}
-    return GraphTensors(n_regions=n, n_nodes=graph.n_nodes, x=x, order=order,
-                        rank=rank, plans=plans, masks=masks)
+            relations[e2r] = RelationBlock(
+                DenseMean.build(ent, reg, fam.weights, n_in=n_ent, n_out=n),
+                entities, regions)
+    return GraphTensors(n_regions=n, n_nodes=graph.n_nodes, x=x, rank=rank,
+                        relations=relations)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +247,13 @@ def backbone_forward(gt: GraphTensors, leaves: dict[str, Tensor],
     h_regions = T.add(T.matmul(x, leaves["w_in"]), leaves["b_in"])
     h = T.concat_rows(h_regions, leaves["entity_emb"])
     for layer in range(config.n_layers):
-        acc: Optional[Tensor] = None
-        if config.use_self_loop:
-            acc = T.add(T.matmul(h, leaves[f"layer{layer}.self.w"]),
-                        leaves[f"layer{layer}.self.b"])
-        for rel in config.relations:
-            plan = gt.plans.get(rel)
-            if plan is None or plan.n_edges == 0:
-                continue
-            agg = T.segment_mean(h, plan)
-            # Relation bias only lands on nodes that have in-edges of this type.
-            term = T.add(T.matmul(agg, leaves[f"layer{layer}.{rel}.w"]),
-                         T.matmul(Tensor(gt.masks[rel]),
-                                  leaves[f"layer{layer}.{rel}.b"]))
-            acc = term if acc is None else T.add(acc, term)
-        if acc is None:
-            acc = T.scale(h, 0.0)
+        relations = [(gt.relations[rel], leaves[f"layer{layer}.{rel}.w"],
+                      leaves[f"layer{layer}.{rel}.b"])
+                     for rel in config.relations if rel in gt.relations]
+        self_loop = ((leaves[f"layer{layer}.self.w"],
+                      leaves[f"layer{layer}.self.b"])
+                     if config.use_self_loop else None)
+        acc = T.relational_layer(h, relations, self_loop)
         h = T.relu(acc) if layer < config.n_layers - 1 else acc
     return h
 
@@ -279,12 +277,14 @@ def mse_training_loss(gt: GraphTensors, leaves: dict[str, Tensor],
 
 
 def infonce_loss(gt: GraphTensors, leaves: dict[str, Tensor], config: HgnnConfig,
-                 anchors_internal: np.ndarray, positive_plan: AggregationPlan,
+                 anchors_internal: np.ndarray, positive_plan: np.ndarray,
                  temperature: float) -> Tensor:
     """InfoNCE over one batch: anchors vs mean-pooled positives, in-batch negatives."""
     h = backbone_forward(gt, leaves, config)
     anchors = T.gather_rows(h, anchors_internal)
-    pooled = T.segment_mean(h, positive_plan)
+    pool = np.pad(positive_plan,
+                  ((0, 0), (0, gt.n_nodes - positive_plan.shape[1])))
+    pooled = T.matmul(Tensor(pool), h)
     scores = T.scale(T.matmul_t(anchors, pooled), 1.0 / temperature)
     return T.mean_all(T.sub(T.log_sum_exp(scores), T.diag(scores)))
 
@@ -332,13 +332,57 @@ def invert_label_transform(kind: str, z: np.ndarray, mean: float,
 LogRow = tuple[int, float, float]    # (epoch, train loss, validation loss)
 
 
+def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
+         epoch_steps, what: str, patience: Optional[int] = None
+         ) -> tuple[dict[str, np.ndarray], list[LogRow]]:
+    """Adam over ``params``; returns (parameters, one log row per step).
+
+    ``epoch_steps(epoch)`` yields objectives mapping leaves to (loss,
+    validation loss); each row is logged before its Adam update. With
+    ``patience``, the best-validation parameters come back and training
+    stops, before the update, after ``patience`` steps without a strict
+    improvement; otherwise the last parameters come back.
+    """
+    adam = {name: T.adam_init(arr.shape, lr) for name, arr in params.items()}
+    params = dict(params)
+    best_val, best, wait = np.inf, {k: v.copy() for k, v in params.items()}, 0
+    log: list[LogRow] = []
+    for epoch in range(n_epochs):
+        for objective in epoch_steps(epoch):
+            leaves = _leaves(params)
+            loss, val_loss = objective(leaves)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericError(f"{what} diverged at epoch {epoch} "
+                                   f"(loss={value})")
+            log.append((epoch, value, val_loss))
+            if patience is not None:
+                if val_loss < best_val:
+                    best_val, wait = val_loss, 0
+                    best = {k: leaf.data.copy() for k, leaf in leaves.items()}
+                else:
+                    wait += 1
+                    if wait >= patience:
+                        return best, log
+            loss.backward()
+            for name, leaf in leaves.items():
+                grad = leaf.grad if leaf.grad is not None \
+                    else np.zeros_like(leaf.data)
+                params[name], adam[name] = T.adam_step(params[name], grad,
+                                                       adam[name])
+    return (best if patience is not None else params), log
+
+
 def _region_positions(features: Sequence[RegionFeatures]) -> dict[Region, int]:
     return {f.region: i for i, f in enumerate(features)}
 
 
-def _split_indices(pos: dict[Region, int], labels: LabelSet,
-                   split: "EvalSplit") -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
+def _split_targets(pos: dict[Region, int], labels: LabelSet,
+                   split: "EvalSplit", kind: str) -> tuple:
+    """(train rows, validation rows, transformed train and validation
+    targets, (mean, std) of the label transform fitted on train labels)."""
+    if len(split.train) == 0 or len(split.validation) == 0:
+        raise ValueError("train and validation sets must be non-empty")
     values = labels.as_dict()
     try:
         train_ext = np.array([pos[r] for r in split.train], dtype=np.int64)
@@ -347,7 +391,9 @@ def _split_indices(pos: dict[Region, int], labels: LabelSet,
         y_val = np.array([values[r] for r in split.validation])
     except KeyError as exc:
         raise GeoDataError(f"split region {exc} has no features or label") from exc
-    return train_ext, val_ext, y_train, y_val
+    mean, std = fit_label_transform(kind, y_train)
+    return (train_ext, val_ext, apply_label_transform(kind, y_train, mean, std),
+            apply_label_transform(kind, y_val, mean, std), (mean, std))
 
 
 def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
@@ -359,50 +405,21 @@ def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
     one (epoch, train MSE, validation MSE) row per epoch, both computed with
     the parameters in force before that epoch's update.
     """
-    if len(split.train) == 0 or len(split.validation) == 0:
-        raise ValueError("train and validation sets must be non-empty")
+    train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
+        _region_positions(features), labels, split, config.label_transform)
     gt = prepare_graph(graph, features, config)
     state = init_state(config, graph.n_env, graph.n_soc)
-    train_ext, val_ext, y_train_raw, y_val_raw = _split_indices(
-        _region_positions(features), labels, split)
-    mean, std = fit_label_transform(config.label_transform, y_train_raw)
-    y_train = apply_label_transform(config.label_transform, y_train_raw, mean, std)
-    y_val = apply_label_transform(config.label_transform, y_val_raw, mean, std)
     train_internal = gt.rank[train_ext]
     val_internal = gt.rank[val_ext]
 
-    adam = {name: T.adam_init(arr.shape, config.lr)
-            for name, arr in state.params.items()}
-    best_val = np.inf
-    best_params = {name: arr.copy() for name, arr in state.params.items()}
-    wait = 0
-    log: list[LogRow] = []
-    for epoch in range(config.max_epochs):
-        leaves = _leaves(state.params)
+    def objective(leaves: dict[str, Tensor]) -> tuple[Tensor, float]:
         loss, preds = mse_training_loss(gt, leaves, config, train_internal,
                                         y_train)
-        train_loss = loss.item()
-        if not np.isfinite(train_loss):
-            raise NumericError(f"training diverged at epoch {epoch} "
-                               f"(loss={train_loss})")
-        val_loss = float(np.mean((preds.data[val_internal, 0] - y_val) ** 2))
-        log.append((epoch, train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = {name: leaf.data.copy()
-                           for name, leaf in leaves.items()}
-            wait = 0
-        else:
-            wait += 1
-            if wait >= config.patience:
-                break
-        loss.backward()
-        for name, leaf in leaves.items():
-            grad = leaf.grad if leaf.grad is not None \
-                else np.zeros_like(leaf.data)
-            state.params[name], adam[name] = T.adam_step(
-                state.params[name], grad, adam[name])
-    state.params = best_params
+        return loss, float(np.mean((preds.data[val_internal, 0] - y_val) ** 2))
+
+    state.params, log = _fit(state.params, config.lr, config.max_epochs,
+                             lambda epoch: (objective,), "training",
+                             patience=config.patience)
     state.label_mean, state.label_std = mean, std
     state.trained = True
     return state, log
@@ -462,46 +479,41 @@ def pretrain_contrastive(graph: HeteroGraph, features: Sequence[RegionFeatures],
         warnings.warn(f"{n_empty} regions have no positives and are skipped",
                       stacklevel=2)
     rng = np.random.default_rng(ssl.seed)
-    adam = {name: T.adam_init(arr.shape, ssl.lr)
-            for name, arr in state.params.items()}
-    log: list[tuple[int, float]] = []
     n = graph.n_regions
-    for epoch in range(ssl.epochs):
+
+    def batches(epoch: int):
         perm = rng.permutation(n)
-        batch_losses = []
         for start in range(0, n - ssl.batch_size + 1, ssl.batch_size):
             idx_ext = [i for i in perm[start:start + ssl.batch_size]
                        if positives_int[i].size]
             if len(idx_ext) < 2:
                 continue
-            anchors_internal = gt.rank[np.array(idx_ext, dtype=np.int64)]
-            plan = batch_positive_plan([positives_int[i] for i in idx_ext])
-            leaves = _leaves(state.params)
-            loss = infonce_loss(gt, leaves, config, anchors_internal, plan,
-                                ssl.temperature)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"pretraining diverged at epoch {epoch}")
-            batch_losses.append(value)
-            loss.backward()
-            for name, leaf in leaves.items():
-                grad = leaf.grad if leaf.grad is not None \
-                    else np.zeros_like(leaf.data)
-                state.params[name], adam[name] = T.adam_step(
-                    state.params[name], grad, adam[name])
-        log.append((epoch, float(np.mean(batch_losses)) if batch_losses
-                    else float("nan")))
+            anchors = gt.rank[np.array(idx_ext, dtype=np.int64)]
+            pool = batch_positive_plan([positives_int[i] for i in idx_ext])
+            yield lambda leaves: (infonce_loss(gt, leaves, config, anchors,
+                                               pool, ssl.temperature), np.nan)
+
+    state.params, steps = _fit(state.params, ssl.lr, ssl.epochs, batches,
+                               "pretraining")
+    losses = [[v for e, v, _ in steps if e == epoch]
+              for epoch in range(ssl.epochs)]
+    log = [(epoch, float(np.mean(v)) if v else float("nan"))
+           for epoch, v in enumerate(losses)]
     state.trained = True
     embeddings = embed_regions(state, gt)
     return state, embeddings, log
 
 
-def batch_positive_plan(positive_rows: Sequence[np.ndarray]) -> AggregationPlan:
-    """Mean-pool plan: batch slot b aggregates its anchor's positive rows."""
-    src = np.concatenate(positive_rows)
-    dst = np.repeat(np.arange(len(positive_rows), dtype=np.int64),
-                    [p.size for p in positive_rows])
-    return T.build_plan(src, dst, np.ones(src.size), n_out=len(positive_rows))
+def batch_positive_plan(positive_rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense row-normalised mean-pooling matrix: row b averages its anchor's
+    positive rows. It is as wide as the largest row needs; infonce_loss
+    zero-pads it to the node count."""
+    sizes = np.array([p.size for p in positive_rows])
+    cols = np.concatenate(positive_rows).astype(np.int64)
+    slots = np.repeat(np.arange(sizes.size), sizes)
+    pool = np.zeros((sizes.size, cols.max(initial=-1) + 1))
+    np.add.at(pool, (slots, cols), 1.0 / sizes[slots])
+    return pool
 
 
 def embed_regions(state: ModelState, gt: GraphTensors) -> np.ndarray:
@@ -528,48 +540,23 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
     row is the untrained head's performance (losses are recorded before each
     update), so improvement is read directly off the log.
     """
-    if len(split.train) == 0 or len(split.validation) == 0:
-        raise ValueError("train and validation sets must be non-empty")
-    train_ext, val_ext, y_train_raw, y_val_raw = _split_indices(
-        {r: i for i, r in enumerate(regions)}, labels, split)
-    mean, std = fit_label_transform(config.label_transform, y_train_raw)
-    y_train = apply_label_transform(config.label_transform, y_train_raw, mean, std)
-    y_val = apply_label_transform(config.label_transform, y_val_raw, mean, std)
+    train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
+        {r: i for i, r in enumerate(regions)}, labels, split,
+        config.label_transform)
     head = init_head(config, d=e_pretrain.shape[1])
     x_train = Tensor(e_pretrain[train_ext])
     x_val = e_pretrain[val_ext]
-    adam = {name: T.adam_init(arr.shape, config.lr)
-            for name, arr in head.params.items()}
-    best_val = np.inf
-    best_params = {name: arr.copy() for name, arr in head.params.items()}
-    wait = 0
-    log: list[LogRow] = []
-    for epoch in range(config.max_epochs):
-        leaves = _leaves(head.params)
-        pred_train = head_forward(x_train, leaves)
-        err = T.sub(pred_train, Tensor(y_train.reshape(-1, 1)))
-        loss = T.mean_all(T.square(err))
-        train_loss = loss.item()
-        if not np.isfinite(train_loss):
-            raise NumericError(f"fine-tuning diverged at epoch {epoch}")
-        val_pred = _head_apply(head.params, x_val)
-        val_loss = float(np.mean((val_pred.ravel() - y_val) ** 2))
-        log.append((epoch, train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = {name: leaf.data.copy() for name, leaf in leaves.items()}
-            wait = 0
-        else:
-            wait += 1
-            if wait >= config.patience:
-                break
-        loss.backward()
-        for name, leaf in leaves.items():
-            grad = leaf.grad if leaf.grad is not None \
-                else np.zeros_like(leaf.data)
-            head.params[name], adam[name] = T.adam_step(
-                head.params[name], grad, adam[name])
-    head.params = best_params
+
+    def objective(leaves: dict[str, Tensor]) -> tuple[Tensor, float]:
+        err = T.sub(head_forward(x_train, leaves),
+                    Tensor(y_train.reshape(-1, 1)))
+        val_pred = _head_apply({k: v.data for k, v in leaves.items()}, x_val)
+        return (T.mean_all(T.square(err)),
+                float(np.mean((val_pred.ravel() - y_val) ** 2)))
+
+    head.params, log = _fit(head.params, config.lr, config.max_epochs,
+                            lambda epoch: (objective,), "fine-tuning",
+                            patience=config.patience)
     head.label_mean, head.label_std = mean, std
     head.trained = True
     return head, log
@@ -629,72 +616,57 @@ def backbone_checksum(state: ModelState) -> str:
     return digest.hexdigest()
 
 
-def save_checkpoint(state: ModelState, path: str) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "kind": "model",
-        "config": _config_dict(state.config),
-        "n_env": state.n_env,
-        "n_soc": state.n_soc,
-        "label_mean": state.label_mean,
-        "label_std": state.label_std,
-        "trained": state.trained,
-        "params": {name: {"shape": list(arr.shape),
-                          "data": arr.ravel().tolist()}
-                   for name, arr in state.params.items()},
-    }
+def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
+    """JSON checkpoint of a whole model ("kind": "model") or of a head
+    fine-tuned on frozen embeddings ("kind": "head")."""
+    payload: dict = {"version": CHECKPOINT_VERSION,
+                     "kind": "model" if isinstance(state, ModelState) else "head",
+                     "config": _config_dict(state.config)}
+    if isinstance(state, ModelState):
+        payload.update(n_env=state.n_env, n_soc=state.n_soc)
+    payload.update(label_mean=state.label_mean, label_std=state.label_std,
+                   trained=state.trained,
+                   params={name: {"shape": list(arr.shape),
+                                  "data": arr.ravel().tolist()}
+                           for name, arr in state.params.items()})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
-def load_checkpoint(path: str) -> ModelState:
+def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
+    """Read a "model" or "head" checkpoint. Each parameter must be finite
+    and shaped as the config and entity counts say (a head's width is read
+    from head.0.w); otherwise GeoDataError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION or \
-            payload.get("kind") != "model":
-        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} "
-                         "model checkpoint")
-    config = _config_from_dict(payload["config"])
-    params = {name: np.array(spec["data"], dtype=np.float64)
-              .reshape(spec["shape"])
-              for name, spec in payload["params"].items()}
-    return ModelState(config=config, n_env=payload["n_env"],
-                      n_soc=payload["n_soc"], params=params,
-                      label_mean=payload["label_mean"],
-                      label_std=payload["label_std"],
-                      trained=payload["trained"])
-
-
-def save_head(head: HeadState, path: str) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "kind": "head",
-        "config": _config_dict(head.config),
-        "label_mean": head.label_mean,
-        "label_std": head.label_std,
-        "trained": head.trained,
-        "params": {name: {"shape": list(arr.shape),
-                          "data": arr.ravel().tolist()}
-                   for name, arr in head.params.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_head(path: str) -> HeadState:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION or \
-            payload.get("kind") != "head":
-        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} "
-                         "head checkpoint")
-    params = {name: np.array(spec["data"], dtype=np.float64)
-              .reshape(spec["shape"])
-              for name, spec in payload["params"].items()}
-    return HeadState(config=_config_from_dict(payload["config"]), params=params,
-                     label_mean=payload["label_mean"],
-                     label_std=payload["label_std"],
-                     trained=payload["trained"])
+            payload.get("kind") != kind:
+        raise GeoDataError(f"{path}: not a version-{CHECKPOINT_VERSION} "
+                           f"{kind} checkpoint")
+    try:
+        config = _config_from_dict(payload["config"])
+        params = {name: np.array(spec["data"], dtype=np.float64)
+                  .reshape(spec["shape"])
+                  for name, spec in payload["params"].items()}
+        counts = ({"n_env": payload["n_env"], "n_soc": payload["n_soc"]}
+                  if kind == "model" else {})
+        layout = (_model_layout(config, **counts) if kind == "model"
+                  else _head_layout(params["head.0.w"].shape[0]))
+        state = (ModelState if kind == "model" else HeadState)(
+            config=config, params=params, label_mean=payload["label_mean"],
+            label_std=payload["label_std"], trained=payload["trained"],
+            **counts)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GeoDataError(f"{path}: malformed checkpoint ({exc!r})") from exc
+    want = {name: shape for name, shape, _ in layout}
+    for name in sorted(set(want) | set(params)):
+        got = params[name].shape if name in params else None
+        if got != want.get(name):
+            raise GeoDataError(f"{path}: parameter {name} has shape {got}, "
+                               f"the config needs {want.get(name)}")
+        if not np.all(np.isfinite(params[name])):
+            raise GeoDataError(f"{path}: non-finite values in {name}")
+    return state
 
 
 def _config_dict(config: HgnnConfig) -> dict:
@@ -724,28 +696,28 @@ def write_embeddings(regions: Sequence[Region], embeddings: np.ndarray,
 
 
 def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
-    regions: list[Region] = []
-    rows: list[list[float]] = []
+    """Read write_embeddings' CSV; malformed or non-finite rows raise
+    GeoDataError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:2] != ["x_r", "y_r"]:
-                    raise GeoDataError(f"{path}: not an embeddings CSV")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise GeoDataError(f"{path}: row width {len(parts)} != "
-                                   f"header {len(header)}")
-            regions.append((int(parts[0]), int(parts[1])))
-            rows.append([float(v) for v in parts[2:]])
-    if header is None or not rows:
+        lines = [line.strip().split(",") for line in fh
+                 if line.strip() and not line.strip().startswith("#")]
+    if lines and lines[0][:2] != ["x_r", "y_r"]:
+        raise GeoDataError(f"{path}: not an embeddings CSV")
+    if len(lines) < 2:
         raise GeoDataError(f"{path}: no embedding rows")
-    return regions, np.array(rows, dtype=np.float64)
+    header, rows = lines[0], lines[1:]
+    for parts in rows:
+        if len(parts) != len(header):
+            raise GeoDataError(f"{path}: row width {len(parts)} != "
+                               f"header {len(header)}")
+    try:
+        regions = [(int(p[0]), int(p[1])) for p in rows]
+        embeddings = np.array([[float(v) for v in p[2:]] for p in rows])
+    except ValueError as exc:
+        raise GeoDataError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(embeddings)):
+        raise GeoDataError(f"{path}: non-finite embedding values")
+    return regions, embeddings
 
 
 def save_training_log(log: Sequence[LogRow], path: str,

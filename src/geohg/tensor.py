@@ -1,14 +1,14 @@
 """Minimal dense float64 numeric core with reverse-mode gradients.
 
 Covers exactly the operations the model needs (dense linear algebra, ReLU,
-overflow-safe log-sum-exp, row gathers and segment means over fixed edge
-plans) plus the Adam optimizer. Gradients are accumulated by a topological
-walk over the recorded forward graph; this is deliberately not a general
-autodiff system.
+overflow-safe log-sum-exp, row gathers and the fused relational layer) plus
+the Adam optimizer. Gradients are accumulated by a topological walk over the
+recorded forward graph; this is deliberately not a general autodiff system.
 
-All data is float64. Segment means follow a precomputed AggregationPlan whose
-edge order is fixed at plan-build time, so accumulation order (and therefore
-the exact floating-point result) never depends on traversal or dict order.
+All data is float64. The layer's mean aggregations come in two shapes, a
+padded neighbour gather and a dense block, each with its edge order fixed
+at build time, so accumulation order (and therefore the exact
+floating-point result) never depends on traversal or dict order.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -136,27 +133,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bwd)
+    # a + (-1 * b) rounds exactly like a - b, in both passes.
+    return add(a, scale(b, -1.0))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -193,26 +171,6 @@ def mean_all(a: Tensor) -> Tensor:
             a._accumulate(np.full_like(a.data, float(g) / n))
 
     return Tensor(a.data.mean(), _parents=(a,), _backward=bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g)))
-
-    return Tensor(a.data.sum(), _parents=(a,), _backward=bwd)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(out_data * (g - (g * out_data).sum(axis=1, keepdims=True)))
-
-    return Tensor(out_data, _parents=(a,), _backward=bwd)
 
 
 def log_sum_exp(a: Tensor) -> Tensor:
@@ -268,88 +226,153 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=bwd)
 
 
-@dataclass(frozen=True)
-class AggregationPlan:
-    """Fixed weighted-mean gather plan: out[dst] = sum_e w_norm_e * h[src_e].
+# ---------------------------------------------------------------------------
+# fixed-order mean aggregations and the stacked relational layer
+# ---------------------------------------------------------------------------
 
-    Edges are stored twice, pre-sorted by destination (forward) and by source
-    (backward), so both passes use contiguous ``np.add.reduceat`` segments and
-    a summation order frozen at build time. ``w_norm`` is the edge weight
-    divided by the destination's total in-weight (zero-degree guard applied).
-    """
-
-    n_out: int
-    src: np.ndarray          # (m,) source rows, sorted by (dst, src)
-    w_norm: np.ndarray       # (m,) normalized weights, same order
-    seg_starts: np.ndarray   # (b,) first edge of each dst block
-    uniq_dst: np.ndarray     # (b,) destination row per block
-    bwd_order: np.ndarray    # (m,) permutation regrouping edges by (src, dst)
-    bwd_seg_starts: np.ndarray
-    bwd_uniq_src: np.ndarray
-    bwd_dst: np.ndarray      # (m,) dst per edge, in bwd_order
-
-    @property
-    def n_edges(self) -> int:
-        return self.src.size
-
-    def has_in_edge(self) -> np.ndarray:
-        mask = np.zeros(self.n_out)
-        mask[self.uniq_dst] = 1.0
-        return mask
-
-
-def build_plan(src: np.ndarray, dst: np.ndarray, weights: np.ndarray,
-               n_out: int) -> AggregationPlan:
-    """Normalize weights per destination and freeze both traversal orders."""
+def _normalized_edges(src, dst, weights, n_out: int):
+    """Edges sorted by (dst, src, weight), each weight divided by its
+    destination's total in-weight (a zero total divides by 1), and the
+    (n_out,) has-in-edge indicator."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((src, dst))
+    order = np.lexsort((weights, src, dst))
     src, dst, weights = src[order], dst[order], weights[order]
-    if src.size:
-        seg_starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-        uniq_dst = dst[seg_starts]
-        denom = np.add.reduceat(weights, seg_starts)
-        denom_safe = np.where(denom != 0.0, denom, 1.0)
-        w_norm = weights / np.repeat(denom_safe, np.diff(np.r_[seg_starts, src.size]))
-    else:
-        seg_starts = np.zeros(0, dtype=np.int64)
-        uniq_dst = np.zeros(0, dtype=np.int64)
-        w_norm = weights
-    bwd_order = np.lexsort((dst, src))
-    bwd_src = src[bwd_order]
-    if src.size:
-        bwd_seg_starts = np.flatnonzero(np.r_[True, bwd_src[1:] != bwd_src[:-1]])
-        bwd_uniq_src = bwd_src[bwd_seg_starts]
-    else:
-        bwd_seg_starts = np.zeros(0, dtype=np.int64)
-        bwd_uniq_src = np.zeros(0, dtype=np.int64)
-    return AggregationPlan(n_out=n_out, src=src, w_norm=w_norm,
-                           seg_starts=seg_starts, uniq_dst=uniq_dst,
-                           bwd_order=bwd_order, bwd_seg_starts=bwd_seg_starts,
-                           bwd_uniq_src=bwd_uniq_src, bwd_dst=dst[bwd_order])
+    denom = np.bincount(dst, weights=weights, minlength=n_out)
+    has_in = (np.bincount(dst, minlength=n_out) > 0).astype(np.float64)
+    denom[denom == 0.0] = 1.0
+    return src, dst, weights / denom[dst], has_in
 
 
-def segment_mean(h: Tensor, plan: AggregationPlan) -> Tensor:
-    """Weighted mean of source rows per destination; rows with no in-edges are zero."""
+def _padded_table(rows: np.ndarray, cols: np.ndarray, w: np.ndarray,
+                  n_rows: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_rows, K) column and weight tables of edges already sorted by row;
+    K is the largest row count, and short rows hold (pad, 0) slots."""
+    counts = np.bincount(rows, minlength=n_rows)
+    width = int(counts.max()) if counts.size else 0
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.full((n_rows, width), pad, dtype=np.int64)
+    wt = np.zeros((n_rows, width))
+    idx[rows, slot] = cols
+    wt[rows, slot] = w
+    return idx, wt
+
+
+def _gather_sum(idx: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i] = sum_k w[i, k] * x[idx[i, k]], where index len(x) is a zero row."""
+    padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
+    return np.einsum("nk,nkd->nd", w, padded[idx])
+
+
+@dataclass(frozen=True)
+class PaddedGather:
+    """Weighted mean over a fixed-degree neighbour table (ELLPACK layout),
+    for small uniform in-degrees like the 8-neighbour region grid.
+
+    Row i lists its sources sorted by index, which freezes the summation
+    order; ``idx_t``/``w_t`` group the same edges by source for the backward.
+    """
+
+    idx: np.ndarray          # (n_out, K) source rows; pad slots hold n_in
+    w: np.ndarray            # (n_out, K) normalised weights; pad slots 0
+    idx_t: np.ndarray        # (n_in, K_t) destination rows; pad slots n_out
+    w_t: np.ndarray          # (n_in, K_t)
+    has_in_edge: np.ndarray  # (n_out,) 1.0 where a row has an in-edge
+
+    @classmethod
+    def build(cls, src, dst, weights, n_in: int, n_out: int) -> "PaddedGather":
+        src, dst, w, has_in = _normalized_edges(src, dst, weights, n_out)
+        idx, wt = _padded_table(dst, src, w, n_out, pad=n_in)
+        by_src = np.lexsort((dst, src))
+        idx_t, w_t = _padded_table(src[by_src], dst[by_src], w[by_src], n_in,
+                                   pad=n_out)
+        return cls(idx, wt, idx_t, w_t, has_in)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return _gather_sum(self.idx, self.w, x)
+
+    def apply_t(self, g: np.ndarray) -> np.ndarray:
+        return _gather_sum(self.idx_t, self.w_t, g)
+
+
+@dataclass(frozen=True)
+class DenseMean:
+    """Weighted mean as a dense row-normalised (n_out, n_in) block, for the
+    thin region-entity relations, where a padded table would be as wide as
+    the busiest hub."""
+
+    mat: np.ndarray
+    has_in_edge: np.ndarray
+
+    @classmethod
+    def build(cls, src, dst, weights, n_in: int, n_out: int) -> "DenseMean":
+        src, dst, w, has_in = _normalized_edges(src, dst, weights, n_out)
+        mat = np.zeros((n_out, n_in))
+        np.add.at(mat, (dst, src), w)
+        return cls(mat, has_in)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.mat @ x
+
+    def apply_t(self, g: np.ndarray) -> np.ndarray:
+        return self.mat.T @ g
+
+
+@dataclass(frozen=True)
+class RelationBlock:
+    """One relation: the mean of rows ``src`` of h lands in rows ``dst``."""
+
+    agg: PaddedGather | DenseMean
+    src: slice
+    dst: slice
+
+
+def relational_layer(h: Tensor,
+                     relations: Sequence[tuple[RelationBlock, Tensor, Tensor]],
+                     self_loop: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
+    """R-GCN layer as one stacked product, before the activation.
+
+    out = h W_self + b_self + sum_r (A_r h) W_r + m_r b_r, where A_r is the
+    relation's mean aggregation and m_r marks the rows with an in-edge of
+    that type. It is computed as [h | A_1 h | ... | 1 | m_1 | ...] @ W_stack,
+    one GEMM, and the backward splits the stacked gradient back into the
+    per-relation (w, b) leaves. With no self loop and no relation the
+    output is zero.
+    """
+    pairs = ([self_loop] if self_loop is not None else []) \
+        + [(w, b) for _, w, b in relations]
+    params = [w for w, _ in pairs] + [b for _, b in pairs]
     d = h.data.shape[1]
-    out_data = np.zeros((plan.n_out, d))
-    if plan.n_edges:
-        msgs = plan.w_norm[:, None] * h.data[plan.src]
-        out_data[plan.uniq_dst] = np.add.reduceat(msgs, plan.seg_starts, axis=0)
+    n_self = len(pairs) - len(relations)
+    nd = len(pairs) * d
+    x = np.zeros((h.data.shape[0], nd + len(pairs)))
+    if self_loop is not None:
+        x[:, :d] = h.data
+        x[:, nd] = 1.0
+    for j, (rel, _, _) in enumerate(relations):
+        col = (n_self + j) * d
+        x[rel.dst, col:col + d] = rel.agg.apply(h.data[rel.src])
+        x[rel.dst, nd + n_self + j] = rel.agg.has_in_edge
+    w_stack = np.concatenate([np.zeros((0, d))] + [t.data for t in params])
 
     def bwd(g: np.ndarray) -> None:
-        if h.requires_grad and plan.n_edges:
-            contrib = (plan.w_norm[plan.bwd_order, None]
-                       * g[plan.bwd_dst])
-            full = np.zeros_like(h.data)
-            full[plan.bwd_uniq_src] = np.add.reduceat(
-                contrib, plan.bwd_seg_starts, axis=0)
-            h._accumulate(full)
-        elif h.requires_grad:
-            h._accumulate(np.zeros_like(h.data))
+        if any(t.requires_grad for t in params):
+            gw = x.T @ g
+            ends = np.cumsum([t.data.shape[0] for t in params])
+            for t, g_t in zip(params, np.split(gw, ends[:-1])):
+                if t.requires_grad:
+                    t._accumulate(g_t)
+        if h.requires_grad:
+            gx = g @ w_stack[:nd].T
+            gh = gx[:, :d].copy() if self_loop is not None \
+                else np.zeros_like(h.data)
+            for j, (rel, _, _) in enumerate(relations):
+                col = (n_self + j) * d
+                gh[rel.src] += rel.agg.apply_t(gx[rel.dst, col:col + d])
+            h._accumulate(gh)
 
-    return Tensor(out_data, _parents=(h,), _backward=bwd)
+    return Tensor(x @ w_stack, _parents=(h, *params), _backward=bwd)
 
 
 # ---------------------------------------------------------------------------

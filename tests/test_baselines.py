@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geohg.baselines import (VariogramModel, empirical_variogram,
+from geohg.baselines import (VariogramModel, _nearest, empirical_variogram,
                              fit_variogram, idw_predict, uk_predict,
                              uk_weights)
 
@@ -79,6 +79,38 @@ class TestIdw:
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError):
             idw_predict([], (0, 0))
+
+
+class TestNearest:
+    """Neighbour selection in strict (distance, index) order."""
+
+    @staticmethod
+    def lattice_dists(seed):
+        # Shuffled integer lattice: distances from a lattice point repeat
+        # four and eight times, so most k-th slots are ties.
+        rng = np.random.default_rng(seed)
+        pts = np.array([(x, y) for y in range(12) for x in range(12)],
+                       dtype=np.float64)[rng.permutation(144)]
+        target = rng.integers(0, 12, size=2).astype(np.float64)
+        return np.sqrt(((pts - target) ** 2).sum(axis=1))
+
+    def test_matches_full_sort_on_tie_heavy_lattice(self):
+        n_tied = 0
+        for seed in range(20):
+            dists = self.lattice_dists(seed)
+            order = np.lexsort((np.arange(dists.size), dists))
+            for k in (1, 4, 5, 8, 9, 16, 64, 143, 144, 200):
+                got = _nearest(dists, k)
+                assert np.array_equal(got, order[:k]), (seed, k)
+                n_tied += k < dists.size and \
+                    dists[order[k - 1]] == dists[order[k]]
+        assert n_tied > 50   # the lattice really exercises the tie rule
+
+    def test_idw_prediction_uses_lower_index_on_tie(self):
+        # Four samples at distance 1; with k=2 the first two in list order win.
+        samples = [((2, 1), 1.0), ((1, 2), 2.0), ((0, 1), 30.0),
+                   ((1, 0), 40.0)]
+        assert idw_predict(samples, (1, 1), k_neighbors=2) == 1.5
 
 
 class TestVariogramModel:

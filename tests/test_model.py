@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,21 +7,22 @@ import pytest
 import geohg.tensor as T
 from geohg.evaluation import make_split, r2
 from geohg.features import feature_matrix
-from geohg.geodata import GridSpec, LabelSet
+from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
                          backbone_checksum, backbone_forward,
                          batch_positive_plan, finetune_head,
                          fit_label_transform, hgnn_forward, infonce_loss,
                          init_head, init_state, invert_label_transform,
-                         load_checkpoint, load_embeddings, load_head,
+                         load_checkpoint, load_embeddings,
                          positive_sets, predict, predict_all, prepare_graph,
                          predict_from_embeddings, pretrain_contrastive,
-                         save_checkpoint, save_head, save_training_log,
+                         save_checkpoint, save_training_log,
                          train_end_to_end, write_embeddings)
 from geohg.tensor import Tensor
 
 from _worlds import hand_features, relabel, synth_world
+from test_tensor import finite_difference
 
 
 def leaves_of(params, trainable=True):
@@ -220,6 +222,147 @@ class TestForward:
             assert changed == should_change
 
 
+def fused_layer_cases():
+    """(name, graph, features, config) for the fused-layer checks."""
+    cases = []
+    grid, feats, graph, _, _ = synth_world(5, 4, seed=40)
+    cases.append(("no self loop", graph, feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=1,
+                             use_self_loop=False)))
+    cases.append(("relation subset", graph, feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=2,
+                             relations=("slr_e2r", "rnr", "elr_r2e"))))
+    # Hand-made entity edges: env entity 2 and soc entity 1 stay isolated.
+    grid = GridSpec(0.0, 0.0, 4, 3)
+    feats = hand_features(grid, seed=41)
+    n = grid.n_regions
+    rnr = rnr_only_graph(grid, feats).edges_rnr
+    elr = EdgeFamily(np.array([[0, n], [1, n], [5, n + 1], [11, n + 1]],
+                              dtype=np.int64), np.array([0.7, 0.8, 0.9, 0.6]))
+    slr = EdgeFamily(np.array([[2, n + 3], [7, n + 3]], dtype=np.int64),
+                     np.array([1.5, 2.5]))
+    graph = HeteroGraph(n_regions=n, n_env=3, n_soc=2, edges_rnr=rnr,
+                        edges_elr=elr, edges_slr=slr)
+    cases.append(("isolated entity", graph, feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=3)))
+    # Region 6 loses all its RNR edges and has no entity edge either.
+    e = rnr.endpoints
+    keep = (e[:, 0] != 6) & (e[:, 1] != 6)
+    graph = HeteroGraph(n_regions=n, n_env=3, n_soc=2,
+                        edges_rnr=EdgeFamily(e[keep].copy(),
+                                             rnr.weights[keep].copy()),
+                        edges_elr=elr, edges_slr=slr)
+    cases.append(("zero in-degree region", graph, feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=4)))
+    grid = GridSpec(0.0, 0.0, 7, 1)
+    feats = hand_features(grid, seed=42)
+    cases.append(("1x7 grid", build_graph(grid, feats, 0.3, 0.2), feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=5)))
+    return cases
+
+
+def layer_inputs(graph, feats, config, seed):
+    """Graph tensors, relations in use, random (w, b) per relation and
+    for "self" when the config has a self loop, and a random h."""
+    gt = prepare_graph(graph, feats, config)
+    rng = np.random.default_rng(seed)
+    d = config.hidden_dim
+    rels = [r for r in config.relations if r in gt.relations]
+    weights = {r: (rng.normal(size=(d, d)), rng.normal(size=(1, d)))
+               for r in ("self",) * config.use_self_loop + tuple(rels)}
+    h = rng.normal(size=(gt.n_nodes, d))
+    return gt, rels, weights, h
+
+
+def run_layer(gt, rels, weights, h, trainable=False):
+    leaves = {k: (Tensor(w, requires_grad=trainable),
+                  Tensor(b, requires_grad=trainable))
+              for k, (w, b) in weights.items()}
+    th = Tensor(h, requires_grad=trainable)
+    out = T.relational_layer(
+        th, [(gt.relations[r], *leaves[r]) for r in rels], leaves.get("self"))
+    return out, th, leaves
+
+
+def reference_adjacency(graph, gt, rel):
+    """Row-normalised (n_nodes, n_nodes) mean of one relation in internal
+    order, built edge by edge from the graph, and its has-in-edge rows."""
+    fam = getattr(graph, f"edges_{rel[:3]}")
+    a = np.zeros((gt.n_nodes, gt.n_nodes))
+    for (u, v), w in zip(fam.endpoints, fam.weights):
+        u, v = gt.rank[u], (gt.rank[v] if rel == "rnr" else v)
+        if rel in ("rnr", "elr_e2r", "slr_e2r"):
+            a[u, v] += w            # message v -> u
+        if rel in ("rnr", "elr_r2e", "slr_r2e"):
+            a[v, u] += w            # message u -> v
+    has_in = (a != 0).any(axis=1)
+    rows = a.sum(axis=1, keepdims=True)
+    return np.divide(a, rows, out=np.zeros_like(a), where=rows != 0), has_in
+
+
+class TestRelationalLayer:
+    CASES = fused_layer_cases()
+
+    def test_cases_cover_the_shapes(self):
+        by_name = {name: (graph, feats, config)
+                   for name, graph, feats, config in self.CASES}
+        gt = prepare_graph(*by_name["isolated entity"])
+        env = gt.relations["elr_r2e"].agg.has_in_edge
+        soc = gt.relations["slr_r2e"].agg.has_in_edge
+        assert env[2] == 0.0 and soc[1] == 0.0
+        gt = prepare_graph(*by_name["zero in-degree region"])
+        assert gt.relations["rnr"].agg.has_in_edge.sum() == gt.n_regions - 1
+        gt = prepare_graph(*by_name["1x7 grid"])
+        assert gt.relations["rnr"].agg.idx.shape == (7, 2)
+        gt = prepare_graph(*by_name["relation subset"])
+        assert sorted(gt.relations) == ["elr_r2e", "rnr", "slr_e2r"]
+
+    def test_matches_per_relation_reference(self):
+        # Oracle: the unfused rule, one dense mean per relation built
+        # straight from the edge lists, plus the masked relation bias.
+        for name, graph, feats, config in self.CASES:
+            gt, rels, weights, h = layer_inputs(graph, feats, config, 43)
+            out, _, _ = run_layer(gt, rels, weights, h)
+            want = np.zeros_like(h)
+            if config.use_self_loop:
+                want += h @ weights["self"][0] + weights["self"][1]
+            for rel in rels:
+                a, has_in = reference_adjacency(graph, gt, rel)
+                w, b = weights[rel]
+                want += a @ h @ w + has_in[:, None] * b
+            assert np.allclose(out.data, want, atol=1e-12), name
+
+    def test_gradient_matches_finite_differences(self):
+        for name, graph, feats, config in self.CASES:
+            gt, rels, weights, h = layer_inputs(graph, feats, config, 44)
+            target = np.random.default_rng(45).normal(size=h.shape)
+
+            def loss_of(out):
+                return T.mean_all(T.square(T.sub(out, Tensor(target))))
+
+            out, th, leaves = run_layer(gt, rels, weights, h, trainable=True)
+            loss_of(out).backward()
+            arrays = [h] + [a for pair in weights.values() for a in pair]
+            grads = [th.grad] + [t.grad for pair in leaves.values()
+                                 for t in pair]
+            fd = finite_difference(
+                lambda: loss_of(run_layer(gt, rels, weights, h)[0]).item(),
+                arrays)
+            for analytic, numeric in zip(grads, fd):
+                assert np.max(np.abs(analytic - numeric)) < 1e-8, name
+
+    def test_permutation_equivariance_exact(self):
+        rng = np.random.default_rng(46)
+        for name, graph, feats, config in self.CASES:
+            state = init_state(config, graph.n_env, graph.n_soc)
+            base = hgnn_forward(graph, feats, state)
+            for _ in range(3):
+                perm = rng.permutation(graph.n_regions)
+                graph_p, feats_p = relabel(graph, feats, perm)
+                out = hgnn_forward(graph_p, feats_p, state)
+                assert np.array_equal(out, base[perm]), name  # bit-for-bit
+
+
 class TestTrainEndToEnd:
     def test_constant_labels_converge_to_constant(self):
         grid, feats, graph, _, _ = synth_world(10, 10, seed=15)
@@ -360,9 +503,9 @@ class TestInfoNce:
 
     def test_batch_positive_plan_mean_pools(self):
         plan = batch_positive_plan([np.array([0, 2]), np.array([1])])
-        h = Tensor(np.array([[1.0], [5.0], [3.0]]))
-        out = T.segment_mean(h, plan)
-        assert np.array_equal(out.data, [[2.0], [5.0]])
+        assert np.array_equal(plan, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        h = np.array([[1.0], [5.0], [3.0]])
+        assert np.array_equal(plan @ h, [[2.0], [5.0]])
 
 
 class TestPositiveSets:
@@ -544,6 +687,58 @@ class TestCheckpointsAndIo:
         assert got_regions == regions
         assert np.array_equal(got, emb)
 
+    def test_parameter_shapes_checked_against_config(self, tmp_path):
+        config = HgnnConfig(n_layers=1, hidden_dim=4, seed=1)
+        state = init_state(config, n_env=3, n_soc=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, str(path))
+        good = json.loads(path.read_text())
+
+        def rejected(payload, match):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(GeoDataError, match=match) as info:
+                load_checkpoint(str(path))
+            assert str(path) in str(info.value)
+
+        bad = json.loads(json.dumps(good))
+        bad["params"]["layer0.rnr.w"] = {"shape": [4, 3], "data": [0.0] * 12}
+        rejected(bad, "layer0.rnr.w has shape")
+        bad = json.loads(json.dumps(good))
+        bad["n_env"] = 4                  # entity_emb now one row short
+        rejected(bad, "entity_emb has shape")
+        bad = json.loads(json.dumps(good))
+        del bad["params"]["head.2.b"]
+        rejected(bad, "head.2.b has shape None")
+        bad = json.loads(json.dumps(good))
+        bad["config"]["n_layers"] = 2     # layer1.* missing
+        rejected(bad, "layer1")
+        bad = json.loads(json.dumps(good))
+        bad["params"]["b_in"]["data"][0] = float("nan")
+        rejected(bad, "non-finite values in b_in")
+        path.write_text(json.dumps(good))
+        assert load_checkpoint(str(path)).params.keys() == state.params.keys()
+
+    def test_head_shapes_checked(self, tmp_path):
+        head = init_head(HgnnConfig(hidden_dim=4), d=6)
+        path = tmp_path / "head.json"
+        save_checkpoint(head, str(path))
+        assert load_checkpoint(str(path), kind="head").params["head.0.w"] \
+            .shape == (6, 6)
+        payload = json.loads(path.read_text())
+        payload["params"]["head.1.w"] = {"shape": [6, 4], "data": [0.0] * 24}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(GeoDataError, match="head.1.w has shape") as info:
+            load_checkpoint(str(path), kind="head")
+        assert str(path) in str(info.value)
+
+    def test_embeddings_non_finite_rejected(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            path = tmp_path / f"emb_{bad}.csv"
+            path.write_text(f"x_r,y_r,e_0,e_1\n0,0,1.0,2.0\n1,0,{bad},0.5\n")
+            with pytest.raises(GeoDataError, match="non-finite") as info:
+                load_embeddings(str(path))
+            assert str(path) in str(info.value)
+
     def test_training_log_round_trip(self, tmp_path):
         log = [(0, 1.5, 2.25), (1, 0.125, 0.75)]
         path = tmp_path / "log.csv"
@@ -560,5 +755,5 @@ def HeadState_roundtrip_helper(config, tmp_path):
     head = init_head(config, d=config.hidden_dim)
     head.trained = True
     path = tmp_path / "head.json"
-    save_head(head, str(path))
-    return head, load_head(str(path))
+    save_checkpoint(head, str(path))
+    return head, load_checkpoint(str(path), kind="head")

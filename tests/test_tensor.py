@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import geohg.tensor as T
-from geohg.tensor import (AdamState, NumericError, Tensor, adam_init,
-                          adam_step, build_plan, glorot_uniform, lu_solve,
-                          segment_mean)
+from geohg.tensor import (AdamState, DenseMean, NumericError, PaddedGather,
+                          RelationBlock, Tensor, adam_init, adam_step,
+                          glorot_uniform, lu_solve, relational_layer)
+
+# Both aggregation shapes must compute the same weighted mean.
+BUILDERS = (PaddedGather.build, DenseMean.build)
 
 
 def finite_difference(f, params, step=1e-5):
@@ -49,11 +52,6 @@ class TestForwardOps:
         want = np.log(np.exp(a).sum(axis=1))
         assert np.allclose(out.data, want, atol=1e-12)
 
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        out = T.row_softmax(Tensor(rng.normal(size=(6, 4))))
-        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
     def test_matmul_t_equals_transpose_product(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
@@ -68,11 +66,11 @@ class TestForwardOps:
 
 class TestBackward:
     def test_quadratic_gradient(self):
-        # d(x.T x)/dx = 2x
+        # d(mean(x^2))/dx = 2x / n
         x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-        loss = T.sum_all(T.square(x))
+        loss = T.mean_all(T.square(x))
         loss.backward()
-        assert np.array_equal(x.grad, [[2.0, 4.0, 6.0]])
+        assert np.allclose(x.grad, [[2 / 3, 4 / 3, 2.0]], rtol=1e-15)
 
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -121,97 +119,118 @@ class TestBackward:
 
     def test_diamond_graph_accumulates_both_paths(self):
         x = Tensor(np.array([[2.0]]), requires_grad=True)
-        loss = T.sum_all(T.add(T.square(x), T.scale(x, 3.0)))
+        loss = T.mean_all(T.add(T.square(x), T.scale(x, 3.0)))
         loss.backward()
         assert x.grad[0, 0] == pytest.approx(2 * 2.0 + 3.0, abs=1e-15)
 
     def test_gather_rows_gradient_scatters(self):
         h = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
         idx = np.array([0, 2, 2])
-        loss = T.sum_all(T.gather_rows(h, idx))
+        loss = T.mean_all(T.gather_rows(h, idx))
         loss.backward()
         want = np.zeros((4, 3))
         want[0] = 1.0
         want[2] = 2.0
-        assert np.array_equal(h.grad, want)
+        assert np.allclose(h.grad, want / 9, rtol=1e-15)
 
     def test_log_sum_exp_gradient_is_softmax(self):
         a = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-        T.sum_all(T.log_sum_exp(a)).backward()
+        T.mean_all(T.log_sum_exp(a)).backward()
         e = np.exp([1.0, 2.0, 3.0])
         assert np.allclose(a.grad, e / e.sum(), atol=1e-12)
 
 
 class TestSegmentMean:
+    """Weighted means per destination, in both aggregation shapes."""
+
     def test_plain_mean_per_destination(self):
-        h = Tensor(np.array([[1.0], [3.0], [10.0]]), requires_grad=True)
-        plan = build_plan(src=[0, 1, 2], dst=[0, 0, 1],
-                          weights=[1.0, 1.0, 1.0], n_out=3)
-        out = segment_mean(h, plan)
-        assert np.array_equal(out.data, [[2.0], [10.0], [0.0]])
+        h = np.array([[1.0], [3.0], [10.0]])
+        for build in BUILDERS:
+            agg = build(src=[0, 1, 2], dst=[0, 0, 1], weights=[1.0, 1.0, 1.0],
+                        n_in=3, n_out=3)
+            assert np.array_equal(agg.apply(h), [[2.0], [10.0], [0.0]])
 
     def test_weighted_mean(self):
-        h = Tensor(np.array([[2.0], [6.0]]))
-        plan = build_plan(src=[0, 1], dst=[0, 0], weights=[3.0, 1.0], n_out=1)
-        out = segment_mean(h, plan)
-        assert out.data[0, 0] == pytest.approx((3 * 2 + 1 * 6) / 4, abs=1e-15)
+        h = np.array([[2.0], [6.0]])
+        for build in BUILDERS:
+            agg = build(src=[0, 1], dst=[0, 0], weights=[3.0, 1.0], n_in=2,
+                        n_out=1)
+            assert agg.apply(h)[0, 0] == pytest.approx((3 * 2 + 1 * 6) / 4,
+                                                       abs=1e-15)
 
     def test_matches_dense_normalized_adjacency(self):
-        # Oracle: dense row-normalized weighted adjacency matrix product.
+        # Oracle: dense row-normalized weighted adjacency matrix product,
+        # and its transpose for the backward pass.
         rng = np.random.default_rng(5)
-        n, d, m = 7, 3, 20
-        src = rng.integers(0, n, size=m)
-        dst = rng.integers(0, n, size=m)
+        n_in, n_out, d, m = 7, 5, 3, 20
+        src = rng.integers(0, n_in, size=m)
+        dst = rng.integers(0, n_out, size=m)
         w = rng.uniform(0.1, 2.0, size=m)
-        h = rng.normal(size=(n, d))
-        dense = np.zeros((n, n))
-        for s, t, wi in zip(src, dst, w):
-            dense[t, s] += wi
+        h = rng.normal(size=(n_in, d))
+        g = rng.normal(size=(n_out, d))
+        dense = np.zeros((n_out, n_in))
+        for s_, t, wi in zip(src, dst, w):
+            dense[t, s_] += wi
         row_sums = dense.sum(axis=1, keepdims=True)
         dense = np.divide(dense, row_sums, out=np.zeros_like(dense),
                           where=row_sums != 0)
-        plan = build_plan(src, dst, w, n_out=n)
-        out = segment_mean(Tensor(h), plan)
-        assert np.allclose(out.data, dense @ h, atol=1e-12)
+        for build in BUILDERS:
+            agg = build(src, dst, w, n_in=n_in, n_out=n_out)
+            assert np.allclose(agg.apply(h), dense @ h, atol=1e-12)
+            assert np.allclose(agg.apply_t(g), dense.T @ g, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
+        # A one-relation layer with identity weight is the bare aggregation.
         rng = np.random.default_rng(6)
         n, d = 5, 2
         src = np.array([0, 1, 2, 3, 4, 0])
         dst = np.array([1, 1, 3, 3, 3, 4])
         w = rng.uniform(0.5, 1.5, size=6)
-        plan = build_plan(src, dst, w, n_out=n)
         h = rng.normal(size=(n, d))
         target = rng.normal(size=(n, d))
+        for build in BUILDERS:
+            block = RelationBlock(build(src, dst, w, n_in=n, n_out=n),
+                                  slice(0, n), slice(0, n))
 
-        def forward():
-            out = segment_mean(Tensor(h), plan)
-            return T.mean_all(T.square(T.sub(out, Tensor(target)))).item()
+            def layer(x):
+                return relational_layer(
+                    x, [(block, Tensor(np.eye(d)), Tensor(np.zeros((1, d))))])
 
-        th = Tensor(h, requires_grad=True)
-        loss = T.mean_all(T.square(T.sub(segment_mean(th, plan), Tensor(target))))
-        loss.backward()
-        fd = finite_difference(forward, [h])[0]
-        assert np.max(np.abs(th.grad - fd)) < 1e-8
+            def forward():
+                out = layer(Tensor(h))
+                return T.mean_all(T.square(T.sub(out, Tensor(target)))).item()
+
+            th = Tensor(h, requires_grad=True)
+            out = layer(th)
+            assert np.allclose(out.data, block.agg.apply(h), atol=1e-15)
+            T.mean_all(T.square(T.sub(out, Tensor(target)))).backward()
+            fd = finite_difference(forward, [h])[0]
+            assert np.max(np.abs(th.grad - fd)) < 1e-8
 
     def test_duplicate_edges_accumulate(self):
-        h = Tensor(np.array([[1.0], [5.0]]))
-        plan = build_plan(src=[0, 0, 1], dst=[0, 0, 0],
-                          weights=[1.0, 1.0, 2.0], n_out=1)
-        out = segment_mean(h, plan)
-        assert out.data[0, 0] == pytest.approx((1 + 1 + 10) / 4, abs=1e-15)
+        h = np.array([[1.0], [5.0]])
+        for build in BUILDERS:
+            agg = build(src=[0, 0, 1], dst=[0, 0, 0], weights=[1.0, 1.0, 2.0],
+                        n_in=2, n_out=1)
+            assert agg.apply(h)[0, 0] == pytest.approx((1 + 1 + 10) / 4,
+                                                       abs=1e-15)
 
     def test_empty_plan_gives_zeros(self):
-        h = Tensor(np.ones((3, 2)), requires_grad=True)
-        plan = build_plan(np.zeros(0), np.zeros(0), np.zeros(0), n_out=3)
-        out = segment_mean(h, plan)
-        assert np.array_equal(out.data, np.zeros((3, 2)))
-        T.sum_all(out).backward()
-        assert np.array_equal(h.grad, np.zeros((3, 2)))
+        for build in BUILDERS:
+            agg = build(np.zeros(0), np.zeros(0), np.zeros(0), n_in=3, n_out=3)
+            block = RelationBlock(agg, slice(0, 3), slice(0, 3))
+            h = Tensor(np.ones((3, 2)), requires_grad=True)
+            out = relational_layer(
+                h, [(block, Tensor(np.eye(2)), Tensor(np.ones((1, 2))))])
+            assert np.array_equal(out.data, np.zeros((3, 2)))
+            T.mean_all(out).backward()
+            assert np.array_equal(h.grad, np.zeros((3, 2)))
 
     def test_has_in_edge_mask(self):
-        plan = build_plan(src=[0, 1], dst=[2, 2], weights=[1.0, 1.0], n_out=4)
-        assert np.array_equal(plan.has_in_edge(), [0.0, 0.0, 1.0, 0.0])
+        for build in BUILDERS:
+            agg = build(src=[0, 1], dst=[2, 2], weights=[1.0, 1.0], n_in=2,
+                        n_out=4)
+            assert np.array_equal(agg.has_in_edge, [0.0, 0.0, 1.0, 0.0])
 
     def test_edge_input_order_does_not_change_result(self):
         rng = np.random.default_rng(7)
@@ -219,10 +238,23 @@ class TestSegmentMean:
         dst = rng.integers(0, 6, size=15)
         w = rng.uniform(0.1, 1.0, size=15)
         h = rng.normal(size=(6, 4))
+        g = rng.normal(size=(6, 4))
         perm = rng.permutation(15)
-        a = segment_mean(Tensor(h), build_plan(src, dst, w, 6))
-        b = segment_mean(Tensor(h), build_plan(src[perm], dst[perm], w[perm], 6))
-        assert np.array_equal(a.data, b.data)  # bit-identical, frozen order
+        for build in BUILDERS:
+            a = build(src, dst, w, n_in=6, n_out=6)
+            b = build(src[perm], dst[perm], w[perm], n_in=6, n_out=6)
+            # bit-identical, frozen order
+            assert np.array_equal(a.apply(h), b.apply(h))
+            assert np.array_equal(a.apply_t(g), b.apply_t(g))
+
+    def test_padded_table_width_is_max_in_degree(self):
+        # A 1x4 path: in-degrees 1, 2, 2, 1, so K = 2 and the end rows pad.
+        src, dst = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
+        agg = PaddedGather.build(src, dst, np.ones(6), n_in=4, n_out=4)
+        assert agg.idx.shape == (4, 2) and agg.idx_t.shape == (4, 2)
+        assert np.array_equal(agg.idx, [[1, 4], [0, 2], [1, 3], [2, 4]])
+        assert np.array_equal(agg.w, [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5],
+                                      [1.0, 0.0]])
 
 
 class TestAdam:

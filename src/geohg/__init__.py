@@ -13,7 +13,7 @@ from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                        build_rnr, build_slr, load_graph, rnr_edge_count,
                        save_graph)
 from .tensor import (AdamState, NumericError, Tensor, adam_init, adam_step,
-                     glorot_uniform, lu_solve)
+                     glorot_uniform, lu_solve, lu_solve_batch)
 from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
                     backbone_checksum, embed_regions, finetune_head,
                     hgnn_forward, infonce_loss, load_checkpoint,
@@ -22,7 +22,8 @@ from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
                     save_checkpoint, save_training_log, train_end_to_end,
                     write_embeddings)
 from .baselines import (Sample, VariogramModel, empirical_variogram,
-                        fit_variogram, idw_predict, uk_predict, uk_weights)
+                        fit_variogram, idw_predict, idw_predict_batch,
+                        uk_predict, uk_predict_batch, uk_weights)
 from .evaluation import (EvalSplit, ExperimentInputs, ExperimentResult,
                          MetricReport, RunSettings, mae, make_split,
                          masked_ratio_sweep, r2, rmse, run_experiment, score,
@@ -43,16 +44,19 @@ __all__ = [
     "build_slr", "compute_env", "compute_pos", "compute_soc",
     "embed_regions", "empirical_variogram", "feature_matrix",
     "featurize_all", "finetune_head", "fit_variogram", "generate",
-    "glorot_uniform", "hgnn_forward", "idw_predict", "infonce_loss",
+    "glorot_uniform", "hgnn_forward", "idw_predict", "idw_predict_batch",
+    "infonce_loss",
     "load_categories", "load_checkpoint", "load_embeddings",
     "load_features", "load_graph", "load_gridspec", "load_labels",
-    "load_landcover", "load_pois", "lu_solve", "mae", "make_split",
+    "load_landcover", "load_pois", "lu_solve", "lu_solve_batch", "mae",
+    "make_split",
     "masked_ratio_sweep", "positive_sets", "predict", "predict_all",
     "predict_from_embeddings", "pretrain_contrastive", "r2", "region_of",
     "rmse", "rnr_edge_count", "run_experiment", "save_checkpoint",
     "save_features", "save_graph", "save_gridspec", "save_labels",
     "save_landcover", "save_pois", "save_training_log", "score",
-    "similarity_map", "train_end_to_end", "uk_predict", "uk_weights",
+    "similarity_map", "train_end_to_end", "uk_predict", "uk_predict_batch",
+    "uk_weights",
     "write_embeddings", "write_predictions", "write_report",
     "write_similarity",
 ]

@@ -3,6 +3,13 @@
 Both work on sparse (region id, value) samples with distances measured in grid
 units between cell coordinates, the same scale the position features use.
 
+Every call handles all of its targets at once, CHUNK targets at a time: the
+samples become coordinate and value arrays once, each chunk gets its
+target-by-sample distance rows, and a row-wise stable argsort picks each
+target's k nearest samples in strict (distance, index) order, so a tie at the
+k-th distance goes to the lower sample index. idw_predict, uk_predict and
+uk_weights are the one-target case of the same code.
+
 Universal Kriging solves, per target, the standard augmented system over the k
 nearest samples with a first-order drift basis (1, x, y):
 
@@ -12,8 +19,12 @@ nearest samples with a first-order drift basis (1, x, y):
 where Gamma holds pairwise semivariances, gamma0 the sample-to-target ones,
 and F the drift basis rows. The unbiasedness rows force sum(lambda) = 1 and
 drift reproduction, which is what lets UK track a linear trend that plain
-kriging or IDW would flatten. A singular system falls back to IDW for that
-target (callers can count these through the on_fallback hook).
+kriging or IDW would flatten. A chunk's systems are stacked into one
+(chunk, k+3, k+3) array and solved together by tensor.lu_solve_batch, which
+flags a system as singular when its matrix is zero, a pivot is at most 1e-12
+of its largest absolute entry, or its solution is not finite. A singular
+system falls back to IDW (default power and k) for that target alone;
+callers can count these through the on_fallback hook.
 """
 
 from __future__ import annotations
@@ -21,12 +32,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .geodata import Region
-from .tensor import NumericError, lu_solve
+from .tensor import NumericError, lu_solve, lu_solve_batch
 
 Sample = tuple[Region, float]
 
@@ -34,46 +45,79 @@ IDW_POWER = 2.0
 IDW_K = 16
 UK_K = 64
 VARIOGRAM_BINS = 12
+# Targets per block of distance rows and kriging systems. At 128 the UK
+# working set on 1024 samples stays near 20 MB; larger blocks save no time.
+CHUNK = 128
 
 
-def _coords_values(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
+def _sample_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     if not samples:
         raise ValueError("no samples")
-    coords = np.array([list(region) for region, _ in samples], dtype=np.float64)
+    coords = np.array([region for region, _ in samples], dtype=np.float64)
     values = np.array([v for _, v in samples], dtype=np.float64)
     return coords, values
 
 
+def _target_array(targets: Sequence[Region]) -> np.ndarray:
+    return np.array(targets, dtype=np.float64).reshape(-1, 2)
+
+
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between point arrays p and q of shape (..., 2),
+    broadcast against each other."""
+    return np.sqrt((p[..., 0] - q[..., 0]) ** 2 + (p[..., 1] - q[..., 1]) ** 2)
+
+
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances in strict (distance, index)
+    """Indices of the k smallest distances along the last axis, in strict
+    (distance, index) order: a stable sort keeps equal distances in index
     order, so a tie at the k-th distance goes to the lower sample index."""
-    if k >= dists.size:
-        chosen = np.arange(dists.size)
-    else:
-        chosen = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    order = np.lexsort((chosen, dists[chosen]))
-    return chosen[order[:k]]
+    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
 
 
-def idw_predict(samples: Sequence[Sample], target: Region,
-                power: float = IDW_POWER, k_neighbors: int = IDW_K) -> float:
-    """Inverse-distance-weighted mean over the k nearest samples.
+def _neighbour_chunks(coords: np.ndarray, targets: np.ndarray, k: int
+                      ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per chunk of targets: (target slice, distances, sample indices) of
+    the k nearest samples, as :func:`_nearest` orders them."""
+    for lo in range(0, len(targets), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        dists = _distances(coords[None, :, :], targets[rows, None, :])
+        idx = _nearest(dists, k)
+        yield rows, np.take_along_axis(dists, idx, axis=1), idx
 
-    Exact at sample locations (the zero-distance sample wins outright).
-    """
+
+def _idw(coords: np.ndarray, values: np.ndarray, targets: np.ndarray,
+         power: float, k_neighbors: int) -> np.ndarray:
     if power <= 0:
         raise ValueError(f"IDW power must be positive, got {power}")
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    coords, values = _coords_values(samples)
-    t = np.asarray(target, dtype=np.float64)
-    dists = np.sqrt(((coords - t) ** 2).sum(axis=1))
-    hit = np.flatnonzero(dists == 0.0)
-    if hit.size:
-        return float(values[hit[0]])
-    idx = _nearest(dists, k_neighbors)
-    w = dists[idx] ** -power
-    return float((w * values[idx]).sum() / w.sum())
+    out = np.empty(len(targets))
+    for rows, dists, idx in _neighbour_chunks(coords, targets, k_neighbors):
+        near = values[idx]
+        pred = near[:, 0].copy()        # exact where the nearest is at 0
+        miss = dists[:, 0] != 0.0
+        w = dists[miss] ** -power
+        pred[miss] = (w * near[miss]).sum(axis=1) / w.sum(axis=1)
+        out[rows] = pred
+    return out
+
+
+def idw_predict_batch(samples: Sequence[Sample], targets: Sequence[Region],
+                      power: float = IDW_POWER,
+                      k_neighbors: int = IDW_K) -> np.ndarray:
+    """Inverse-distance-weighted mean over each target's k nearest samples.
+
+    Exact at sample locations (the zero-distance sample wins outright).
+    """
+    coords, values = _sample_arrays(samples)
+    return _idw(coords, values, _target_array(targets), power, k_neighbors)
+
+
+def idw_predict(samples: Sequence[Sample], target: Region,
+                power: float = IDW_POWER, k_neighbors: int = IDW_K) -> float:
+    """One-target :func:`idw_predict_batch`."""
+    return float(idw_predict_batch(samples, [target], power, k_neighbors)[0])
 
 
 @dataclass(frozen=True)
@@ -105,12 +149,11 @@ class VariogramModel:
 def empirical_variogram(samples: Sequence[Sample],
                         n_bins: int = VARIOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Binned (mean distance, mean semivariance) pairs up to half the max distance."""
-    coords, values = _coords_values(samples)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    semiv = 0.5 * (values[:, None] - values[None, :]) ** 2
-    iu = np.triu_indices(len(samples), k=1)
-    dist, semiv = dist[iu], semiv[iu]
+    coords, values = _sample_arrays(samples)
+    i, j = np.triu_indices(len(coords), k=1)
+    x, y = coords.T
+    dist = np.sqrt((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2)
+    semiv = 0.5 * (values[i] - values[j]) ** 2
     cutoff = dist.max() / 2.0
     if cutoff <= 0:
         raise ValueError("all samples at one location")
@@ -202,43 +245,86 @@ def fit_variogram(samples: Sequence[Sample],
                           effective_range=float(best_p[2]))
 
 
+def _uk_weights(coords: np.ndarray, targets: np.ndarray,
+                model: VariogramModel, k_neighbors: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kriging weights, neighbour indices and a solved flag per target."""
+    if len(coords) < 4:
+        raise ValueError("universal kriging needs at least 4 samples")
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be >= 1")
+    n = min(k_neighbors, len(coords))
+    lam = np.empty((len(targets), n))
+    idx = np.empty((len(targets), n), dtype=np.intp)
+    ok = np.empty(len(targets), dtype=bool)
+    for rows, dists, near in _neighbour_chunks(coords, targets, k_neighbors):
+        pts = coords[near]                                  # (c, n, 2)
+        a = np.zeros((len(pts), n + 3, n + 3))
+        a[:, :n, :n] = model.semivariance(_distances(pts[:, :, None],
+                                                     pts[:, None, :]))
+        a[:, :n, n] = 1.0
+        a[:, :n, n + 1:] = pts
+        a[:, n, :n] = 1.0
+        a[:, n + 1:, :n] = pts.transpose(0, 2, 1)
+        b = np.empty((len(pts), n + 3))
+        b[:, :n] = model.semivariance(dists)
+        b[:, n] = 1.0
+        b[:, n + 1:] = targets[rows]
+        sol, ok[rows] = lu_solve_batch(a, b)
+        lam[rows] = sol[:, :n]
+        idx[rows] = near
+    return lam, idx, ok
+
+
 def uk_weights(samples: Sequence[Sample], target: Region, model: VariogramModel,
                k_neighbors: int = UK_K) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the UK system; returns (kriging weights, neighbor sample indices).
+    """Solve one target's UK system; returns (kriging weights, neighbour
+    sample indices).
 
     Raises NumericError when the augmented system is singular.
     """
-    coords, _ = _coords_values(samples)
-    if len(samples) < 4:
-        raise ValueError("universal kriging needs at least 4 samples")
-    t = np.asarray(target, dtype=np.float64)
-    dists = np.sqrt(((coords - t) ** 2).sum(axis=1))
-    idx = _nearest(dists, k_neighbors)
-    pts = coords[idx]
-    n = len(idx)
-    diff = pts[:, None, :] - pts[None, :, :]
-    gamma_mat = model.semivariance(np.sqrt((diff ** 2).sum(axis=2)))
-    drift = np.column_stack([np.ones(n), pts])
-    a = np.zeros((n + 3, n + 3))
-    a[:n, :n] = gamma_mat
-    a[:n, n:] = drift
-    a[n:, :n] = drift.T
-    b = np.concatenate([model.semivariance(dists[idx]), [1.0, t[0], t[1]]])
-    sol = lu_solve(a, b)
-    return sol[:n], idx
+    coords, _ = _sample_arrays(samples)
+    lam, idx, ok = _uk_weights(coords, _target_array([target]), model,
+                               k_neighbors)
+    if not ok[0]:
+        raise NumericError(f"singular kriging system at {target}")
+    return lam[0], idx[0]
+
+
+def uk_predict_batch(samples: Sequence[Sample], targets: Sequence[Region],
+                     model: VariogramModel, k_neighbors: int = UK_K,
+                     on_fallback: Optional[Callable[[Region], None]] = None
+                     ) -> np.ndarray:
+    """Universal kriging prediction per target.
+
+    A target whose system is singular takes the IDW prediction at the
+    default power and k instead; on_fallback is called with each such
+    target, in target order.
+    """
+    coords, values = _sample_arrays(samples)
+    t = _target_array(targets)
+    lam, idx, ok = _uk_weights(coords, t, model, k_neighbors)
+    # One dot product per target, the same as lam[i] @ values[idx[i]].
+    pred = np.matmul(lam[:, None, :], values[idx][:, :, None])[:, 0, 0]
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        pred[failed] = _idw(coords, values, t[failed], IDW_POWER, IDW_K)
+        if on_fallback is not None:
+            for i in failed:
+                on_fallback(targets[i])
+    return pred
 
 
 def uk_predict(samples: Sequence[Sample], target: Region, model: VariogramModel,
                k_neighbors: int = UK_K,
                on_fallback: Optional[Callable[[Region], None]] = None) -> float:
-    """Universal kriging prediction; IDW fallback on a singular system."""
-    _, values = _coords_values(samples)
-    try:
-        lam, idx = uk_weights(samples, target, model, k_neighbors)
-    except NumericError:
+    """One-target :func:`uk_predict_batch`, which warns when it falls back."""
+    failed: list[Region] = []
+    pred = uk_predict_batch(samples, [target], model, k_neighbors,
+                            on_fallback=failed.append)[0]
+    if failed:
         warnings.warn(f"singular kriging system at {target}; falling back to IDW",
                       stacklevel=2)
         if on_fallback is not None:
             on_fallback(target)
-        return idw_predict(samples, target)
-    return float(lam @ values[idx])
+    return float(pred)

@@ -216,21 +216,19 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
         available = set(split.available())
         samples = [(region, value) for region, value in inputs.labels.entries
                    if region in available]
+        regions = list(label_of)
         if method == "idw":
-            pred_of = {region: baselines.idw_predict(samples, region,
-                                                     settings.idw_power,
-                                                     settings.idw_k)
-                       for region in label_of}
+            pred = baselines.idw_predict_batch(samples, regions,
+                                               settings.idw_power,
+                                               settings.idw_k)
         else:
             model = baselines.fit_variogram(samples)
             fallbacks: list[Region] = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pred_of = {region: baselines.uk_predict(
-                               samples, region, model, settings.uk_k,
-                               on_fallback=fallbacks.append)
-                           for region in label_of}
+            pred = baselines.uk_predict_batch(samples, regions, model,
+                                              settings.uk_k,
+                                              on_fallback=fallbacks.append)
             notes += (("uk_idw_fallbacks", str(len(fallbacks))),)
+        pred_of = {region: float(p) for region, p in zip(regions, pred)}
 
     runtime = time.perf_counter() - t0
     masked_set = set(split.masked)

@@ -156,32 +156,47 @@ def save_features(features: Sequence[RegionFeatures], path: str,
 
 
 def load_features(path: str) -> list[RegionFeatures]:
-    """Read back a features CSV written by :func:`save_features`."""
+    """Read back a features CSV written by :func:`save_features`.
+
+    Raises GeoDataError, naming the file and line, on a row of the wrong
+    width, a non-integer x_r, y_r or poi_count, or a feature value that is
+    unparsable, NaN or infinite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = None
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if header is None:
                 header = line.split(",")
                 continue
-            rows.append(line.split(","))
+            rows.append((lineno, line.split(",")))
     if header is None:
         raise GeoDataError(f"{path}: missing header")
     n_env = sum(1 for c in header if c.startswith("env_"))
     n_soc = sum(1 for c in header if c.startswith("soc_"))
     out = []
-    for parts in rows:
+    for lineno, parts in rows:
+        where = f"{path}: line {lineno}"
         if len(parts) != len(header):
-            raise GeoDataError(f"{path}: row width {len(parts)} != header {len(header)}")
-        vals = [float(v) for v in parts]
-        region = (int(vals[0]), int(vals[1]))
+            raise GeoDataError(f"{where}: row width {len(parts)} != header {len(header)}")
+        try:
+            x, y, poi_count = int(parts[0]), int(parts[1]), int(parts[-1])
+        except ValueError as exc:
+            raise GeoDataError(f"{where}: x_r, y_r and poi_count must be "
+                               f"integers ({exc})") from None
+        try:
+            vals = np.array([float(v) for v in parts[2:-1]])
+        except ValueError as exc:
+            raise GeoDataError(f"{where}: unparsable feature value ({exc})") from None
+        if not np.all(np.isfinite(vals)):
+            raise GeoDataError(f"{where}: non-finite feature value")
         out.append(RegionFeatures(
-            region=region,
-            e_pos=np.array(vals[2:4]),
-            e_env=np.array(vals[4:4 + n_env]),
-            e_soc=np.array(vals[4 + n_env:4 + n_env + n_soc]),
-            poi_count=int(vals[-1])))
+            region=(x, y),
+            e_pos=vals[:2],
+            e_env=vals[2:2 + n_env],
+            e_soc=vals[2 + n_env:2 + n_env + n_soc],
+            poi_count=poi_count))
     return out

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from geohg.baselines import (VariogramModel, _nearest, empirical_variogram,
-                             fit_variogram, idw_predict, uk_predict,
+from geohg.baselines import (CHUNK, VARIOGRAM_BINS, VariogramModel, _nearest,
+                             empirical_variogram, fit_variogram, idw_predict,
+                             idw_predict_batch, uk_predict, uk_predict_batch,
                              uk_weights)
 
 
@@ -167,6 +168,26 @@ class TestEmpiricalVariogram:
         assert np.allclose(h, want_h, atol=1e-12)
         assert np.allclose(g, want_g, atol=1e-12)
 
+    def test_matches_dense_formulation(self):
+        # The n x n difference tensor and full matrices, cut to the upper
+        # triangle afterwards, give the same pairs in the same order.
+        samples = random_samples(150, seed=13, span=40)
+        coords = np.array([r for r, _ in samples], dtype=np.float64)
+        values = np.array([v for _, v in samples])
+        diff = coords[:, None, :] - coords[None, :, :]
+        iu = np.triu_indices(len(samples), k=1)
+        dist = np.sqrt((diff ** 2).sum(axis=2))[iu]
+        semiv = (0.5 * (values[:, None] - values[None, :]) ** 2)[iu]
+        edges = np.linspace(0.0, dist.max() / 2.0, VARIOGRAM_BINS + 1)
+        want_h, want_g = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            in_bin = (dist > lo) & (dist <= hi)
+            if in_bin.any():
+                want_h.append(dist[in_bin].mean())
+                want_g.append(semiv[in_bin].mean())
+        h, g = empirical_variogram(samples)
+        assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
+
 
 class TestFitVariogram:
     def test_needs_ten_samples(self):
@@ -309,3 +330,100 @@ class TestUniversalKriging:
                     err_uk += (uk_predict(samples, (x, y), model) - want) ** 2
                     err_idw += (idw_predict(samples, (x, y)) - want) ** 2
         assert err_uk < 0.25 * err_idw
+
+
+class TestBatched:
+    """All targets of a call at once, chunk by chunk, against the one-target
+    wrappers: the same predictions, bit for bit."""
+
+    COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
+
+    @staticmethod
+    def worlds():
+        # A shuffled 12x12 lattice, where most k-th neighbour slots are
+        # distance ties, and a random world; targets cover both and beyond.
+        rng = np.random.default_rng(14)
+        lattice = [((x, y), float(rng.normal()))
+                   for y in range(12) for x in range(12)]
+        lattice = [lattice[i] for i in rng.permutation(len(lattice))]
+        for samples, span in ((lattice, 12), (random_samples(90, 15, 30), 30)):
+            grid = [(x, y) for y in range(-3, span + 3)
+                    for x in range(-3, span + 3)]
+            targets = [grid[i] for i in rng.permutation(len(grid))]
+            assert len(targets) > max(TestBatched.COUNTS)
+            yield samples, targets
+
+    def test_idw_batch_matches_wrapper(self):
+        for samples, targets in self.worlds():
+            for power, k in ((2.0, 16), (1.5, 5), (2.0, 200)):
+                want = [idw_predict(samples, t, power, k)
+                        for t in targets[:max(self.COUNTS)]]
+                for n in self.COUNTS:
+                    got = idw_predict_batch(samples, targets[:n], power, k)
+                    assert got.shape == (n,)
+                    assert np.array_equal(got, want[:n]), (n, power, k)
+
+    def test_uk_batch_matches_wrapper(self):
+        for samples, targets in self.worlds():
+            model = fit_variogram(samples)
+            values = np.array([v for _, v in samples])
+            for k in (8, 30):
+                want = [uk_predict(samples, t, model, k)
+                        for t in targets[:max(self.COUNTS)]]
+                for t, w in zip(targets[:10], want):
+                    lam, idx = uk_weights(samples, t, model, k)
+                    assert w == lam @ values[idx]
+                for n in self.COUNTS:
+                    got = uk_predict_batch(samples, targets[:n], model, k)
+                    assert np.array_equal(got, want[:n]), (n, k)
+
+    @staticmethod
+    def planted_singular():
+        # A row of samples on y = 0 and a 4x4 block far above it. The six
+        # nearest samples of (4, 1) all lie on the row, so its drift block
+        # is rank-deficient; every block target has a full-rank system.
+        samples = [((x, 0), 0.3 * x) for x in range(10)]
+        samples += [((x, y), float(x * y % 5)) for y in range(30, 34)
+                    for x in range(4)]
+        block = [(x, y) for y in range(29, 35) for x in range(-1, 5)]
+        targets = block[:20] + [(4, 1)] + block[20:]
+        return samples, targets, 20
+
+    def test_planted_singular_target_alone_falls_back(self):
+        samples, targets, bad = self.planted_singular()
+        model = VariogramModel(nugget=0.0, sill=1.0, effective_range=6.0)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the batch itself never warns
+            got = uk_predict_batch(samples, targets, model, 6,
+                                   on_fallback=calls.append)
+        assert calls == [targets[bad]]
+        assert got[bad] == idw_predict(samples, targets[bad])
+        others = targets[:bad] + targets[bad + 1:]
+        assert np.array_equal(np.delete(got, bad),
+                              uk_predict_batch(samples, others, model, 6))
+        with pytest.warns(UserWarning, match="falling back"):
+            assert uk_predict(samples, targets[bad], model, 6) == got[bad]
+
+    def test_singular_batch_raises_no_runtime_warning(self):
+        # A zero-pivot system divides by zero inside the stacked LU; that
+        # must stay silent and only flag the system.
+        samples, targets, bad = self.planted_singular()
+        model = VariogramModel(nugget=0.0, sill=1.0, effective_range=6.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            uk_predict_batch(samples, targets, model, 6)
+            uk_predict_batch(samples, [(4, 1)] * 3, model, 6)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    def test_empty_target_list(self):
+        samples = random_samples(20, seed=16)
+        model = fit_variogram(samples)
+        assert idw_predict_batch(samples, []).shape == (0,)
+        assert uk_predict_batch(samples, [], model).shape == (0,)
+
+    def test_uk_k_below_one_rejected(self):
+        samples = random_samples(20, seed=17)
+        with pytest.raises(ValueError, match="k_neighbors"):
+            uk_predict_batch(samples, [(1, 1)], fit_variogram(samples), 0)

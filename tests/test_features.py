@@ -239,3 +239,36 @@ class TestFeaturesIo:
             assert np.array_equal(fa.e_env, fb.e_env)
             assert np.array_equal(fa.e_soc, fb.e_soc)
             assert fa.poi_count == fb.poi_count
+
+    @staticmethod
+    def saved_rows(tmp_path):
+        # Four rows written by save_features: a comment, the header, rows.
+        grid = make_grid(2, 2)
+        feats = featurize_all(grid, make_lc(grid, seed=3),
+                              [poi_at(grid, (1, 0), 1)], n_categories=2)
+        path = tmp_path / "features.csv"
+        save_features(feats, str(path), header_comments=["seed = 3"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = lines[1].split(",")
+        return path, lines, header
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("env_0", "nan", "non-finite"),
+        ("soc_1", "inf", "non-finite"),
+        ("pos_0", "-inf", "non-finite"),
+        ("env_3", "abc", "unparsable"),
+        ("x_r", "1.5", "integers"),
+        ("y_r", "", "integers"),
+        ("poi_count", "nan", "integers"),
+        ("poi_count", "2.0", "integers"),
+    ])
+    def test_bad_value_rejected_with_file_and_line(self, tmp_path, column,
+                                                   value, message):
+        path, lines, header = self.saved_rows(tmp_path)
+        row = lines[3].split(",")             # the second data row
+        row[header.index(column)] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(GeoDataError, match=message) as err:
+            load_features(str(path))
+        assert f"{path}: line 4" in str(err.value)

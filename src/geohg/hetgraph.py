@@ -13,6 +13,7 @@ Three undirected edge families, each stored once with src < dst:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -172,22 +173,31 @@ def save_graph(graph: HeteroGraph, path: str,
 
 
 def load_graph(path: str) -> HeteroGraph:
+    """Read back a graph written by :func:`save_graph`.
+
+    Raises GeoDataError, naming the file and line, on a malformed line, an
+    unparsable count, id, threshold or weight, or a NaN or infinite weight
+    or threshold; then the graph's own invariants are validated.
+    """
     header = None
     rows: dict[str, list[tuple[int, int, float]]] = {"RNR": [], "ELR": [], "SLR": []}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            where = f"{path}: line {lineno}"
             if header is None:
                 if len(parts) != 6 or parts[0] != "HETGRAPH":
-                    raise GeoDataError(f"{path}: bad header line {line!r}")
-                header = parts
+                    raise GeoDataError(f"{where}: bad header line {line!r}")
+                header = _parse_fields(where, parts[1:], (int, int, int,
+                                                          float, float))
                 continue
             if len(parts) != 4 or parts[0] not in rows:
-                raise GeoDataError(f"{path}: bad edge line {line!r}")
-            rows[parts[0]].append((int(parts[1]), int(parts[2]), float(parts[3])))
+                raise GeoDataError(f"{where}: bad edge line {line!r}")
+            rows[parts[0]].append(_parse_fields(where, parts[1:],
+                                                (int, int, float)))
     if header is None:
         raise GeoDataError(f"{path}: missing HETGRAPH header")
 
@@ -198,11 +208,22 @@ def load_graph(path: str) -> HeteroGraph:
         w = np.array([w for _, _, w in items], dtype=np.float64)
         return EdgeFamily(arr, w)
 
-    graph = HeteroGraph(n_regions=int(header[1]), n_env=int(header[2]),
-                        n_soc=int(header[3]),
+    graph = HeteroGraph(n_regions=header[0], n_env=header[1],
+                        n_soc=header[2],
                         edges_rnr=family(rows["RNR"]),
                         edges_elr=family(rows["ELR"]),
                         edges_slr=family(rows["SLR"]),
-                        thresholds=(float(header[4]), float(header[5])))
+                        thresholds=(header[3], header[4]))
     graph.validate()
     return graph
+
+
+def _parse_fields(where: str, fields: Sequence[str], kinds) -> tuple:
+    """Each field parsed by its kind; a float must be finite."""
+    try:
+        values = tuple(kind(f) for kind, f in zip(kinds, fields))
+    except ValueError as exc:
+        raise GeoDataError(f"{where}: unparsable value ({exc})") from None
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise GeoDataError(f"{where}: non-finite value")
+    return values

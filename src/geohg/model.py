@@ -2,10 +2,12 @@
 
 Layer rule, per node and layer: new = act(self_transform(old) + sum over
 relations of W_rel @ (edge-weight-weighted mean of neighbor vectors)), with
-ReLU between layers and identity on the last, each layer one stacked product
-(tensor.relational_layer). Regions start from a linear projection of [e_pos,
-e_env, e_soc]; entity nodes start from learnable embeddings. The head is a
-three-layer MLP (d -> d -> d -> 1, ReLU between).
+ReLU between layers and identity on the last. Each layer is one tape node,
+tensor.relational_layer, that takes every relation's product in its cheaper
+order: aggregate then project, or project the few entity rows then
+aggregate. Regions start from a linear projection of [e_pos, e_env, e_soc];
+entity nodes start from learnable embeddings. The head is a three-layer MLP
+(d -> d -> d -> 1, ReLU between).
 
 Training regimes:
   * end-to-end: full-batch Adam on the MSE over train regions, early stopping
@@ -269,7 +271,7 @@ def mse_training_loss(gt: GraphTensors, leaves: dict[str, Tensor],
                       targets: np.ndarray) -> tuple[Tensor, Tensor]:
     """(scalar MSE over train rows, full prediction column) for one forward."""
     h = backbone_forward(gt, leaves, config)
-    region_rows = T.gather_rows(h, np.arange(gt.n_regions))
+    region_rows = T.first_rows(h, gt.n_regions)
     preds = head_forward(region_rows, leaves)
     pred_train = T.gather_rows(preds, train_internal)
     err = T.sub(pred_train, Tensor(targets.reshape(-1, 1)))
@@ -425,33 +427,46 @@ def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
     return state, log
 
 
+SIMILARITY_BLOCK = 256
+
+
 def positive_sets(graph: HeteroGraph, features: Sequence[RegionFeatures],
                   top_k: int) -> list[np.ndarray]:
     """Per region: spatially adjacent regions plus top-k cosine-similar ones.
 
     Similarity uses the raw feature rows; ties break toward the lower region
-    index. Returned as sorted external-index arrays (anchor excluded).
+    index. The cosine matrix is built SIMILARITY_BLOCK rows at a time.
+    Returned as sorted external-index arrays (anchor excluded).
     """
     n = graph.n_regions
-    spatial: list[set[int]] = [set() for _ in range(n)]
+    picked: list[set[int]] = [set() for _ in range(n)]
     for u, v in graph.edges_rnr.endpoints:
-        spatial[u].add(int(v))
-        spatial[v].add(int(u))
-    sets: list[np.ndarray] = []
+        picked[u].add(int(v))
+        picked[v].add(int(u))
     if top_k > 0:
         raw = feature_matrix(features)
         norms = np.sqrt((raw ** 2).sum(axis=1))
         norms[norms == 0.0] = 1.0
-        sims = (raw @ raw.T) / np.outer(norms, norms)
-        np.fill_diagonal(sims, -np.inf)
-    for i in range(n):
-        chosen = set(spatial[i])
-        if top_k > 0:
-            ranked = np.lexsort((np.arange(n), -sims[i]))
-            chosen.update(int(j) for j in ranked[:min(top_k, n - 1)])
+        for lo in range(0, n, SIMILARITY_BLOCK):
+            rows = np.arange(lo, min(lo + SIMILARITY_BLOCK, n))
+            top = _most_similar(raw, norms, rows, min(top_k, n - 1))
+            for i, chosen in zip(rows, top):
+                picked[i].update(chosen.tolist())
+    sets: list[np.ndarray] = []
+    for i, chosen in enumerate(picked):
         chosen.discard(i)
         sets.append(np.array(sorted(chosen), dtype=np.int64))
     return sets
+
+
+def _most_similar(raw: np.ndarray, norms: np.ndarray, rows: np.ndarray,
+                  k: int) -> np.ndarray:
+    """(len(rows), k): each row's k most cosine-similar other rows. A stable
+    argsort of -similarity is exactly (-similarity, index) order."""
+    neg = raw[rows] @ raw.T     # -similarity in place: p / -q is -(p / q)
+    neg /= np.outer(-norms[rows], norms)
+    neg[np.arange(rows.size), rows] = np.inf
+    return np.argsort(neg, axis=1, kind="stable")[:, :k].copy()
 
 
 def pretrain_contrastive(graph: HeteroGraph, features: Sequence[RegionFeatures],

@@ -1,7 +1,7 @@
 """Minimal dense float64 numeric core with reverse-mode gradients.
 
 Covers exactly the operations the model needs (dense linear algebra, ReLU,
-overflow-safe log-sum-exp, row gathers and the fused relational layer) plus
+overflow-safe log-sum-exp, row gathers and the relational layer) plus
 the Adam optimizer. Gradients are accumulated by a topological walk over the
 recorded forward graph; this is deliberately not a general autodiff system.
 
@@ -53,6 +53,12 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if self.grad is None and g.shape == self.data.shape:
+            # One pass, and bitwise what zeros + g gives (-0.0 turns +0.0).
+            self.grad = g + 0.0
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -213,6 +219,18 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 
 
+def first_rows(a: Tensor, n: int) -> Tensor:
+    """The leading n rows of a, as a prefix slice."""
+
+    def bwd(g: np.ndarray) -> None:
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            full[:n] = g
+            a._accumulate(full)
+
+    return Tensor(a.data[:n], _parents=(a,), _backward=bwd)
+
+
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[0]
     out_data = np.concatenate([a.data, b.data], axis=0)
@@ -227,7 +245,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fixed-order mean aggregations and the stacked relational layer
+# fixed-order mean aggregations (the padded gather chunked by rows) and the
+# relational layer, each relation's product in its cheaper order
 # ---------------------------------------------------------------------------
 
 def _normalized_edges(src, dst, weights, n_out: int):
@@ -259,10 +278,22 @@ def _padded_table(rows: np.ndarray, cols: np.ndarray, w: np.ndarray,
     return idx, wt
 
 
+GATHER_CHUNK = 256
+
+
 def _gather_sum(idx: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[i] = sum_k w[i, k] * x[idx[i, k]], where index len(x) is a zero row."""
+    """out[i] = sum_k w[i, k] * x[idx[i, k]], where index len(x) is a zero row.
+
+    Rows go GATHER_CHUNK at a time, so the (rows, K, d) gather stays one
+    chunk tall; each row sums its K slots in the same order either way.
+    """
     padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
-    return np.einsum("nk,nkd->nd", w, padded[idx])
+    out = np.empty((idx.shape[0], x.shape[1]))
+    for lo in range(0, idx.shape[0], GATHER_CHUNK):
+        rows = slice(lo, lo + GATHER_CHUNK)
+        out[rows] = np.einsum("nk,nkd->nd", w[rows],
+                              np.take(padded, idx[rows], axis=0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,48 +362,45 @@ class RelationBlock:
 def relational_layer(h: Tensor,
                      relations: Sequence[tuple[RelationBlock, Tensor, Tensor]],
                      self_loop: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
-    """R-GCN layer as one stacked product, before the activation.
+    """R-GCN layer, before the activation, each product in its cheaper order.
 
     out = h W_self + b_self + sum_r (A_r h) W_r + m_r b_r, where A_r is the
     relation's mean aggregation and m_r marks the rows with an in-edge of
-    that type. It is computed as [h | A_1 h | ... | 1 | m_1 | ...] @ W_stack,
-    one GEMM, and the backward splits the stacked gradient back into the
-    per-relation (w, b) leaves. With no self loop and no relation the
-    output is zero.
+    that type. A relation with no more destination than source rows (RNR,
+    region->entity) aggregates first, (A_r h) W_r; one with more (entity->
+    region) projects its few source rows first, A_r (h W_r). The backward
+    mirrors that per relation. No array is wider than d columns. With no
+    self loop and no relation the output is zero.
     """
-    pairs = ([self_loop] if self_loop is not None else []) \
-        + [(w, b) for _, w, b in relations]
-    params = [w for w, _ in pairs] + [b for _, b in pairs]
-    d = h.data.shape[1]
-    n_self = len(pairs) - len(relations)
-    nd = len(pairs) * d
-    x = np.zeros((h.data.shape[0], nd + len(pairs)))
-    if self_loop is not None:
-        x[:, :d] = h.data
-        x[:, nd] = 1.0
-    for j, (rel, _, _) in enumerate(relations):
-        col = (n_self + j) * d
-        x[rel.dst, col:col + d] = rel.agg.apply(h.data[rel.src])
-        x[rel.dst, nd + n_self + j] = rel.agg.has_in_edge
-    w_stack = np.concatenate([np.zeros((0, d))] + [t.data for t in params])
+    out = h.data @ self_loop[0].data + self_loop[1].data \
+        if self_loop is not None else np.zeros_like(h.data)
+    saved = []      # per relation: (A_r h[src], or h[src] if projected first)
+    for rel, w, b in relations:
+        x = h.data[rel.src]
+        first = x.shape[0] < out[rel.dst].shape[0]
+        x = x if first else rel.agg.apply(x)
+        y = rel.agg.apply(x @ w.data) if first else x @ w.data
+        out[rel.dst] += y + rel.agg.has_in_edge[:, None] * b.data
+        saved.append((x, first))
 
     def bwd(g: np.ndarray) -> None:
-        if any(t.requires_grad for t in params):
-            gw = x.T @ g
-            ends = np.cumsum([t.data.shape[0] for t in params])
-            for t, g_t in zip(params, np.split(gw, ends[:-1])):
-                if t.requires_grad:
-                    t._accumulate(g_t)
-        if h.requires_grad:
-            gx = g @ w_stack[:nd].T
-            gh = gx[:, :d].copy() if self_loop is not None \
-                else np.zeros_like(h.data)
-            for j, (rel, _, _) in enumerate(relations):
-                col = (n_self + j) * d
-                gh[rel.src] += rel.agg.apply_t(gx[rel.dst, col:col + d])
-            h._accumulate(gh)
+        gh = g @ self_loop[0].data.T if self_loop is not None \
+            else np.zeros_like(h.data)
+        for (rel, w, b), (x, first) in zip(relations, saved):
+            gd = g[rel.dst]
+            b._accumulate((rel.agg.has_in_edge @ gd)[None])
+            gd = rel.agg.apply_t(gd) if first else gd   # onto source rows
+            w._accumulate(x.T @ gd)
+            gx = gd @ w.data.T
+            gh[rel.src] += gx if first else rel.agg.apply_t(gx)
+        if self_loop is not None:
+            self_loop[0]._accumulate(h.data.T @ g)
+            self_loop[1]._accumulate(g.sum(axis=0, keepdims=True))
+        h._accumulate(gh)
 
-    return Tensor(x @ w_stack, _parents=(h, *params), _backward=bwd)
+    params = [t for _, w, b in relations for t in (w, b)]
+    return Tensor(out, _parents=(h, *(self_loop or ()), *params),
+                  _backward=bwd)
 
 
 # ---------------------------------------------------------------------------

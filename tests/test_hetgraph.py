@@ -204,3 +204,34 @@ class TestGraphIo:
         path.write_text("NOTAGRAPH 1 2 3\n")
         with pytest.raises(GeoDataError):
             load_graph(str(path))
+
+    GOOD = ["# a comment", "HETGRAPH 4 1 1 0.5 0.5", "RNR 0 1 1.0",
+            "ELR 0 4 0.7", "SLR 2 5 0.9"]
+
+    def test_good_file_loads(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("\n".join(self.GOOD) + "\n")
+        graph = load_graph(str(path))
+        assert graph.n_nodes == 6 and graph.thresholds == (0.5, 0.5)
+        assert edge_set(graph.edges_slr) == {(2, 5)}
+
+    @pytest.mark.parametrize("lineno,line,message", [
+        (3, "RNR 0 1 nan", "non-finite"),
+        (4, "ELR 0 4 inf", "non-finite"),
+        (5, "SLR 2 5 -inf", "non-finite"),
+        (3, "RNR 0 x 1.0", "unparsable"),
+        (3, "RNR 0.5 1 1.0", "unparsable"),
+        (4, "ELR 0 4 heavy", "unparsable"),
+        (2, "HETGRAPH 4 one 1 0.5 0.5", "unparsable"),
+        (2, "HETGRAPH 4 1 1 nan 0.5", "non-finite"),
+        (5, "SLR 2 5", "bad edge line"),
+    ])
+    def test_bad_value_rejected_with_file_and_line(self, tmp_path, lineno,
+                                                   line, message):
+        lines = list(self.GOOD)
+        lines[lineno - 1] = line
+        path = tmp_path / "graph.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GeoDataError, match=message) as err:
+            load_graph(str(path))
+        assert f"{path}: line {lineno}" in str(err.value)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import geohg.model
 import geohg.tensor as T
 from geohg.evaluation import make_split, r2
-from geohg.features import feature_matrix
+from geohg.features import RegionFeatures, feature_matrix
 from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
@@ -22,7 +23,7 @@ from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
 from geohg.tensor import Tensor
 
 from _worlds import hand_features, relabel, synth_world
-from test_tensor import finite_difference
+from test_tensor import finite_difference, reference_stacked_layer
 
 
 def leaves_of(params, trainable=True):
@@ -274,12 +275,13 @@ def layer_inputs(graph, feats, config, seed):
     return gt, rels, weights, h
 
 
-def run_layer(gt, rels, weights, h, trainable=False):
+def run_layer(gt, rels, weights, h, trainable=False,
+              layer=T.relational_layer):
     leaves = {k: (Tensor(w, requires_grad=trainable),
                   Tensor(b, requires_grad=trainable))
               for k, (w, b) in weights.items()}
     th = Tensor(h, requires_grad=trainable)
-    out = T.relational_layer(
+    out = layer(
         th, [(gt.relations[r], *leaves[r]) for r in rels], leaves.get("self"))
     return out, th, leaves
 
@@ -331,6 +333,21 @@ class TestRelationalLayer:
                 w, b = weights[rel]
                 want += a @ h @ w + has_in[:, None] * b
             assert np.allclose(out.data, want, atol=1e-12), name
+
+    def test_matches_stacked_layer_with_gradients(self):
+        for name, graph, feats, config in self.CASES:
+            gt, rels, weights, h = layer_inputs(graph, feats, config, 47)
+            target = np.random.default_rng(48).normal(size=h.shape)
+            runs = []
+            for layer in (T.relational_layer, reference_stacked_layer):
+                out, th, leaves = run_layer(gt, rels, weights, h,
+                                            trainable=True, layer=layer)
+                T.mean_all(T.square(T.sub(out, Tensor(target)))).backward()
+                runs.append([out.data, th.grad] + [
+                    t.grad for pair in leaves.values() for t in pair])
+            for got, want in zip(*runs):
+                assert got.shape == want.shape, name
+                assert np.max(np.abs(got - want)) <= 1e-12, name
 
     def test_gradient_matches_finite_differences(self):
         for name, graph, feats, config in self.CASES:
@@ -533,6 +550,39 @@ class TestPositiveSets:
             want = set(sets0[i].tolist()) | {int(j) for j in ranked}
             assert extra == want
             assert i not in extra
+
+    @pytest.mark.parametrize("block", [7, 256])
+    def test_blocked_matches_dense_with_exact_ties(self, monkeypatch, block):
+        # Small-integer rows and power-of-two multiples of them: the dot
+        # products are exact, so many cosines tie exactly, and both sides
+        # compute each similarity by the same expression.
+        monkeypatch.setattr(geohg.model, "SIMILARITY_BLOCK", block)
+        grid = GridSpec(0.0, 0.0, 20, 15)
+        rng = np.random.default_rng(30)
+        base = rng.integers(0, 4, size=(9, 7)).astype(np.float64)
+        base[0] = 0.0                                   # a zero-norm row
+        feats = []
+        for region in grid.regions():
+            row = base[rng.integers(0, 9)] * 2.0 ** int(rng.integers(-2, 3))
+            feats.append(RegionFeatures(
+                region=region, e_pos=row[:2], e_env=row[2:5], e_soc=row[5:],
+                poi_count=0))
+        graph = rnr_only_graph(grid, hand_features(grid, seed=31))
+        n = grid.n_regions
+        raw = feature_matrix(feats)
+        norms = np.sqrt((raw ** 2).sum(axis=1))
+        norms[norms == 0.0] = 1.0
+        sims = (raw @ raw.T) / np.outer(norms, norms)
+        np.fill_diagonal(sims, -np.inf)
+        spatial = positive_sets(graph, feats, top_k=0)
+        for top_k in (1, 5, n + 3):
+            got = positive_sets(graph, feats, top_k)
+            for i in range(n):
+                ranked = np.lexsort((np.arange(n), -sims[i]))
+                want = set(spatial[i].tolist()) | set(
+                    ranked[:min(top_k, n - 1)].tolist())
+                want.discard(i)
+                assert np.array_equal(got[i], sorted(want)), (top_k, i)
 
     def test_anchor_never_in_own_set(self):
         grid, feats, graph, _, _ = synth_world(4, 4, seed=29)

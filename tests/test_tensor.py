@@ -259,6 +259,105 @@ class TestSegmentMean:
                                       [1.0, 0.0]])
 
 
+def reference_stacked_layer(h, relations, self_loop=None):
+    """The layer as one stacked product: [h | A_1 h | ... | 1 | m_1 | ...]
+    @ W_stack in one GEMM, with the stacked gradient split back into the
+    per-relation (w, b) leaves. relational_layer must agree with it."""
+    pairs = ([self_loop] if self_loop is not None else []) \
+        + [(w, b) for _, w, b in relations]
+    params = [w for w, _ in pairs] + [b for _, b in pairs]
+    d = h.data.shape[1]
+    n_self = len(pairs) - len(relations)
+    nd = len(pairs) * d
+    x = np.zeros((h.data.shape[0], nd + len(pairs)))
+    if self_loop is not None:
+        x[:, :d] = h.data
+        x[:, nd] = 1.0
+    for j, (rel, _, _) in enumerate(relations):
+        col = (n_self + j) * d
+        x[rel.dst, col:col + d] = rel.agg.apply(h.data[rel.src])
+        x[rel.dst, nd + n_self + j] = rel.agg.has_in_edge
+    w_stack = np.concatenate([np.zeros((0, d))] + [t.data for t in params])
+
+    def bwd(g):
+        if any(t.requires_grad for t in params):
+            gw = x.T @ g
+            ends = np.cumsum([t.data.shape[0] for t in params])
+            for t, g_t in zip(params, np.split(gw, ends[:-1])):
+                if t.requires_grad:
+                    t._accumulate(g_t)
+        if h.requires_grad:
+            gx = g @ w_stack[:nd].T
+            gh = gx[:, :d].copy() if self_loop is not None \
+                else np.zeros_like(h.data)
+            for j, (rel, _, _) in enumerate(relations):
+                col = (n_self + j) * d
+                gh[rel.src] += rel.agg.apply_t(gx[rel.dst, col:col + d])
+            h._accumulate(gh)
+
+    return Tensor(x @ w_stack, _parents=(h, *params), _backward=bwd)
+
+
+def unchunked_gather_sum(idx, w, x):
+    padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
+    return np.einsum("nk,nkd->nd", w, padded[idx])
+
+
+class TestChunkedGather:
+    @pytest.mark.parametrize("n", [T.GATHER_CHUNK - 1, T.GATHER_CHUNK,
+                                   T.GATHER_CHUNK + 1,
+                                   2 * T.GATHER_CHUNK + 1])
+    def test_bitwise_equal_to_unchunked(self, n):
+        rng = np.random.default_rng(n)
+        m = 5 * n
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n, size=m)
+        agg = PaddedGather.build(src, dst, rng.uniform(0.1, 2.0, size=m),
+                                 n_in=n, n_out=n)
+        x = rng.normal(size=(n, 6))
+        g = rng.normal(size=(n, 6))
+        assert np.array_equal(agg.apply(x),
+                              unchunked_gather_sum(agg.idx, agg.w, x))
+        assert np.array_equal(agg.apply_t(g),
+                              unchunked_gather_sum(agg.idx_t, agg.w_t, g))
+
+
+class TestFirstGradient:
+    def test_equals_zeros_plus_g_bitwise(self):
+        g = np.array([[-0.0, 0.0, -1.5], [np.inf, -0.0, 2.0 ** -1074]])
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        t._accumulate(g)
+        want = np.zeros_like(g) + g
+        assert t.grad.tobytes() == want.tobytes()
+        assert not np.signbit(t.grad[0, 0])
+
+    def test_is_a_copy(self):
+        g = np.ones((2, 2))
+        t = Tensor(np.zeros((2, 2)), requires_grad=True)
+        t._accumulate(g)
+        t._accumulate(g)
+        assert np.array_equal(g, np.ones((2, 2)))
+        assert np.array_equal(t.grad, np.full((2, 2), 2.0))
+
+    def test_shared_gradient_reaches_both_parents_unchanged(self):
+        # add() hands the same g to both parents; the diamond must not let
+        # one parent's accumulation leak into the other's.
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        s = T.add(a, b)
+        T.mean_all(T.add(s, a)).backward()
+        assert np.array_equal(a.grad, np.full((2, 2), 0.5))
+        assert np.array_equal(b.grad, np.full((2, 2), 0.25))
+
+    def test_first_rows_gradient_pads_with_zeros(self):
+        a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        top = T.first_rows(a, 3)
+        assert np.array_equal(top.data, a.data[:3])
+        T.mean_all(T.scale(top, -6.0)).backward()
+        assert np.array_equal(a.grad, [[-1.0, -1.0]] * 3 + [[0.0, 0.0]])
+        assert not np.signbit(a.grad[3]).any()
+
+
 class TestAdam:
     def test_zero_gradient_keeps_param(self):
         param = np.array([1.0, -2.0])

@@ -75,6 +75,8 @@ class HeteroGraph:
             if name == "RNR":
                 if e.min() < 0 or e.max() >= self.n_regions:
                     raise GeoDataError("RNR endpoint out of region range")
+                if np.any(fam.weights <= 0):
+                    raise GeoDataError("RNR weight not positive")
             else:
                 src, dst = e[:, 0], e[:, 1]
                 if src.min() < 0 or src.max() >= self.n_regions:
@@ -176,8 +178,9 @@ def load_graph(path: str) -> HeteroGraph:
     """Read back a graph written by :func:`save_graph`.
 
     Raises GeoDataError, naming the file and line, on a malformed line, an
-    unparsable count, id, threshold or weight, or a NaN or infinite weight
-    or threshold; then the graph's own invariants are validated.
+    unparsable count, id, threshold or weight, a NaN or infinite weight or
+    threshold, or an RNR weight that is not positive; then the graph's own
+    invariants are validated.
     """
     header = None
     rows: dict[str, list[tuple[int, int, float]]] = {"RNR": [], "ELR": [], "SLR": []}
@@ -196,8 +199,10 @@ def load_graph(path: str) -> HeteroGraph:
                 continue
             if len(parts) != 4 or parts[0] not in rows:
                 raise GeoDataError(f"{where}: bad edge line {line!r}")
-            rows[parts[0]].append(_parse_fields(where, parts[1:],
-                                                (int, int, float)))
+            edge = _parse_fields(where, parts[1:], (int, int, float))
+            if parts[0] == "RNR" and edge[2] <= 0:
+                raise GeoDataError(f"{where}: RNR weight not positive")
+            rows[parts[0]].append(edge)
     if header is None:
         raise GeoDataError(f"{path}: missing HETGRAPH header")
 

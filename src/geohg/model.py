@@ -16,6 +16,15 @@ Training regimes:
     against mean-pooled positive sets, in-batch negatives), then a fresh head
     fine-tuned on the frozen embedding matrix.
 
+Both losses read only a few rows, so during training the last relational
+layer and the head run on a RowSubset alone: the train and validation
+regions for the MSE, built once per run, and a batch's anchors and pooled
+positives for InfoNCE, built once per batch. Earlier layers stay full,
+because entity hubs link every region within two hops. This is the exact
+node-wise computation graph, with no sampling; the region->entity relations
+drop out of the restricted layer, since no entity row is read. Inference
+(embed_regions, predict_all, hgnn_forward) always runs the full forward.
+
 Internally all node rows are kept in a canonical order obtained by
 lexicographically sorting the raw region feature rows (positions make rows
 distinct), and every aggregation table is frozen in that order. Relabeling
@@ -242,25 +251,60 @@ def _leaves(params: dict[str, np.ndarray],
             for name, arr in params.items()}
 
 
+@dataclass(frozen=True)
+class RowSubset:
+    """Sorted internal region rows, and every relation into the region
+    block restricted to them (``agg.rows``), for a last layer that computes
+    only those rows."""
+
+    rows: np.ndarray
+    relations: dict[str, RelationBlock]
+
+
+def row_subset(gt: GraphTensors, rows: np.ndarray) -> RowSubset:
+    """The subset of the distinct internal region rows in ``rows``.
+
+    Relations into the entity block are left out: no row of a restricted
+    last layer's output belongs to an entity.
+    """
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    regions = slice(0, gt.n_regions)
+    out = slice(0, rows.size)
+    return RowSubset(rows, {name: RelationBlock(rel.agg.rows(rows), rel.src, out)
+                            for name, rel in gt.relations.items()
+                            if rel.dst == regions})
+
+
 def backbone_forward(gt: GraphTensors, leaves: dict[str, Tensor],
-                     config: HgnnConfig) -> Tensor:
-    """All-node embedding matrix in internal order (identity on last layer)."""
+                     config: HgnnConfig,
+                     subset: Optional[RowSubset] = None) -> Tensor:
+    """All-node embedding matrix in internal order (identity on last layer).
+
+    With ``subset``, the last layer computes only the subset's rows and the
+    result has one row per ``subset.rows`` entry; every earlier layer still
+    covers all nodes, since entity hubs reach every region in two hops.
+    """
     x = Tensor(gt.x)
     h_regions = T.add(T.matmul(x, leaves["w_in"]), leaves["b_in"])
     h = T.concat_rows(h_regions, leaves["entity_emb"])
     for layer in range(config.n_layers):
-        relations = [(gt.relations[rel], leaves[f"layer{layer}.{rel}.w"],
+        last = layer == config.n_layers - 1
+        restrict = last and subset is not None
+        blocks = subset.relations if restrict else gt.relations
+        relations = [(blocks[rel], leaves[f"layer{layer}.{rel}.w"],
                       leaves[f"layer{layer}.{rel}.b"])
-                     for rel in config.relations if rel in gt.relations]
+                     for rel in config.relations if rel in blocks]
         self_loop = ((leaves[f"layer{layer}.self.w"],
                       leaves[f"layer{layer}.self.b"])
                      if config.use_self_loop else None)
-        acc = T.relational_layer(h, relations, self_loop)
-        h = T.relu(acc) if layer < config.n_layers - 1 else acc
+        acc = T.relational_layer(h, relations, self_loop,
+                                 subset.rows if restrict else None)
+        h = acc if last else T.relu(acc)
     return h
 
 
 def head_forward(embeddings: Tensor, leaves: dict[str, Tensor]) -> Tensor:
+    """The three-layer regression head, one output column."""
     a = T.relu(T.add(T.matmul(embeddings, leaves["head.0.w"]), leaves["head.0.b"]))
     a = T.relu(T.add(T.matmul(a, leaves["head.1.w"]), leaves["head.1.b"]))
     return T.add(T.matmul(a, leaves["head.2.w"]), leaves["head.2.b"])
@@ -268,12 +312,17 @@ def head_forward(embeddings: Tensor, leaves: dict[str, Tensor]) -> Tensor:
 
 def mse_training_loss(gt: GraphTensors, leaves: dict[str, Tensor],
                       config: HgnnConfig, train_internal: np.ndarray,
-                      targets: np.ndarray) -> tuple[Tensor, Tensor]:
-    """(scalar MSE over train rows, full prediction column) for one forward."""
-    h = backbone_forward(gt, leaves, config)
-    region_rows = T.first_rows(h, gt.n_regions)
-    preds = head_forward(region_rows, leaves)
-    pred_train = T.gather_rows(preds, train_internal)
+                      targets: np.ndarray,
+                      subset: Optional[RowSubset] = None
+                      ) -> tuple[Tensor, Tensor]:
+    """(scalar MSE over train rows, prediction column over ``subset.rows``)
+    for one forward. The last layer and the head run on the subset's rows
+    alone; it must hold the train rows, and defaults to exactly them."""
+    if subset is None:
+        subset = row_subset(gt, train_internal)
+    preds = head_forward(backbone_forward(gt, leaves, config, subset), leaves)
+    pred_train = T.gather_rows(preds, np.searchsorted(subset.rows,
+                                                      train_internal))
     err = T.sub(pred_train, Tensor(targets.reshape(-1, 1)))
     return T.mean_all(T.square(err)), preds
 
@@ -281,11 +330,15 @@ def mse_training_loss(gt: GraphTensors, leaves: dict[str, Tensor],
 def infonce_loss(gt: GraphTensors, leaves: dict[str, Tensor], config: HgnnConfig,
                  anchors_internal: np.ndarray, positive_plan: np.ndarray,
                  temperature: float) -> Tensor:
-    """InfoNCE over one batch: anchors vs mean-pooled positives, in-batch negatives."""
-    h = backbone_forward(gt, leaves, config)
-    anchors = T.gather_rows(h, anchors_internal)
-    pool = np.pad(positive_plan,
-                  ((0, 0), (0, gt.n_nodes - positive_plan.shape[1])))
+    """InfoNCE over one batch: anchors vs mean-pooled positives, in-batch
+    negatives. The last layer runs only on the anchors and the columns the
+    plan pools."""
+    cols = np.flatnonzero(positive_plan.any(axis=0))
+    subset = row_subset(gt, np.concatenate([anchors_internal, cols]))
+    h = backbone_forward(gt, leaves, config, subset)
+    anchors = T.gather_rows(h, np.searchsorted(subset.rows, anchors_internal))
+    pool = np.zeros((positive_plan.shape[0], subset.rows.size))
+    pool[:, np.searchsorted(subset.rows, cols)] = positive_plan[:, cols]
     pooled = T.matmul(Tensor(pool), h)
     scores = T.scale(T.matmul_t(anchors, pooled), 1.0 / temperature)
     return T.mean_all(T.sub(T.log_sum_exp(scores), T.diag(scores)))
@@ -411,13 +464,14 @@ def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
         _region_positions(features), labels, split, config.label_transform)
     gt = prepare_graph(graph, features, config)
     state = init_state(config, graph.n_env, graph.n_soc)
-    train_internal = gt.rank[train_ext]
-    val_internal = gt.rank[val_ext]
+    train_internal, val_internal = gt.rank[train_ext], gt.rank[val_ext]
+    subset = row_subset(gt, np.concatenate([train_internal, val_internal]))
+    val_rows = np.searchsorted(subset.rows, val_internal)
 
     def objective(leaves: dict[str, Tensor]) -> tuple[Tensor, float]:
         loss, preds = mse_training_loss(gt, leaves, config, train_internal,
-                                        y_train)
-        return loss, float(np.mean((preds.data[val_internal, 0] - y_val) ** 2))
+                                        y_train, subset)
+        return loss, float(np.mean((preds.data[val_rows, 0] - y_val) ** 2))
 
     state.params, log = _fit(state.params, config.lr, config.max_epochs,
                              lambda epoch: (objective,), "training",
@@ -461,12 +515,25 @@ def positive_sets(graph: HeteroGraph, features: Sequence[RegionFeatures],
 
 def _most_similar(raw: np.ndarray, norms: np.ndarray, rows: np.ndarray,
                   k: int) -> np.ndarray:
-    """(len(rows), k): each row's k most cosine-similar other rows. A stable
-    argsort of -similarity is exactly (-similarity, index) order."""
+    """(len(rows), k): each row's k most cosine-similar other rows, the
+    first k in (-similarity, index) order, listed by index.
+
+    A selection, O(n) per row: everything below the k-th smallest
+    -similarity is in, and the ties at that value fill the remaining
+    places by ascending index.
+    """
     neg = raw[rows] @ raw.T     # -similarity in place: p / -q is -(p / q)
     neg /= np.outer(-norms[rows], norms)
     neg[np.arange(rows.size), rows] = np.inf
-    return np.argsort(neg, axis=1, kind="stable")[:, :k].copy()
+    if k == 0:
+        return np.empty((rows.size, 0), dtype=np.int64)
+    kth = np.take_along_axis(
+        neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1:k], axis=1)
+    chosen = neg <= kth
+    for i in np.flatnonzero(chosen.sum(axis=1) > k):   # too many ties
+        tied = np.flatnonzero(neg[i] == kth[i])
+        chosen[i, tied[k - np.count_nonzero(neg[i] < kth[i]):]] = False
+    return np.nonzero(chosen)[1].reshape(rows.size, k)
 
 
 def pretrain_contrastive(graph: HeteroGraph, features: Sequence[RegionFeatures],
@@ -565,7 +632,7 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
     def objective(leaves: dict[str, Tensor]) -> tuple[Tensor, float]:
         err = T.sub(head_forward(x_train, leaves),
                     Tensor(y_train.reshape(-1, 1)))
-        val_pred = _head_apply({k: v.data for k, v in leaves.items()}, x_val)
+        val_pred = _head_values({k: v.data for k, v in leaves.items()}, x_val)
         return (T.mean_all(T.square(err)),
                 float(np.mean((val_pred.ravel() - y_val) ** 2)))
 
@@ -577,10 +644,9 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
     return head, log
 
 
-def _head_apply(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    a = np.maximum(x @ params["head.0.w"] + params["head.0.b"], 0.0)
-    a = np.maximum(a @ params["head.1.w"] + params["head.1.b"], 0.0)
-    return a @ params["head.2.w"] + params["head.2.b"]
+def _head_values(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """head_forward on arrays, with no gradient recorded."""
+    return head_forward(Tensor(x), _leaves(params, trainable=set())).data
 
 
 def predict(state: ModelState, graph: HeteroGraph,
@@ -602,7 +668,7 @@ def predict_all(state: ModelState, graph: HeteroGraph,
         raise ValueError("model state is untrained")
     gt = prepare_graph(graph, features, state.config)
     e = embed_regions(state, gt)
-    z = _head_apply(state.params, e).ravel()
+    z = _head_values(state.params, e).ravel()
     out = invert_label_transform(state.config.label_transform, z,
                                  state.label_mean, state.label_std)
     return T.require_finite(out, "predictions")
@@ -612,7 +678,7 @@ def predict_from_embeddings(head: HeadState, e_pretrain: np.ndarray) -> np.ndarr
     """Head predictions over an embedding matrix, inverse-transformed."""
     if not head.trained:
         raise ValueError("head is untrained")
-    z = _head_apply(head.params, e_pretrain).ravel()
+    z = _head_values(head.params, e_pretrain).ravel()
     out = invert_label_transform(head.config.label_transform, z,
                                  head.label_mean, head.label_std)
     return T.require_finite(out, "predictions")

@@ -219,18 +219,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 
 
-def first_rows(a: Tensor, n: int) -> Tensor:
-    """The leading n rows of a, as a prefix slice."""
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:n] = g
-            a._accumulate(full)
-
-    return Tensor(a.data[:n], _parents=(a,), _backward=bwd)
-
-
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[0]
     out_data = np.concatenate([a.data, b.data], axis=0)
@@ -320,6 +308,19 @@ class PaddedGather:
                                    pad=n_out)
         return cls(idx, wt, idx_t, w_t, has_in)
 
+    def rows(self, keep: np.ndarray) -> "PaddedGather":
+        """The mean into the sorted output rows ``keep`` alone, which become
+        rows 0..len(keep)-1. The backward table is rebuilt from the kept
+        edges, each source's destinations still in ascending order."""
+        idx, w = self.idx[keep], self.w[keep]
+        n_in = self.idx_t.shape[0]
+        dst, slot = np.nonzero(idx != n_in)
+        src = idx[dst, slot]
+        by_src = np.lexsort((dst, src))
+        idx_t, w_t = _padded_table(src[by_src], dst[by_src],
+                                   w[dst, slot][by_src], n_in, pad=keep.size)
+        return PaddedGather(idx, w, idx_t, w_t, self.has_in_edge[keep])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _gather_sum(self.idx, self.w, x)
 
@@ -343,6 +344,11 @@ class DenseMean:
         np.add.at(mat, (dst, src), w)
         return cls(mat, has_in)
 
+    def rows(self, keep: np.ndarray) -> "DenseMean":
+        """The mean into the output rows ``keep`` alone, renumbered
+        0..len(keep)-1."""
+        return DenseMean(self.mat[keep], self.has_in_edge[keep])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.mat @ x
 
@@ -361,7 +367,8 @@ class RelationBlock:
 
 def relational_layer(h: Tensor,
                      relations: Sequence[tuple[RelationBlock, Tensor, Tensor]],
-                     self_loop: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
+                     self_loop: Optional[tuple[Tensor, Tensor]] = None,
+                     rows: Optional[np.ndarray] = None) -> Tensor:
     """R-GCN layer, before the activation, each product in its cheaper order.
 
     out = h W_self + b_self + sum_r (A_r h) W_r + m_r b_r, where A_r is the
@@ -371,9 +378,17 @@ def relational_layer(h: Tensor,
     region) projects its few source rows first, A_r (h W_r). The backward
     mirrors that per relation. No array is wider than d columns. With no
     self loop and no relation the output is zero.
+
+    With ``rows``, a sorted array of distinct rows of h, the output holds
+    only those rows, in that order: the self loop reads h[rows], and each
+    relation must already be restricted to them (``agg.rows``), its dst
+    indexing the len(rows)-row output. Its src still indexes all of h, so
+    the gradient of h stays full-size. This is the exact node-wise
+    computation graph of a layer whose later consumers read only ``rows``.
     """
-    out = h.data @ self_loop[0].data + self_loop[1].data \
-        if self_loop is not None else np.zeros_like(h.data)
+    x_self = h.data if rows is None else h.data[rows]
+    out = x_self @ self_loop[0].data + self_loop[1].data \
+        if self_loop is not None else np.zeros_like(x_self)
     saved = []      # per relation: (A_r h[src], or h[src] if projected first)
     for rel, w, b in relations:
         x = h.data[rel.src]
@@ -384,8 +399,13 @@ def relational_layer(h: Tensor,
         saved.append((x, first))
 
     def bwd(g: np.ndarray) -> None:
-        gh = g @ self_loop[0].data.T if self_loop is not None \
-            else np.zeros_like(h.data)
+        if self_loop is None:
+            gh = np.zeros_like(h.data)
+        elif rows is None:
+            gh = g @ self_loop[0].data.T
+        else:
+            gh = np.zeros_like(h.data)
+            gh[rows] = g @ self_loop[0].data.T
         for (rel, w, b), (x, first) in zip(relations, saved):
             gd = g[rel.dst]
             b._accumulate((rel.agg.has_in_edge @ gd)[None])
@@ -394,7 +414,7 @@ def relational_layer(h: Tensor,
             gx = gd @ w.data.T
             gh[rel.src] += gx if first else rel.agg.apply_t(gx)
         if self_loop is not None:
-            self_loop[0]._accumulate(h.data.T @ g)
+            self_loop[0]._accumulate(x_self.T @ g)
             self_loop[1]._accumulate(g.sum(axis=0, keepdims=True))
         h._accumulate(gh)
 

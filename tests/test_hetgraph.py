@@ -5,8 +5,9 @@ import pytest
 
 from geohg.features import RegionFeatures, featurize_all
 from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord
-from geohg.hetgraph import (build_elr, build_graph, build_rnr, build_slr,
-                            load_graph, rnr_edge_count, save_graph)
+from geohg.hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
+                            build_rnr, build_slr, load_graph, rnr_edge_count,
+                            save_graph)
 
 
 def make_grid(n_cols, n_rows):
@@ -151,6 +152,18 @@ class TestBuildGraph:
         assert graph.n_regions == 16 and graph.n_env == 11 and graph.n_soc == 6
         assert graph.n_nodes == 16 + 11 + 6
 
+    @pytest.mark.parametrize("weight", [0.0, -2.0])
+    def test_validate_rejects_non_positive_rnr_weight(self, weight):
+        grid = make_grid(2, 2)
+        rnr = build_rnr(grid)
+        weights = rnr.weights.copy()
+        weights[1] = weight
+        graph = HeteroGraph(n_regions=4, n_env=1, n_soc=1,
+                            edges_rnr=EdgeFamily(rnr.endpoints.copy(),
+                                                 weights))
+        with pytest.raises(GeoDataError, match="RNR weight not positive"):
+            graph.validate(grid)
+
     def test_raising_thresholds_never_adds_edges(self):
         grid, feats = self.grid_world(seed=5)
         lo = build_graph(grid, feats, theta_env=0.2, theta_soc=0.3)
@@ -225,6 +238,8 @@ class TestGraphIo:
         (2, "HETGRAPH 4 one 1 0.5 0.5", "unparsable"),
         (2, "HETGRAPH 4 1 1 nan 0.5", "non-finite"),
         (5, "SLR 2 5", "bad edge line"),
+        (3, "RNR 0 1 -2.0", "RNR weight not positive"),
+        (3, "RNR 0 1 0.0", "RNR weight not positive"),
     ])
     def test_bad_value_rejected_with_file_and_line(self, tmp_path, lineno,
                                                    line, message):

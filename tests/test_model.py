@@ -13,13 +13,15 @@ from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
                          backbone_checksum, backbone_forward,
                          batch_positive_plan, finetune_head,
-                         fit_label_transform, hgnn_forward, infonce_loss,
+                         fit_label_transform, head_forward, hgnn_forward,
+                         infonce_loss,
                          init_head, init_state, invert_label_transform,
                          load_checkpoint, load_embeddings,
-                         positive_sets, predict, predict_all, prepare_graph,
-                         predict_from_embeddings, pretrain_contrastive,
-                         save_checkpoint, save_training_log,
-                         train_end_to_end, write_embeddings)
+                         mse_training_loss, positive_sets, predict,
+                         predict_all, prepare_graph, predict_from_embeddings,
+                         pretrain_contrastive, row_subset, save_checkpoint,
+                         save_training_log, train_end_to_end,
+                         write_embeddings)
 from geohg.tensor import Tensor
 
 from _worlds import hand_features, relabel, synth_world
@@ -37,6 +39,14 @@ def rnr_only_graph(grid, feats):
 
 def constant_labels(grid, value):
     return LabelSet(entries=tuple((r, value) for r in grid.regions()))
+
+
+def head_reference(params, x):
+    """The head written out on arrays: relu(x W0 + b0), relu(. W1 + b1),
+    then . W2 + b2."""
+    a = np.maximum(x @ params["head.0.w"] + params["head.0.b"], 0.0)
+    a = np.maximum(a @ params["head.1.w"] + params["head.1.b"], 0.0)
+    return a @ params["head.2.w"] + params["head.2.b"]
 
 
 class TestConfigs:
@@ -379,6 +389,138 @@ class TestRelationalLayer:
                 out = hgnn_forward(graph_p, feats_p, state)
                 assert np.array_equal(out, base[perm]), name  # bit-for-bit
 
+    def test_row_restricted_layer_matches_full_rows(self):
+        # The restricted layer against the full one: its output rows, and
+        # every gradient under the same upstream g, which the full layer
+        # sees scattered into zeros.
+        rng = np.random.default_rng(49)
+        for name, graph, feats, config in self.CASES:
+            gt, rels, weights, h = layer_inputs(graph, feats, config, 50)
+            n = gt.n_regions
+            no_in_edge = np.flatnonzero(np.any(
+                [gt.relations[r].agg.has_in_edge == 0 for r in rels
+                 if gt.relations[r].dst == slice(0, n)], axis=0))
+            assert no_in_edge.size, name
+            subsets = [rng.choice(n, size=1), np.arange(n),
+                       np.union1d(rng.choice(n, size=n // 2, replace=False),
+                                  no_in_edge[:1])]
+            if name == "zero in-degree region":
+                subsets.append(np.array([gt.rank[6], gt.rank[0]]))
+            full, th_full, leaves_full = run_layer(gt, rels, weights, h,
+                                                   trainable=True)
+            for rows in subsets:
+                subset = row_subset(gt, rows)
+                leaves = {k: (Tensor(w, requires_grad=True),
+                              Tensor(b, requires_grad=True))
+                          for k, (w, b) in weights.items()}
+                th = Tensor(h, requires_grad=True)
+                kept = [r for r in rels if r in subset.relations]
+                assert set(rels) - set(kept) <= {"elr_r2e", "slr_r2e"}, name
+                out = T.relational_layer(
+                    th, [(subset.relations[r], *leaves[r]) for r in kept],
+                    leaves.get("self"), subset.rows)
+                assert out.shape == (subset.rows.size, h.shape[1]), name
+                assert np.max(np.abs(out.data - full.data[subset.rows])) \
+                    <= 1e-12, name
+                g = rng.normal(size=out.shape)
+                g_full = np.zeros_like(full.data)
+                g_full[subset.rows] = g
+                for t in [th_full] + [x for pair in leaves_full.values()
+                                      for x in pair]:
+                    t.grad = None
+                full._backward(g_full)
+                out._backward(g)
+                assert np.max(np.abs(th.grad - th_full.grad)) <= 1e-12, name
+                for key, pair in leaves.items():
+                    for got, want in zip(pair, leaves_full[key]):
+                        if key not in kept and key != "self":
+                            assert got.grad is None, (name, key)
+                            assert not want.grad.any(), (name, key)
+                        else:
+                            assert np.max(np.abs(got.grad - want.grad)) \
+                                <= 1e-12, (name, key)
+
+
+def full_mse_reference(gt, leaves, config, train_internal, targets):
+    """The supervised loss with the whole last layer and head."""
+    h = backbone_forward(gt, leaves, config)
+    preds = head_forward(T.gather_rows(h, np.arange(gt.n_regions)), leaves)
+    err = T.sub(T.gather_rows(preds, train_internal),
+                Tensor(targets.reshape(-1, 1)))
+    return T.mean_all(T.square(err))
+
+
+def full_infonce_reference(gt, leaves, config, anchors, plan, temperature):
+    """InfoNCE with the whole last layer: the plan zero-padded to every
+    node."""
+    h = backbone_forward(gt, leaves, config)
+    pool = np.pad(plan, ((0, 0), (0, gt.n_nodes - plan.shape[1])))
+    scores = T.scale(T.matmul_t(T.gather_rows(h, anchors),
+                                T.matmul(Tensor(pool), h)), 1.0 / temperature)
+    return T.mean_all(T.sub(T.log_sum_exp(scores), T.diag(scores)))
+
+
+class TestRowSubsetLosses:
+    """The losses run their last layer and head on a row subset; values and
+    gradients must match the full forward."""
+
+    def setup(self, seed):
+        grid, feats, graph, _, _ = synth_world(6, 6, seed=seed)
+        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=seed)
+        state = init_state(config, graph.n_env, graph.n_soc)
+        # Random parameters everywhere, biases included.
+        rng = np.random.default_rng(seed)
+        params = {k: rng.normal(scale=0.5, size=v.shape)
+                  for k, v in state.params.items()}
+        return graph, feats, config, prepare_graph(graph, feats, config), \
+            params, rng
+
+    @staticmethod
+    def assert_same(got_loss, got_leaves, want_loss, want_leaves):
+        assert abs(got_loss.item() - want_loss.item()) <= 1e-12
+        for name, want in want_leaves.items():
+            got = got_leaves[name].grad
+            want = want.grad
+            if got is None or want is None:     # None: no path to the loss
+                assert not np.any(want if got is None else got), name
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12, name
+
+    def test_mse_matches_full_forward(self):
+        for seed in (51, 52):
+            graph, feats, config, gt, params, rng = self.setup(seed)
+            train = rng.choice(gt.n_regions, size=9, replace=False)
+            extra = rng.choice(gt.n_regions, size=5, replace=False)
+            y = rng.normal(size=train.size)
+            want_leaves = leaves_of(params)
+            want = full_mse_reference(gt, want_leaves, config, train, y)
+            want.backward()
+            for subset in (None, row_subset(gt, np.union1d(train, extra))):
+                got_leaves = leaves_of(params)
+                got, preds = mse_training_loss(gt, got_leaves, config, train,
+                                               y, subset)
+                got.backward()
+                rows = np.unique(train) if subset is None else subset.rows
+                assert preds.shape == (rows.size, 1)
+                self.assert_same(got, got_leaves, want, want_leaves)
+
+    def test_infonce_matches_full_forward(self):
+        for seed in (53, 54):
+            graph, feats, config, gt, params, rng = self.setup(seed)
+            positives = [np.sort(gt.rank[p]) if p.size else p
+                         for p in positive_sets(graph, feats, 2)]
+            batch = rng.choice(gt.n_regions, size=7, replace=False)
+            anchors = gt.rank[batch]
+            plan = batch_positive_plan([positives[i] for i in batch])
+            want_leaves = leaves_of(params)
+            want = full_infonce_reference(gt, want_leaves, config, anchors,
+                                          plan, 0.1)
+            want.backward()
+            got_leaves = leaves_of(params)
+            got = infonce_loss(gt, got_leaves, config, anchors, plan, 0.1)
+            got.backward()
+            self.assert_same(got, got_leaves, want, want_leaves)
+
 
 class TestTrainEndToEnd:
     def test_constant_labels_converge_to_constant(self):
@@ -402,6 +544,23 @@ class TestTrainEndToEnd:
         assert log_a == log_b
         for name in state_a.params:
             assert np.array_equal(state_a.params[name], state_b.params[name])
+
+    def test_last_layer_r2e_parameters_untouched(self):
+        # Nothing reads the entity rows of the last layer, so its
+        # region->entity relations get no update.
+        grid, feats, graph, labels, _ = synth_world(6, 6, seed=16)
+        split = make_split(labels, masked_ratio=0.5, seed=2)
+        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=10,
+                            patience=10)
+        init = init_state(config, graph.n_env, graph.n_soc).params
+        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        assert set(state.params) == set(init)
+        for rel in ("elr_r2e", "slr_r2e"):
+            for part in ("w", "b"):
+                name = f"layer1.{rel}.{part}"
+                assert state.params[name].tobytes() == init[name].tobytes()
+            assert not np.array_equal(state.params[f"layer0.{rel}.w"],
+                                      init[f"layer0.{rel}.w"])
 
     def test_linear_target_high_r2_on_noiseless_world(self):
         # Noiseless world: y is exactly linear in each region's own features,
@@ -683,7 +842,6 @@ class TestFinetuneHead:
         config = HgnnConfig(hidden_dim=12, seed=7, max_epochs=20, patience=20)
         head, log = finetune_head(e, labels, split, config, regions)
         # Recompute the untrained-head validation MSE independently.
-        from geohg.model import _head_apply
         fresh = init_head(config, d=12)
         values = labels.as_dict()
         idx = {r: i for i, r in enumerate(regions)}
@@ -693,9 +851,19 @@ class TestFinetuneHead:
             "zscore", np.array([values[r] for r in split.validation]),
             mean, std)
         val_rows = e[[idx[r] for r in split.validation]]
-        want = float(np.mean((_head_apply(fresh.params, val_rows).ravel()
+        want = float(np.mean((head_reference(fresh.params, val_rows).ravel()
                               - y_val) ** 2))
         assert log[0][2] == pytest.approx(want, abs=1e-12)
+
+    def test_predictions_match_reference_head_bitwise(self):
+        e, regions, labels = self.embedding_problem(seed=38)
+        split = make_split(labels, masked_ratio=0.4, seed=15)
+        config = HgnnConfig(hidden_dim=12, seed=8, max_epochs=20, patience=20)
+        head, _ = finetune_head(e, labels, split, config, regions)
+        want = invert_label_transform(
+            "zscore", head_reference(head.params, e).ravel(),
+            head.label_mean, head.label_std)
+        assert predict_from_embeddings(head, e).tobytes() == want.tobytes()
 
 
 class TestCheckpointsAndIo:

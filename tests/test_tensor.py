@@ -322,6 +322,40 @@ class TestChunkedGather:
                               unchunked_gather_sum(agg.idx_t, agg.w_t, g))
 
 
+class TestRowRestriction:
+    @pytest.mark.parametrize("n", [9, 2 * T.GATHER_CHUNK + 1])
+    def test_padded_rows_match_full_table_bitwise(self, n):
+        # apply on the kept rows is the full apply's rows; apply_t of a
+        # gradient on the kept rows is the full apply_t of that gradient
+        # scattered into zeros.
+        rng = np.random.default_rng(n + 1)
+        m = 5 * n
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n - 1, size=m)        # row n-1 has no in-edge
+        agg = PaddedGather.build(src, dst, rng.uniform(0.1, 2.0, size=m),
+                                 n_in=n, n_out=n)
+        x = rng.normal(size=(n, 6))
+        for keep in (np.array([n - 1]), np.arange(n),
+                     np.sort(rng.choice(n, size=n // 3, replace=False))):
+            sub = agg.rows(keep)
+            g = rng.normal(size=(keep.size, 6))
+            g_full = np.zeros((n, 6))
+            g_full[keep] = g
+            assert np.array_equal(sub.apply(x), agg.apply(x)[keep])
+            assert np.array_equal(sub.apply_t(g), agg.apply_t(g_full))
+            assert np.array_equal(sub.has_in_edge, agg.has_in_edge[keep])
+
+    def test_dense_rows_slice_the_block(self):
+        rng = np.random.default_rng(3)
+        agg = DenseMean.build(rng.integers(0, 4, size=12),
+                              rng.integers(0, 9, size=12),
+                              rng.uniform(0.1, 2.0, size=12), n_in=4, n_out=9)
+        keep = np.array([1, 4, 8])
+        sub = agg.rows(keep)
+        assert np.array_equal(sub.mat, agg.mat[keep])
+        assert np.array_equal(sub.has_in_edge, agg.has_in_edge[keep])
+
+
 class TestFirstGradient:
     def test_equals_zeros_plus_g_bitwise(self):
         g = np.array([[-0.0, 0.0, -1.5], [np.inf, -0.0, 2.0 ** -1074]])
@@ -348,14 +382,6 @@ class TestFirstGradient:
         T.mean_all(T.add(s, a)).backward()
         assert np.array_equal(a.grad, np.full((2, 2), 0.5))
         assert np.array_equal(b.grad, np.full((2, 2), 0.25))
-
-    def test_first_rows_gradient_pads_with_zeros(self):
-        a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-        top = T.first_rows(a, 3)
-        assert np.array_equal(top.data, a.data[:3])
-        T.mean_all(T.scale(top, -6.0)).backward()
-        assert np.array_equal(a.grad, [[-1.0, -1.0]] * 3 + [[0.0, 0.0]])
-        assert not np.signbit(a.grad[3]).any()
 
 
 class TestAdam:

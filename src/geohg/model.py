@@ -2,12 +2,20 @@
 
 Layer rule, per node and layer: new = act(self_transform(old) + sum over
 relations of W_rel @ (edge-weight-weighted mean of neighbor vectors)), with
-ReLU between layers and identity on the last. Each layer is one tape node,
+ReLU between layers and identity on the last. Regions start from a linear
+projection of [e_pos, e_env, e_soc]; entity nodes start from learnable
+embeddings. The head is a three-layer MLP (d -> d -> d -> 1, ReLU between).
+
+Nothing nonlinear sits between the input projection and layer 0, so layer 0
+is folded: each node block's rows are one product z @ S, with z built once
+per graph in prepare_graph (the features x^ = [x, 1], their aggregations
+A_r x^, the entity-side means and the in-edge masks) and S stacked on the
+tape from the parameters at every step. There is no input projection and no
+layer-0 aggregation. Each later layer is one tape node,
 tensor.relational_layer, that takes every relation's product in its cheaper
 order: aggregate then project, or project the few entity rows then
-aggregate. Regions start from a linear projection of [e_pos, e_env, e_soc];
-entity nodes start from learnable embeddings. The head is a three-layer MLP
-(d -> d -> d -> 1, ReLU between).
+aggregate. Its RNR gather therefore serves only layers from 1 on and
+inference.
 
 Training regimes:
   * end-to-end: full-batch Adam on the MSE over train regions, early stopping
@@ -179,14 +187,34 @@ def init_head(config: HgnnConfig, d: int) -> HeadState:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class FoldedRows:
+    """Layer 0 over one node block as ``z @ concat_rows(terms)``.
+
+    ``z`` is a constant of the graph. Term i covers the next columns of
+    ``z``: with an index array ``src`` it stands for theta[src] @
+    layer0.{rel}.w, where theta = [w_in; b_in; entity_emb]; with None it
+    stands for the one-row bias layer0.{rel}.b.
+    """
+
+    z: np.ndarray
+    terms: tuple[tuple[str, Optional[np.ndarray]], ...]
+
+
+@dataclass(frozen=True)
 class GraphTensors:
-    """Immutable per-run tensors: canonical-order inputs and frozen aggregations."""
+    """Immutable per-run tensors: frozen aggregations in canonical order.
+
+    ``layer0`` holds the region and the entity block of the first layer,
+    folded into constants. The aggregations in ``relations`` serve only
+    layers 1 and up, so a 2-layer model uses them in training only
+    restricted to the rows of its last layer.
+    """
 
     n_regions: int
     n_nodes: int
-    x: np.ndarray                         # (n_regions, in_dim), canonical order
     rank: np.ndarray                      # external region index -> internal row
     relations: dict[str, RelationBlock]   # per relation that has edges
+    layer0: tuple[FoldedRows, FoldedRows]
 
 
 def prepare_graph(graph: HeteroGraph, features: Sequence[RegionFeatures],
@@ -235,8 +263,56 @@ def prepare_graph(graph: HeteroGraph, features: Sequence[RegionFeatures],
             relations[e2r] = RelationBlock(
                 DenseMean.build(ent, reg, fam.weights, n_in=n_ent, n_out=n),
                 entities, regions)
-    return GraphTensors(n_regions=n, n_nodes=graph.n_nodes, x=x, rank=rank,
-                        relations=relations)
+    return GraphTensors(n_regions=n, n_nodes=graph.n_nodes, rank=rank,
+                        relations=relations,
+                        layer0=_fold_layer0(x, relations, config.use_self_loop,
+                                            graph.n_nodes))
+
+
+def _fold_layer0(x: np.ndarray, relations: dict[str, RelationBlock],
+                 use_self_loop: bool, n_nodes: int
+                 ) -> tuple[FoldedRows, FoldedRows]:
+    """Layer 0 of the region and of the entity block as constants of the
+    graph times small parameter products.
+
+    The layer's input is h0 = lift @ theta, where theta = [w_in; b_in;
+    entity_emb] and lift is [x, 1, 0] on region rows and [0, 0, I] on
+    entity rows. Nothing nonlinear sits between them, so each term of the
+    layer is exact as a constant times a parameter product: the self loop
+    lift[block] @ (theta W_self), a relation (A_r lift[src]) @ (theta
+    W_r), and a bias m @ b with m the ones or the relation's in-edge mask.
+    Only the nonzero columns of lift[src] are kept.
+    """
+    n, in1 = x.shape[0], x.shape[1] + 1
+
+    def lift(nodes: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(lift[nodes] on its nonzero columns, the theta rows they read)."""
+        if nodes.start == 0:
+            return np.hstack([x, np.ones((n, 1))]), np.arange(in1)
+        size = nodes.stop - nodes.start
+        return np.eye(size), in1 + nodes.start - n + np.arange(size)
+
+    folds = []
+    for block in (slice(0, n), slice(n, n_nodes)):
+        parts = []      # (rel, theta rows or None, dst rows, constant)
+        if use_self_loop:
+            const, src = lift(block)
+            parts += [("self", src, block, const),
+                      ("self", None, block, np.ones((const.shape[0], 1)))]
+        for name, rel in relations.items():
+            if (rel.dst.start < n) == (block.start == 0):   # into block
+                const, src = lift(rel.src)
+                parts += [(name, src, rel.dst, rel.agg.apply(const)),
+                          (name, None, rel.dst, rel.agg.has_in_edge[:, None])]
+        z = np.zeros((block.stop - block.start,
+                      sum(const.shape[1] for *_, const in parts)))
+        col = 0
+        for _, _, dst, const in parts:
+            z[dst.start - block.start:dst.stop - block.start,
+              col:col + const.shape[1]] = const
+            col += const.shape[1]
+        folds.append(FoldedRows(z, tuple((rel, src) for rel, src, *_ in parts)))
+    return folds[0], folds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +356,20 @@ def backbone_forward(gt: GraphTensors, leaves: dict[str, Tensor],
                      subset: Optional[RowSubset] = None) -> Tensor:
     """All-node embedding matrix in internal order (identity on last layer).
 
-    With ``subset``, the last layer computes only the subset's rows and the
-    result has one row per ``subset.rows`` entry; every earlier layer still
-    covers all nodes, since entity hubs reach every region in two hops.
+    Layer 0 is the folded product of ``gt.layer0``; layers from 1 on are
+    relational_layer. With ``subset``, the last layer computes only the
+    subset's rows and the result has one row per ``subset.rows`` entry;
+    every earlier layer still covers all nodes, since entity hubs reach
+    every region in two hops.
     """
-    x = Tensor(gt.x)
-    h_regions = T.add(T.matmul(x, leaves["w_in"]), leaves["b_in"])
-    h = T.concat_rows(h_regions, leaves["entity_emb"])
-    for layer in range(config.n_layers):
-        last = layer == config.n_layers - 1
-        restrict = last and subset is not None
+    theta = T.concat_rows(leaves["w_in"], leaves["b_in"], leaves["entity_emb"])
+    regions, entities = gt.layer0
+    if config.n_layers == 1 and subset is not None:
+        return _folded(regions, leaves, theta, subset.rows)
+    h = T.concat_rows(_folded(regions, leaves, theta),
+                      _folded(entities, leaves, theta))
+    for layer in range(1, config.n_layers):
+        restrict = layer == config.n_layers - 1 and subset is not None
         blocks = subset.relations if restrict else gt.relations
         relations = [(blocks[rel], leaves[f"layer{layer}.{rel}.w"],
                       leaves[f"layer{layer}.{rel}.b"])
@@ -297,10 +377,22 @@ def backbone_forward(gt: GraphTensors, leaves: dict[str, Tensor],
         self_loop = ((leaves[f"layer{layer}.self.w"],
                       leaves[f"layer{layer}.self.b"])
                      if config.use_self_loop else None)
-        acc = T.relational_layer(h, relations, self_loop,
-                                 subset.rows if restrict else None)
-        h = acc if last else T.relu(acc)
+        h = T.relational_layer(T.relu(h), relations, self_loop,
+                               subset.rows if restrict else None)
     return h
+
+
+def _folded(fold: FoldedRows, leaves: dict[str, Tensor], theta: Tensor,
+            rows: Optional[np.ndarray] = None) -> Tensor:
+    """Layer 0 over one node block, or over its ``rows`` alone."""
+    z = fold.z if rows is None else fold.z[rows]
+    if not fold.terms:
+        return Tensor(np.zeros((z.shape[0], theta.shape[1])))
+    stack = T.concat_rows(*(
+        leaves[f"layer0.{rel}.b"] if src is None else
+        T.matmul(T.gather_rows(theta, src), leaves[f"layer0.{rel}.w"])
+        for rel, src in fold.terms))
+    return T.matmul(Tensor(z), stack)
 
 
 def head_forward(embeddings: Tensor, leaves: dict[str, Tensor]) -> Tensor:
@@ -421,10 +513,11 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
                         return best, log
             loss.backward()
             for name, leaf in leaves.items():
-                grad = leaf.grad if leaf.grad is not None \
-                    else np.zeros_like(leaf.data)
-                params[name], adam[name] = T.adam_step(params[name], grad,
-                                                       adam[name])
+                # No gradient: no path to the loss, in any step of the run.
+                # Its moments stay zero, so the update would be a no-op.
+                if leaf.grad is not None:
+                    params[name], adam[name] = T.adam_step(
+                        params[name], leaf.grad, adam[name])
     return (best if patience is not None else params), log
 
 

@@ -152,13 +152,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
+    # fmax gives the bits of where(a > 0, a, 0.0) on every input (NaN and
+    # -0.0 give +0.0) in one pass; the gradient keeps the a > 0 mask.
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * (a.data > 0))
 
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _backward=bwd)
+    return Tensor(np.fmax(a.data, 0.0), _parents=(a,), _backward=bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -219,17 +219,16 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    na = a.data.shape[0]
-    out_data = np.concatenate([a.data, b.data], axis=0)
+def concat_rows(*parts: Tensor) -> Tensor:
+    ends = np.cumsum([p.data.shape[0] for p in parts])
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g[:na])
-        if b.requires_grad:
-            b._accumulate(g[na:])
+        for p, hi in zip(parts, ends):
+            if p.requires_grad:
+                p._accumulate(g[hi - p.data.shape[0]:hi])
 
-    return Tensor(out_data, _parents=(a, b), _backward=bwd)
+    return Tensor(np.concatenate([p.data for p in parts], axis=0),
+                  _parents=parts, _backward=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,24 @@ def fused_layer_cases():
                         edges_elr=elr, edges_slr=slr)
     cases.append(("zero in-degree region", graph, feats,
                   HgnnConfig(n_layers=2, hidden_dim=4, seed=4)))
+    three_layers = HgnnConfig(n_layers=3, hidden_dim=4, seed=6)
+    cases.append(("three layers", graph, feats, three_layers))
     grid = GridSpec(0.0, 0.0, 7, 1)
     feats = hand_features(grid, seed=42)
     cases.append(("1x7 grid", build_graph(grid, feats, 0.3, 0.2), feats,
                   HgnnConfig(n_layers=2, hidden_dim=4, seed=5)))
+    # RNR weights as a graph file may give them, not all 1.
+    grid, feats, graph, _, _ = synth_world(5, 4, seed=43)
+    rnr = graph.edges_rnr
+    weights = np.random.default_rng(44).uniform(0.2, 3.0, rnr.weights.size)
+    graph = HeteroGraph(n_regions=graph.n_regions, n_env=graph.n_env,
+                        n_soc=graph.n_soc,
+                        edges_rnr=EdgeFamily(rnr.endpoints.copy(), weights),
+                        edges_elr=graph.edges_elr, edges_slr=graph.edges_slr)
+    cases.append(("weighted rnr", graph, feats,
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=7)))
+    cases.append(("one layer", graph, feats,
+                  HgnnConfig(n_layers=1, hidden_dim=4, seed=8)))
     return cases
 
 
@@ -328,6 +342,11 @@ class TestRelationalLayer:
         assert gt.relations["rnr"].agg.idx.shape == (7, 2)
         gt = prepare_graph(*by_name["relation subset"])
         assert sorted(gt.relations) == ["elr_r2e", "rnr", "slr_e2r"]
+        gt = prepare_graph(*by_name["weighted rnr"])
+        w = gt.relations["rnr"].agg.w
+        assert np.unique(w[w > 0]).size > 10
+        assert {config.n_layers for _, _, _, config in self.CASES} \
+            == {1, 2, 3}
 
     def test_matches_per_relation_reference(self):
         # Oracle: the unfused rule, one dense mean per relation built
@@ -439,6 +458,89 @@ class TestRelationalLayer:
                         else:
                             assert np.max(np.abs(got.grad - want.grad)) \
                                 <= 1e-12, (name, key)
+
+
+def canonical_inputs(feats, gt, config):
+    """The region feature rows in internal order, positions min-max
+    scaled when the config says so."""
+    x = feature_matrix(feats)[np.argsort(gt.rank)]
+    if config.normalize_pos:
+        for col in (0, 1):
+            lo, hi = x[:, col].min(), x[:, col].max()
+            x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
+    return x
+
+
+def unfolded_backbone(x, gt, leaves, config, subset=None):
+    """The backbone without the layer-0 fold: project the region features,
+    append the entity embeddings, then relational_layer for every layer,
+    the last one on ``subset.rows`` alone when given."""
+    h = T.concat_rows(T.add(T.matmul(Tensor(x), leaves["w_in"]),
+                            leaves["b_in"]), leaves["entity_emb"])
+    for layer in range(config.n_layers):
+        last = layer == config.n_layers - 1
+        restrict = last and subset is not None
+        blocks = subset.relations if restrict else gt.relations
+        relations = [(blocks[rel], leaves[f"layer{layer}.{rel}.w"],
+                      leaves[f"layer{layer}.{rel}.b"])
+                     for rel in config.relations if rel in blocks]
+        self_loop = ((leaves[f"layer{layer}.self.w"],
+                      leaves[f"layer{layer}.self.b"])
+                     if config.use_self_loop else None)
+        acc = T.relational_layer(h, relations, self_loop,
+                                 subset.rows if restrict else None)
+        h = acc if last else T.relu(acc)
+    return h
+
+
+class TestFoldedLayerZero:
+    CASES = fused_layer_cases()
+
+    def test_matches_unfolded_backbone_with_gradients(self):
+        # Output and every parameter gradient against the unfolded stack,
+        # for the full forward and for row subsets of the last layer.
+        rng = np.random.default_rng(55)
+        for name, graph, feats, config in self.CASES:
+            gt = prepare_graph(graph, feats, config)
+            params = {k: rng.normal(scale=0.7, size=v.shape) for k, v in
+                      init_state(config, graph.n_env, graph.n_soc)
+                      .params.items() if not k.startswith("head.")}
+            x = canonical_inputs(feats, gt, config)
+            n = gt.n_regions
+            for rows in (None, rng.choice(n, size=1),
+                         rng.choice(n, size=n // 2, replace=False)):
+                subset = None if rows is None else row_subset(gt, rows)
+                runs = []
+                for forward in (backbone_forward,
+                                lambda *a: unfolded_backbone(x, *a)):
+                    leaves = leaves_of(params)
+                    out = forward(gt, leaves, config, subset)
+                    target = np.random.default_rng(56).normal(size=out.shape)
+                    T.mean_all(T.square(T.sub(out, Tensor(target)))) \
+                        .backward()
+                    runs.append((out, leaves))
+                (got, got_leaves), (want, want_leaves) = runs
+                where = (name, None if rows is None else rows.size)
+                assert got.shape == want.shape, where
+                assert np.max(np.abs(got.data - want.data)) <= 1e-12, where
+                for key, leaf in want_leaves.items():
+                    a, b = got_leaves[key].grad, leaf.grad
+                    if a is None or b is None:   # None: no path to the loss
+                        assert not np.any(b if a is None else a), where + (key,)
+                    else:
+                        assert np.max(np.abs(a - b)) <= 1e-12, where + (key,)
+
+    def test_layer_zero_runs_no_relational_layer(self, monkeypatch):
+        calls = []
+        layer = T.relational_layer
+        monkeypatch.setattr(T, "relational_layer",
+                            lambda *a: calls.append(1) or layer(*a))
+        for name, graph, feats, config in self.CASES:
+            gt = prepare_graph(graph, feats, config)
+            state = init_state(config, graph.n_env, graph.n_soc)
+            calls.clear()
+            backbone_forward(gt, leaves_of(state.params), config)
+            assert len(calls) == config.n_layers - 1, name
 
 
 def full_mse_reference(gt, leaves, config, train_internal, targets):
@@ -768,6 +870,38 @@ class TestPretrain:
         assert np.all(np.isfinite(emb))
         assert state.trained
         assert len(log) == 3 and all(np.isfinite(v) for _, v in log)
+
+    def test_unreached_parameters_keep_their_init(self, monkeypatch):
+        # The head and the last layer's region->entity relations have no
+        # path to the InfoNCE loss: Adam skips them, and they keep their
+        # init bit for bit.
+        grid, feats, graph, _, _ = synth_world(6, 6, seed=34)
+        ssl = SslConfig(batch_size=9, epochs=2, seed=4)
+        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=4)
+        calls = {"adam": 0, "loss": 0}
+        adam, loss = T.adam_step, geohg.model.infonce_loss
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(T, "adam_step", counted("adam", adam))
+        monkeypatch.setattr(geohg.model, "infonce_loss",
+                            counted("loss", loss))
+        init = init_state(config, graph.n_env, graph.n_soc).params
+        state, _, _ = pretrain_contrastive(graph, feats, ssl, config)
+        unreached = [k for k in init if k.startswith("head.")] + [
+            f"layer1.{rel}.{part}" for rel in ("elr_r2e", "slr_r2e")
+            for part in ("w", "b")]
+        assert len(unreached) == 10
+        for name in unreached:
+            assert state.params[name].tobytes() == init[name].tobytes(), name
+        for name in set(init) - set(unreached):
+            assert not np.array_equal(state.params[name], init[name]), name
+        assert calls["loss"] == 2 * (36 // 9)
+        assert calls["adam"] == calls["loss"] * (len(init) - 10)
 
     def test_batch_too_large_rejected(self):
         grid, feats, graph, _, _ = synth_world(4, 4, seed=32)

@@ -43,6 +43,27 @@ class TestForwardOps:
         out = T.relu(Tensor([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
+    def test_relu_bitwise_equal_to_where_on_special_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, tiny, -tiny,
+                            2.2250738585072014e-308, -2.2250738585072014e-308,
+                            np.inf, -np.inf, 1.0, -1.0, big, -big])
+        rng = np.random.default_rng(4)
+        for n in (1, 3, 14, 17, 64, 1001):
+            a = rng.choice(special, size=(n, 3))
+            for view in (a, a[:, 1], a.T):
+                got = T.relu(Tensor(view)).data
+                want = np.where(view > 0, view, 0.0)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), n
+
+    def test_relu_gradient_masks_non_positive_inputs(self):
+        a = Tensor(np.array([[np.nan, -0.0, 0.0, 1e-320, -2.0, 3.0]]),
+                   requires_grad=True)
+        T.mean_all(T.scale(T.relu(a), 6.0)).backward()
+        assert np.array_equal(a.grad, [[0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
+
     def test_log_sum_exp_overflow_safe(self):
         out = T.log_sum_exp(Tensor([[1000.0, 1000.0]]))
         assert out.data[0] == pytest.approx(1000.0 + math.log(2), abs=1e-12)
@@ -124,6 +145,20 @@ class TestBackward:
         loss = T.mean_all(T.add(T.square(x), T.scale(x, 3.0)))
         loss.backward()
         assert x.grad[0, 0] == pytest.approx(2 * 2.0 + 3.0, abs=1e-15)
+
+    def test_concat_rows_splits_the_gradient(self):
+        rng = np.random.default_rng(5)
+        parts = [Tensor(rng.normal(size=(k, 3)), requires_grad=k != 2)
+                 for k in (1, 2, 0, 4)]
+        out = T.concat_rows(*parts)
+        assert np.array_equal(out.data,
+                              np.concatenate([p.data for p in parts]))
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        assert np.array_equal(parts[0].grad, g[:1])
+        assert parts[1].grad is None
+        assert np.array_equal(parts[2].grad, g[3:3])
+        assert np.array_equal(parts[3].grad, g[3:])
 
     def test_gather_rows_gradient_scatters(self):
         h = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)

@@ -4,11 +4,14 @@ Both work on sparse (region id, value) samples with distances measured in grid
 units between cell coordinates, the same scale the position features use.
 
 Every call handles all of its targets at once, CHUNK targets at a time: the
-samples become coordinate and value arrays once, each chunk gets its
-target-by-sample distance rows, and a row-wise stable argsort picks each
-target's k nearest samples in strict (distance, index) order, so a tie at the
-k-th distance goes to the lower sample index. idw_predict, uk_predict and
-uk_weights are the one-target case of the same code.
+samples become coordinate and value arrays once, and each chunk gets its
+target-by-sample distance rows. Each target's k nearest samples are the first
+k in strict (distance, index) order, so a tie at the k-th distance goes to the
+lower sample index. They are selected in O(n) per row by tensor.smallest_k
+(a partition at the k-th distance; the ties at it taken lowest index first),
+then put in that order by a stable argsort of the k chosen distances.
+idw_predict, uk_predict and uk_weights are the one-target case of the same
+code.
 
 Universal Kriging solves, per target, the standard augmented system over the k
 nearest samples with a first-order drift basis (1, x, y):
@@ -19,12 +22,15 @@ nearest samples with a first-order drift basis (1, x, y):
 where Gamma holds pairwise semivariances, gamma0 the sample-to-target ones,
 and F the drift basis rows. The unbiasedness rows force sum(lambda) = 1 and
 drift reproduction, which is what lets UK track a linear trend that plain
-kriging or IDW would flatten. A chunk's systems are stacked into one
-(chunk, k+3, k+3) array and solved together by tensor.lu_solve_batch, which
-flags a system as singular when its matrix is zero, a pivot is at most 1e-12
-of its largest absolute entry, or its solution is not finite. A singular
-system falls back to IDW (default power and k) for that target alone;
-callers can count these through the on_fallback hook.
+kriging or IDW would flatten. A target at a sample location (nearest
+distance exactly 0) needs no solve: gamma(0) = 0 makes gamma0 that sample's
+column of Gamma, so its weights are one-hot on the sample, the lowest index
+among samples at that location, as in IDW. The other targets' systems of a
+chunk are stacked into one (m, k+3, k+3) array and solved together by
+tensor.lu_solve_batch, which flags a system as singular when its matrix is
+zero, a pivot is at most 1e-12 of its largest absolute entry, or its solution
+is not finite. A singular system falls back to IDW (default power and k) for
+that target alone; callers can count these through the on_fallback hook.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .geodata import Region
-from .tensor import NumericError, lu_solve, lu_solve_batch
+from .tensor import NumericError, lu_solve, lu_solve_batch, smallest_k
 
 Sample = tuple[Region, float]
 
@@ -70,9 +76,13 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest distances along the last axis, in strict
-    (distance, index) order: a stable sort keeps equal distances in index
-    order, so a tie at the k-th distance goes to the lower sample index."""
-    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
+    (distance, index) order, so a tie at the k-th distance goes to the lower
+    sample index. smallest_k lists the chosen k by index, and a stable sort
+    of their distances keeps equal ones in that order."""
+    idx = smallest_k(dists, k)
+    order = np.argsort(np.take_along_axis(dists, idx, axis=-1), axis=-1,
+                       kind="stable")
+    return np.take_along_axis(idx, order, axis=-1)
 
 
 def _neighbour_chunks(coords: np.ndarray, targets: np.ndarray, k: int
@@ -245,6 +255,27 @@ def fit_variogram(samples: Sequence[Sample],
                           effective_range=float(best_p[2]))
 
 
+def _uk_systems(coords: np.ndarray, targets: np.ndarray, near: np.ndarray,
+                dists: np.ndarray, model: VariogramModel
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked augmented systems (a, b) of targets whose nearest samples
+    are the rows of `near`, at distances `dists`."""
+    n = near.shape[1]
+    pts = coords[near]                                  # (m, n, 2)
+    a = np.zeros((len(pts), n + 3, n + 3))
+    a[:, :n, :n] = model.semivariance(_distances(pts[:, :, None],
+                                                 pts[:, None, :]))
+    a[:, :n, n] = 1.0
+    a[:, :n, n + 1:] = pts
+    a[:, n, :n] = 1.0
+    a[:, n + 1:, :n] = pts.transpose(0, 2, 1)
+    b = np.empty((len(pts), n + 3))
+    b[:, :n] = model.semivariance(dists)
+    b[:, n] = 1.0
+    b[:, n + 1:] = targets
+    return a, b
+
+
 def _uk_weights(coords: np.ndarray, targets: np.ndarray,
                 model: VariogramModel, k_neighbors: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,32 +285,24 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     n = min(k_neighbors, len(coords))
-    lam = np.empty((len(targets), n))
+    lam = np.zeros((len(targets), n))
     idx = np.empty((len(targets), n), dtype=np.intp)
-    ok = np.empty(len(targets), dtype=bool)
+    ok = np.ones(len(targets), dtype=bool)
     for rows, dists, near in _neighbour_chunks(coords, targets, k_neighbors):
-        pts = coords[near]                                  # (c, n, 2)
-        a = np.zeros((len(pts), n + 3, n + 3))
-        a[:, :n, :n] = model.semivariance(_distances(pts[:, :, None],
-                                                     pts[:, None, :]))
-        a[:, :n, n] = 1.0
-        a[:, :n, n + 1:] = pts
-        a[:, n, :n] = 1.0
-        a[:, n + 1:, :n] = pts.transpose(0, 2, 1)
-        b = np.empty((len(pts), n + 3))
-        b[:, :n] = model.semivariance(dists)
-        b[:, n] = 1.0
-        b[:, n + 1:] = targets[rows]
-        sol, ok[rows] = lu_solve_batch(a, b)
-        lam[rows] = sol[:, :n]
         idx[rows] = near
+        at = dists[:, 0] == 0.0
+        lam[rows.start + np.flatnonzero(at), 0] = 1.0   # one-hot at a sample
+        off = rows.start + np.flatnonzero(~at)
+        sol, ok[off] = lu_solve_batch(*_uk_systems(
+            coords, targets[off], near[~at], dists[~at], model))
+        lam[off] = sol[:, :n]
     return lam, idx, ok
 
 
 def uk_weights(samples: Sequence[Sample], target: Region, model: VariogramModel,
                k_neighbors: int = UK_K) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one target's UK system; returns (kriging weights, neighbour
-    sample indices).
+    """One target's kriging weights and neighbour sample indices. At a
+    sample location the weights are one-hot on that sample, with no solve.
 
     Raises NumericError when the augmented system is singular.
     """
@@ -297,9 +320,9 @@ def uk_predict_batch(samples: Sequence[Sample], targets: Sequence[Region],
                      ) -> np.ndarray:
     """Universal kriging prediction per target.
 
-    A target whose system is singular takes the IDW prediction at the
-    default power and k instead; on_fallback is called with each such
-    target, in target order.
+    Exact at sample locations, with no solve there. A target whose system
+    is singular takes the IDW prediction at the default power and k
+    instead; on_fallback is called with each such target, in target order.
     """
     coords, values = _sample_arrays(samples)
     t = _target_array(targets)

@@ -27,7 +27,7 @@ from .hetgraph import build_graph
 from . import baselines
 from .model import (HgnnConfig, SslConfig, LogRow, backbone_checksum,
                     finetune_head, predict_all, predict_from_embeddings,
-                    pretrain_contrastive, train_end_to_end)
+                    prepare_graph, pretrain_contrastive, train_end_to_end)
 
 METHODS = ("geohg", "geohg-ssl", "idw", "uk")
 
@@ -196,10 +196,11 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                             settings.theta_soc)
         cfg = replace(settings.hgnn, seed=seed)
         if method == "geohg":
+            gt = prepare_graph(graph, features, cfg)   # once, for both calls
             state, rows = train_end_to_end(graph, features, inputs.labels,
-                                           split, cfg)
+                                           split, cfg, gt)
             log = tuple(rows)
-            y_all = predict_all(state, graph, features)
+            y_all = predict_all(state, graph, features, gt)
         else:
             ssl_cfg = replace(settings.ssl, seed=seed)
             state, embeddings, _ = pretrain_contrastive(graph, features,

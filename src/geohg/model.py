@@ -546,16 +546,20 @@ def _split_targets(pos: dict[Region, int], labels: LabelSet,
 
 def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
                      labels: LabelSet, split: "EvalSplit",
-                     config: HgnnConfig) -> tuple[ModelState, list[LogRow]]:
+                     config: HgnnConfig,
+                     gt: Optional[GraphTensors] = None
+                     ) -> tuple[ModelState, list[LogRow]]:
     """Full-batch Adam on train-region MSE with validation early stopping.
 
     The returned state carries the best-validation parameters; the log holds
     one (epoch, train MSE, validation MSE) row per epoch, both computed with
-    the parameters in force before that epoch's update.
+    the parameters in force before that epoch's update. `gt`, when given,
+    is prepare_graph(graph, features, config), already built by the caller.
     """
     train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
         _region_positions(features), labels, split, config.label_transform)
-    gt = prepare_graph(graph, features, config)
+    if gt is None:
+        gt = prepare_graph(graph, features, config)
     state = init_state(config, graph.n_env, graph.n_soc)
     train_internal, val_internal = gt.rank[train_ext], gt.rank[val_ext]
     subset = row_subset(gt, np.concatenate([train_internal, val_internal]))
@@ -609,24 +613,11 @@ def positive_sets(graph: HeteroGraph, features: Sequence[RegionFeatures],
 def _most_similar(raw: np.ndarray, norms: np.ndarray, rows: np.ndarray,
                   k: int) -> np.ndarray:
     """(len(rows), k): each row's k most cosine-similar other rows, the
-    first k in (-similarity, index) order, listed by index.
-
-    A selection, O(n) per row: everything below the k-th smallest
-    -similarity is in, and the ties at that value fill the remaining
-    places by ascending index.
-    """
+    first k in (-similarity, index) order, listed by index (smallest_k)."""
     neg = raw[rows] @ raw.T     # -similarity in place: p / -q is -(p / q)
     neg /= np.outer(-norms[rows], norms)
     neg[np.arange(rows.size), rows] = np.inf
-    if k == 0:
-        return np.empty((rows.size, 0), dtype=np.int64)
-    kth = np.take_along_axis(
-        neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1:k], axis=1)
-    chosen = neg <= kth
-    for i in np.flatnonzero(chosen.sum(axis=1) > k):   # too many ties
-        tied = np.flatnonzero(neg[i] == kth[i])
-        chosen[i, tied[k - np.count_nonzero(neg[i] < kth[i]):]] = False
-    return np.nonzero(chosen)[1].reshape(rows.size, k)
+    return T.smallest_k(neg, k)
 
 
 def pretrain_contrastive(graph: HeteroGraph, features: Sequence[RegionFeatures],
@@ -755,11 +746,15 @@ def predict(state: ModelState, graph: HeteroGraph,
 
 
 def predict_all(state: ModelState, graph: HeteroGraph,
-                features: Sequence[RegionFeatures]) -> np.ndarray:
-    """Predictions for every region, in feature order."""
+                features: Sequence[RegionFeatures],
+                gt: Optional[GraphTensors] = None) -> np.ndarray:
+    """Predictions for every region, in feature order. `gt`, when given, is
+    prepare_graph(graph, features, state.config), already built by the
+    caller."""
     if not state.trained:
         raise ValueError("model state is untrained")
-    gt = prepare_graph(graph, features, state.config)
+    if gt is None:
+        gt = prepare_graph(graph, features, state.config)
     e = embed_regions(state, gt)
     z = _head_values(state.params, e).ravel()
     out = invert_label_transform(state.config.label_transform, z,

@@ -476,6 +476,38 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 # ---------------------------------------------------------------------------
+# exact smallest-k selection (kriging neighbours and positive sets)
+# ---------------------------------------------------------------------------
+
+def smallest_k(a: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the first k entries of each row of `a` (shape (..., n)) in
+    strict (value, index) order, listed by ascending index; k >= n lists
+    all n.
+
+    A selection, O(n) per row: argpartition finds the k-th smallest value
+    and everything at or below it is chosen. In the rows where that is more
+    than k, the ties at the k-th value keep only the places left, lowest
+    index first, by a cumulative count over the tie mask.
+    """
+    n = a.shape[-1]
+    if k >= n:
+        return np.broadcast_to(np.arange(n), a.shape).copy()
+    if k < 1:
+        return np.empty(a.shape[:-1] + (0,), dtype=np.intp)
+    rows = a.reshape(-1, n)
+    kth = np.take_along_axis(
+        rows, np.argpartition(rows, k - 1, axis=1)[:, k - 1:k], axis=1)
+    chosen = rows <= kth
+    over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+    if over.size:
+        sub, at = rows[over], kth[over]
+        tied = sub == at
+        places = k - np.count_nonzero(sub < at, axis=1, keepdims=True)
+        chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= places)
+    return np.nonzero(chosen)[1].reshape(a.shape[:-1] + (k,))
+
+
+# ---------------------------------------------------------------------------
 # direct linear solver (kriging systems and the variogram fit)
 # ---------------------------------------------------------------------------
 
@@ -498,11 +530,12 @@ def lu_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
             or b.shape[:2] != a.shape[:2] or b.ndim > 3:
         raise NumericError(f"bad solve shapes {a.shape} / {b.shape}")
     n_sys, n = a.shape[:2]
+    n_rhs = b.shape[2] if b.ndim == 3 else 1
     # The system axis goes last, so that each step below works on contiguous
     # runs of n_sys values.
     a = np.ascontiguousarray(a.transpose(1, 2, 0))
     sys_idx = np.arange(n_sys)
-    scale_ref = np.abs(a).reshape(-1, n_sys).max(axis=0, initial=0.0)
+    scale_ref = np.abs(a).reshape(n * n, n_sys).max(axis=0, initial=0.0)
     ok = scale_ref != 0.0
     perm = np.tile(np.arange(n)[:, None], (1, n_sys))
     with np.errstate(all="ignore"):
@@ -519,7 +552,7 @@ def lu_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
             factors = a[col + 1:, col] / pivot
             a[col + 1:, col] = factors
             a[col + 1:, col + 1:] -= factors[:, None] * a[col, None, col + 1:]
-        x = np.take_along_axis(b.reshape(n_sys, n, -1).transpose(1, 2, 0),
+        x = np.take_along_axis(b.reshape(n_sys, n, n_rhs).transpose(1, 2, 0),
                                perm[:, None, :], axis=0)
         for col in range(n):                  # forward substitution (unit lower)
             x[col + 1:] -= a[col + 1:, col, None] * x[col]

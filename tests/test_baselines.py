@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from geohg.baselines import (CHUNK, VARIOGRAM_BINS, VariogramModel, _nearest,
-                             empirical_variogram, fit_variogram, idw_predict,
-                             idw_predict_batch, uk_predict, uk_predict_batch,
-                             uk_weights)
+from geohg import baselines
+from geohg.baselines import (CHUNK, VARIOGRAM_BINS, VariogramModel, _distances,
+                             _nearest, _uk_systems, empirical_variogram,
+                             fit_variogram, idw_predict, idw_predict_batch,
+                             uk_predict, uk_predict_batch, uk_weights)
+from geohg.tensor import lu_solve_batch
 
 
 def grid_samples(values_fn, n_cols=10, n_rows=10):
@@ -106,6 +108,22 @@ class TestNearest:
                 n_tied += k < dists.size and \
                     dists[order[k - 1]] == dists[order[k]]
         assert n_tied > 50   # the lattice really exercises the tie rule
+
+    def test_blocks_of_chunk_rows_match_lexsort(self):
+        # One 2-D block of CHUNK targets on the shuffled lattice, as a
+        # chunk reaches the selection, at the edges of k.
+        rng = np.random.default_rng(21)
+        pts = np.array([(x, y) for y in range(12) for x in range(12)],
+                       dtype=np.float64)[rng.permutation(144)]
+        targets = rng.integers(-2, 14, size=(CHUNK, 2)).astype(np.float64)
+        dists = _distances(pts[None, :, :], targets[:, None, :])
+        n = len(pts)
+        for k in (1, n - 1, n, n + 1):
+            got = _nearest(dists, k)
+            assert got.shape == (CHUNK, min(k, n))
+            for row, d in zip(got, dists):
+                assert np.array_equal(
+                    row, np.lexsort((np.arange(n), d))[:k]), k
 
     def test_idw_prediction_uses_lower_index_on_tie(self):
         # Four samples at distance 1; with k=2 the first two in list order win.
@@ -302,6 +320,64 @@ class TestUniversalKriging:
         assert calls == [(2, 5)]
         assert got == idw_predict(samples, (2, 5))
 
+    def test_sample_location_is_exact_and_one_hot(self):
+        samples = random_samples(40, seed=18)
+        model = fit_variogram(samples)
+        regions = [r for r, _ in samples]
+        values = [v for _, v in samples]
+        got = uk_predict_batch(samples, regions, model, 16)
+        assert got.tolist() == values        # bitwise, not approximately
+        for i, (region, value) in enumerate(samples[:10]):
+            assert uk_predict(samples, region, model, 16) == value
+            lam, idx = uk_weights(samples, region, model, 16)
+            assert idx[0] == i
+            assert lam.tolist() == [1.0] + [0.0] * 15
+
+    def test_sample_with_collinear_neighbours_does_not_fall_back(self):
+        # Off the line the system is singular; on a sample no system is
+        # solved, so there is nothing to fall back from.
+        samples = [((x, 0), 0.5 * x) for x in range(6)]
+        model = self.flat_model()
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert uk_predict(samples, (2, 0), model, 6,
+                              on_fallback=calls.append) == 1.0
+            got = uk_predict_batch(samples, [(3, 0), (2, 5), (5, 0)], model,
+                                   6, on_fallback=calls.append)
+        assert calls == [(2, 5)]
+        assert got[0] == 1.5 and got[2] == 2.5
+
+    def test_repeated_location_takes_the_lower_index(self):
+        # Two samples share (1, 1); the first in list order wins, as in IDW.
+        others = [s for s in random_samples(12, seed=19) if s[0] != (1, 1)]
+        samples = others[:3] + [((1, 1), 7.0)] + others[3:] + [((1, 1), -7.0)]
+        model = self.flat_model()
+        calls = []
+        assert uk_predict_batch(samples, [(1, 1)], model, 8,
+                                on_fallback=calls.append)[0] == 7.0
+        assert calls == []
+        assert idw_predict(samples, (1, 1)) == 7.0
+
+    def test_skipped_solve_would_give_one_hot_weights(self):
+        # The rule replaces a real solve: for every sample, the system that
+        # would have been solved, built and solved by the same code, has
+        # weights within 1e-12 of one-hot.
+        samples = random_samples(80, seed=20, span=30)
+        model = fit_variogram(samples)
+        coords = np.array([r for r, _ in samples], dtype=np.float64)
+        dists = _distances(coords[None, :, :], coords[:, None, :])
+        for k in (8, 30):
+            near = _nearest(dists, k)
+            assert np.array_equal(near[:, 0], np.arange(len(samples)))
+            sol, ok = lu_solve_batch(*_uk_systems(
+                coords, coords, near, np.take_along_axis(dists, near, axis=1),
+                model))
+            assert ok.all()
+            one_hot = np.zeros((len(samples), k))
+            one_hot[:, 0] = 1.0
+            assert np.abs(sol[:, :k] - one_hot).max() < 1e-12
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
             uk_weights([((0, 0), 1.0)], (1, 1), self.flat_model())
@@ -416,6 +492,31 @@ class TestBatched:
             uk_predict_batch(samples, [(4, 1)] * 3, model, 6)
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    def test_only_off_sample_targets_are_solved(self, monkeypatch):
+        samples = random_samples(60, seed=22, span=25)
+        model = fit_variogram(samples)
+        on = [r for r, _ in samples[:12]]
+        taken = set(r for r, _ in samples)
+        off = [(x, y) for y in range(25) for x in range(25)
+               if (x, y) not in taken][:12]
+        # At CHUNK 4: two chunks of samples only, then two with none, then
+        # two mixed ones.
+        targets = on[:8] + off[:8] + [on[8], off[8], on[9], off[9],
+                                      off[10], on[10], off[11], on[11]]
+        want = uk_predict_batch(samples, targets, model, 16)
+        solved = []
+
+        def counted(a, b):
+            solved.append(len(a))
+            return lu_solve_batch(a, b)
+
+        monkeypatch.setattr(baselines, "lu_solve_batch", counted)
+        monkeypatch.setattr(baselines, "CHUNK", 4)
+        got = uk_predict_batch(samples, targets, model, 16)
+        assert solved == [0, 0, 4, 4, 2, 2]
+        assert np.array_equal(got, want)
+        assert got[:8].tolist() == [v for _, v in samples[:8]]
 
     def test_empty_target_list(self):
         samples = random_samples(20, seed=16)

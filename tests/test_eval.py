@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import geohg.evaluation
+import geohg.model
 from geohg.evaluation import (EvalSplit, ExperimentInputs, RunSettings,
                               load_report, mae, make_split,
                               masked_ratio_sweep, r2, rmse, run_experiment,
@@ -246,6 +248,24 @@ class TestRunExperiment:
         assert len(trained.log) > 0
         baseline = run_experiment(inputs, "idw", masked_ratio=0.5, seed=7)
         assert baseline.log == ()
+
+    def test_geohg_prepares_the_graph_once(self, monkeypatch):
+        inputs = world_inputs(seed=14)
+        want = run_experiment(inputs, "geohg", masked_ratio=0.5, seed=7,
+                              settings=FAST)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return prepare(*args)
+
+        prepare = geohg.model.prepare_graph
+        monkeypatch.setattr(geohg.model, "prepare_graph", counted)
+        monkeypatch.setattr(geohg.evaluation, "prepare_graph", counted)
+        got = run_experiment(inputs, "geohg", masked_ratio=0.5, seed=7,
+                             settings=FAST)
+        assert len(calls) == 1
+        assert got.predictions == want.predictions and got.log == want.log
 
     def test_uk_records_fallback_count(self):
         inputs = world_inputs(seed=15)

@@ -647,6 +647,21 @@ class TestTrainEndToEnd:
         for name in state_a.params:
             assert np.array_equal(state_a.params[name], state_b.params[name])
 
+    def test_prepared_graph_passed_in_gives_the_same_results(self):
+        grid, feats, graph, labels, _ = synth_world(6, 6, seed=16)
+        split = make_split(labels, masked_ratio=0.5, seed=2)
+        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=20,
+                            patience=20)
+        state_a, log_a = train_end_to_end(graph, feats, labels, split, config)
+        gt = prepare_graph(graph, feats, config)
+        state_b, log_b = train_end_to_end(graph, feats, labels, split, config,
+                                          gt)
+        assert log_a == log_b
+        for name in state_a.params:
+            assert np.array_equal(state_a.params[name], state_b.params[name])
+        assert np.array_equal(predict_all(state_b, graph, feats, gt),
+                              predict_all(state_a, graph, feats))
+
     def test_last_layer_r2e_parameters_untouched(self):
         # Nothing reads the entity rows of the last layer, so its
         # region->entity relations get no update.

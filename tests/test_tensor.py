@@ -8,7 +8,7 @@ import geohg.tensor as T
 from geohg.tensor import (AdamState, DenseMean, NumericError, PaddedGather,
                           RelationBlock, Tensor, adam_init, adam_step,
                           glorot_uniform, lu_solve, lu_solve_batch,
-                          relational_layer)
+                          relational_layer, smallest_k)
 
 # Both aggregation shapes must compute the same weighted mean.
 BUILDERS = (PaddedGather.build, DenseMean.build)
@@ -478,6 +478,35 @@ class TestGlorot:
         assert np.array_equal(draws, again)
 
 
+class TestSmallestK:
+    """The first k of each row in strict (value, index) order, by index."""
+
+    def test_matches_lexsort_on_heavy_ties(self):
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 6, size=(40, 30)).astype(np.float64)
+        a[0] = 2.0                                  # one value throughout
+        a[1, ::2] = -np.inf
+        for k in (1, 2, 5, 17, 29):
+            got = smallest_k(a, k)
+            assert got.shape == (40, k)
+            for row, values in zip(got, a):
+                want = np.lexsort((np.arange(30), values))[:k]
+                assert np.array_equal(row, np.sort(want)), k
+
+    def test_shapes_and_edges_of_k(self):
+        a = np.array([3.0, 1.0, 2.0, 1.0])
+        assert smallest_k(a, 2).tolist() == [1, 3]
+        assert smallest_k(a, 3).tolist() == [1, 2, 3]
+        assert smallest_k(a, 4).tolist() == [0, 1, 2, 3]
+        assert smallest_k(a, 9).tolist() == [0, 1, 2, 3]
+        assert smallest_k(a, 0).shape == (0,)
+        stacked = np.stack([np.stack([a, a[::-1]])] * 3)      # (3, 2, 4)
+        got = smallest_k(stacked, 2)
+        assert got.shape == (3, 2, 2)
+        assert got[:, 0].tolist() == [[1, 3]] * 3
+        assert got[:, 1].tolist() == [[0, 2]] * 3
+
+
 def reference_lu_solve(a, b):
     """One system at a time: the loop the stacked solver vectorises, with
     the same operations in the same order."""
@@ -581,6 +610,12 @@ class TestLuSolve:
         _, ok = lu_solve_batch(np.array([[[1.0, 0.0], [0.0, 2e-12]]]),
                                np.ones((1, 2)))
         assert ok.tolist() == [True]
+
+    def test_batch_empty_stack(self):
+        for b in (np.zeros((0, 3)), np.zeros((0, 3, 2))):
+            x, ok = lu_solve_batch(np.zeros((0, 3, 3)), b)
+            assert x.shape == b.shape
+            assert ok.shape == (0,) and ok.dtype == bool
 
     def test_batch_bad_shapes_rejected(self):
         with pytest.raises(NumericError, match="shapes"):

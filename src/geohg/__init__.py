@@ -6,8 +6,7 @@ from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
                       PoiRecord, Region, load_categories, load_gridspec,
                       load_labels, load_landcover, load_pois, region_of,
                       save_gridspec, save_labels, save_landcover, save_pois)
-from .features import (RegionFeatures, assign_pois, compute_env, compute_pos,
-                       compute_soc, feature_matrix, featurize_all,
+from .features import (FeatureTable, assign_pois, featurize_all,
                        load_features, save_features)
 from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                        build_rnr, build_slr, load_graph, rnr_edge_count,
@@ -35,14 +34,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "EdgeFamily", "EvalSplit", "ExperimentInputs",
-    "ExperimentResult", "GeoDataError", "GridSpec", "HeadState",
-    "HeteroGraph", "HgnnConfig", "LabelSet", "LandCoverGrid",
+    "ExperimentResult", "FeatureTable", "GeoDataError", "GridSpec",
+    "HeadState", "HeteroGraph", "HgnnConfig", "LabelSet", "LandCoverGrid",
     "MetricReport", "ModelState", "NumericError", "PoiRecord", "Region",
-    "RegionFeatures", "RunSettings", "Sample", "SslConfig", "SynthConfig",
-    "Tensor", "VariogramModel", "adam_init", "adam_step", "assign_pois",
+    "RunSettings", "Sample", "SslConfig", "SynthConfig", "Tensor",
+    "VariogramModel", "adam_init", "adam_step", "assign_pois",
     "backbone_checksum", "build_elr", "build_graph", "build_rnr",
-    "build_slr", "compute_env", "compute_pos", "compute_soc",
-    "embed_regions", "empirical_variogram", "feature_matrix",
+    "build_slr", "embed_regions", "empirical_variogram",
     "featurize_all", "finetune_head", "fit_variogram", "generate",
     "glorot_uniform", "hgnn_forward", "idw_predict", "idw_predict_batch",
     "infonce_loss",

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .geodata import (GeoDataError, GridSpec, load_categories, load_gridspec,
@@ -155,7 +154,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                                "categories": args.categories,
                                "n_categories": n_categories})
     save_features(feats, args.out, echo)
-    print(f"featurize: wrote {len(feats)} region rows -> {args.out}")
+    print(f"featurize: wrote {len(feats.regions)} region rows -> {args.out}")
     return 0
 
 
@@ -212,7 +211,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
                               "batch_size": ssl.batch_size,
                               "epochs": ssl.epochs, "lr": ssl.lr})
     save_checkpoint(state, _out_path(args, "pretrain_checkpoint.json"))
-    write_embeddings([f.region for f in feats], embeddings,
+    write_embeddings(feats.regions, embeddings,
                      _out_path(args, "embeddings.csv"), echo)
     with open(_out_path(args, "pretrain_log.csv"), "w", encoding="utf-8") as fh:
         for line in echo:
@@ -260,8 +259,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for line in echo:
             fh.write(f"# {line}\n")
         fh.write("x_r,y_r,y_pred\n")
-        for feat, value in zip(feats, values):
-            x, y = feat.region
+        for (x, y), value in zip(feats.regions, values):
             fh.write(f"{x},{y},{float(value)!r}\n")
     print(f"predict: {len(values)} regions -> {args.out}")
     return 0
@@ -359,8 +357,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               for ts in args.theta_soc_list
               for m in args.masked_ratio_list]
 
-    def job(combo: tuple[float, float, float]):
-        te, ts, m = combo
+    results = []
+    for te, ts, m in combos:
         settings = RunSettings(theta_env=te, theta_soc=ts, hgnn=config,
                                ssl=ssl)
         tag = f"env{te:g}_soc{ts:g}_mask{m:g}"
@@ -369,16 +367,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                "seed": args.seed,
                                "n_layers": config.n_layers,
                                "hidden_dim": config.hidden_dim})
-        return _run_and_write(args, args.method, inputs, settings, m,
-                              args.seed,
-                              _out_path(args, f"report_{tag}.txt"),
-                              _out_path(args, f"predictions_{tag}.csv"), echo)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(job, combos))
-    else:
-        results = [job(c) for c in combos]
+        results.append(_run_and_write(
+            args, args.method, inputs, settings, m, args.seed,
+            _out_path(args, f"report_{tag}.txt"),
+            _out_path(args, f"predictions_{tag}.csv"), echo))
     summary = _out_path(args, "sweep_summary.csv")
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("theta_env,theta_soc,masked_ratio,seed,mae,rmse,r2,n_eval\n")
@@ -540,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_float_list, default=[0.75],
                    help="comma-separated values")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     _add_model_flags(p, thresholds=False)
     _add_ssl_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -191,7 +191,6 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
             raise ValueError(f"method {method!r} needs land-cover and POI inputs")
         features = featurize_all(inputs.grid, inputs.lc, inputs.pois,
                                  n_categories=inputs.n_categories)
-        pos = {f.region: i for i, f in enumerate(features)}
         graph = build_graph(inputs.grid, features, settings.theta_env,
                             settings.theta_soc)
         cfg = replace(settings.hgnn, seed=seed)
@@ -207,12 +206,13 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                                                         ssl_cfg, cfg)
             checksum = backbone_checksum(state)
             head, rows = finetune_head(embeddings, inputs.labels, split, cfg,
-                                       [f.region for f in features])
+                                       features.regions)
             if backbone_checksum(state) != checksum:   # pragma: no cover
                 raise RuntimeError("backbone changed during head fine-tuning")
             log = tuple(rows)
             y_all = predict_from_embeddings(head, embeddings)
-        pred_of = {region: float(y_all[pos[region]]) for region in label_of}
+        pred_of = {region: float(y_all[inputs.grid.region_index(region)])
+                   for region in label_of}
     else:
         available = set(split.available())
         samples = [(region, value) for region, value in inputs.labels.entries

@@ -1,6 +1,6 @@
-"""Per-region feature embeddings from three views of the geospace.
+"""The region feature table: three views of the geospace, one row per region.
 
-Each region gets three vectors:
+A :class:`FeatureTable` holds one row ``[e_pos | e_env | e_soc]`` per region:
   * ``e_pos`` -- integer cell coordinates in grid units (km offset / cell size),
   * ``e_env`` -- land-cover class area proportions over the region's pixels,
   * ``e_soc`` -- POI category proportions scaled by the social impact factor
@@ -8,6 +8,8 @@ Each region gets three vectors:
 
 A region with no POIs has ``e_soc = 0``. Proportions use natural counts, so
 ``e_env`` always sums to 1 and ``e_soc / f`` sums to 1 when ``poi_count > 0``.
+:func:`featurize_all` builds the whole table with array operations; a POI is
+assigned to its cell by the same floor as :func:`geodata.region_of`.
 """
 
 from __future__ import annotations
@@ -18,64 +20,41 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiRecord, Region,
-                      region_of)
+from .geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord, Region
 
 
 @dataclass(frozen=True)
-class RegionFeatures:
-    """The three per-region embeddings plus the raw POI count."""
+class FeatureTable:
+    """Region feature rows: ``matrix[i]`` is ``[e_pos | e_env | e_soc]`` of
+    ``regions[i]``, with ``n_env`` land-cover columns after the two position
+    columns and the POI category columns after those."""
 
-    region: Region
-    e_pos: np.ndarray      # (2,)  grid-unit cell coordinates
-    e_env: np.ndarray      # (J,)  land-cover proportions, sums to 1
-    e_soc: np.ndarray      # (K,)  f * category proportions, zero when no POIs
-    poi_count: int
+    regions: tuple[Region, ...]
+    matrix: np.ndarray        # (n, 2 + J + K), read-only
+    poi_counts: np.ndarray    # (n,) POIs per region
+    n_env: int
 
     def __post_init__(self) -> None:
-        for arr in (self.e_pos, self.e_env, self.e_soc):
-            arr.setflags(write=False)
+        n = len(self.regions)
+        if (self.matrix.ndim != 2 or self.matrix.shape[0] != n
+                or self.matrix.shape[1] < 2 + self.n_env
+                or self.poi_counts.shape != (n,)):
+            raise GeoDataError(
+                f"feature table shapes disagree: {n} regions, matrix "
+                f"{self.matrix.shape}, poi counts {self.poi_counts.shape}, "
+                f"{self.n_env} env columns")
+        self.matrix.setflags(write=False)
+        self.poi_counts.setflags(write=False)
 
-    def raw(self) -> np.ndarray:
-        """Concatenated [e_pos, e_env, e_soc] row used as model input."""
-        return np.concatenate([self.e_pos, self.e_env, self.e_soc])
+    @property
+    def env(self) -> np.ndarray:
+        """(n, J) land-cover proportions."""
+        return self.matrix[:, 2:2 + self.n_env]
 
-
-def compute_pos(region: Region, grid: GridSpec) -> np.ndarray:
-    """Cell coordinates in grid units: km offset from the origin divided by cell_km."""
-    if not grid.contains(region):
-        raise GeoDataError(f"region {region} outside {grid.n_cols}x{grid.n_rows} grid")
-    return np.array(region, dtype=np.float64)
-
-
-def compute_env(region: Region, lc: LandCoverGrid) -> np.ndarray:
-    """Area proportion of each land-cover class within the region's pixel block."""
-    pixels = lc.region_pixels(region)
-    counts = np.bincount(pixels.ravel(), minlength=lc.n_classes)
-    return counts / pixels.size
-
-
-def compute_soc(region: Region, pois: Sequence[PoiRecord],
-                grid: GridSpec) -> tuple[np.ndarray, int]:
-    """Impact-weighted category proportions for the POIs falling in one region.
-
-    Returns ``(f * proportions, poi_count)`` with ``f = ln(poi_count + 1)``;
-    the number of categories is taken as ``max(c) + 1`` over the input, so
-    prefer :func:`featurize_all` (fixed K) outside of tests.
-    """
-    n_categories = max((p.c for p in pois), default=-1) + 1
-    counts = np.zeros(n_categories, dtype=np.float64)
-    for p in pois:
-        if region_of(p.x, p.y, grid) == region:
-            counts[p.c] += 1
-    return _soc_from_counts(counts)
-
-
-def _soc_from_counts(counts: np.ndarray) -> tuple[np.ndarray, int]:
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros_like(counts, dtype=np.float64), 0
-    return math.log(total + 1) * counts / total, total
+    @property
+    def soc(self) -> np.ndarray:
+        """(n, K) impact-weighted POI category proportions."""
+        return self.matrix[:, 2 + self.n_env:]
 
 
 def assign_pois(pois: Sequence[PoiRecord], grid: GridSpec,
@@ -84,27 +63,36 @@ def assign_pois(pois: Sequence[PoiRecord], grid: GridSpec,
 
     Returns ``(counts, n_outside)`` where counts has shape (n_regions, K) in
     canonical region order and n_outside is the number of POIs dropped for
-    falling outside the grid. counts.sum() + n_outside == len(pois).
+    falling outside the grid. counts.sum() + n_outside == len(pois). Raises
+    GeoDataError on a non-finite coordinate or a category outside [0, K).
     """
-    counts = np.zeros((grid.n_regions, n_categories), dtype=np.float64)
-    n_outside = 0
-    for p in pois:
-        region = region_of(p.x, p.y, grid)
-        if region is None:
-            n_outside += 1
-            continue
-        if p.c >= n_categories:
-            raise GeoDataError(f"POI category {p.c} out of range [0, {n_categories})")
-        counts[grid.region_index(region), p.c] += 1
-    return counts, n_outside
+    lon = np.array([p.x for p in pois], dtype=np.float64)
+    lat = np.array([p.y for p in pois], dtype=np.float64)
+    cat = np.array([p.c for p in pois], dtype=np.int64)
+    if not (np.all(np.isfinite(lon)) and np.all(np.isfinite(lat))):
+        raise GeoDataError("POI coordinates must be finite")
+    bad = (cat < 0) | (cat >= n_categories)
+    if np.any(bad):
+        raise GeoDataError(f"POI category {cat[bad][0]} out of range "
+                           f"[0, {n_categories})")
+    km_lon, km_lat = grid.km_per_degree()
+    x = np.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
+    y = np.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
+    inside = (x >= 0) & (x < grid.n_cols) & (y >= 0) & (y < grid.n_rows)
+    index = y[inside].astype(np.int64) * grid.n_cols + x[inside].astype(np.int64)
+    counts = np.bincount(index * n_categories + cat[inside],
+                         minlength=grid.n_regions * n_categories)
+    counts = counts.reshape(grid.n_regions, n_categories).astype(np.float64)
+    return counts, int(lon.size - index.size)
 
 
 def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: Sequence[PoiRecord],
                   n_categories: Optional[int] = None,
-                  warn: bool = True) -> list[RegionFeatures]:
-    """Compute RegionFeatures for every region, in canonical row-major order.
+                  warn: bool = True) -> FeatureTable:
+    """The feature table of every region, in canonical row-major order.
 
     POIs outside the grid are counted and dropped (a warning reports how many).
+    K defaults to the largest POI category plus one.
     """
     if lc.grid != grid:
         raise GeoDataError("land-cover grid does not match region grid")
@@ -114,48 +102,46 @@ def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: Sequence[PoiRecord],
     if n_outside and warn:
         import warnings
         warnings.warn(f"dropped {n_outside} POIs outside the grid", stacklevel=2)
-    out: list[RegionFeatures] = []
-    for region in grid.regions():
-        e_soc, poi_count = _soc_from_counts(counts[grid.region_index(region)])
-        out.append(RegionFeatures(region=region,
-                                  e_pos=compute_pos(region, grid),
-                                  e_env=compute_env(region, lc),
-                                  e_soc=e_soc,
-                                  poi_count=poi_count))
-    return out
+    n, n_env, p = grid.n_regions, lc.n_classes, lc.pixels_per_cell
+    blocks = lc.classes.reshape(grid.n_rows, p, grid.n_cols, p)
+    keys = np.arange(n).reshape(grid.n_rows, 1, grid.n_cols, 1) * n_env + blocks
+    env = np.bincount(keys.ravel(), minlength=n * n_env).reshape(n, n_env) / (p * p)
+
+    totals = counts.sum(axis=1)
+    soc = np.zeros_like(counts)
+    has = np.flatnonzero(totals)
+    # math.log, not np.log: the two differ in the last bit for some counts.
+    f = np.array([math.log(t + 1) for t in totals[has]])
+    soc[has] = f[:, None] * counts[has] / totals[has, None]
+
+    regions = tuple(grid.regions())
+    return FeatureTable(regions=regions,
+                        matrix=np.hstack([np.array(regions, dtype=np.float64),
+                                          env, soc]),
+                        poi_counts=totals.astype(np.int64),
+                        n_env=n_env)
 
 
-def feature_matrix(features: Sequence[RegionFeatures]) -> np.ndarray:
-    """Stack raw per-region rows into an (n_regions, 2 + J + K) matrix."""
-    return np.stack([f.raw() for f in features])
-
-
-def save_features(features: Sequence[RegionFeatures], path: str,
+def save_features(table: FeatureTable, path: str,
                   header_comments: Sequence[str] = ()) -> None:
     """Write the features CSV: x_r,y_r,pos_*,env_*,soc_*,poi_count."""
-    if not features:
+    if not table.regions:
         raise GeoDataError("no features to save")
-    n_env = features[0].e_env.size
-    n_soc = features[0].e_soc.size
     cols = (["x_r", "y_r", "pos_0", "pos_1"]
-            + [f"env_{j}" for j in range(n_env)]
-            + [f"soc_{k}" for k in range(n_soc)]
+            + [f"env_{j}" for j in range(table.n_env)]
+            + [f"soc_{k}" for k in range(table.soc.shape[1])]
             + ["poi_count"])
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(cols) + "\n")
-        for f in features:
-            x, y = f.region
-            values = [str(x), str(y)]
-            values += [repr(float(v)) for v in f.e_pos]
-            values += [repr(float(v)) for v in f.e_env]
-            values += [repr(float(v)) for v in f.e_soc]
-            values.append(str(f.poi_count))
-            fh.write(",".join(values) + "\n")
+        for (x, y), row, count in zip(table.regions, table.matrix.tolist(),
+                                      table.poi_counts.tolist()):
+            fh.write(",".join([str(x), str(y)] + [repr(v) for v in row]
+                              + [str(count)]) + "\n")
 
 
-def load_features(path: str) -> list[RegionFeatures]:
+def load_features(path: str) -> FeatureTable:
     """Read back a features CSV written by :func:`save_features`.
 
     Raises GeoDataError, naming the file and line, on a row of the wrong
@@ -176,8 +162,8 @@ def load_features(path: str) -> list[RegionFeatures]:
     if header is None:
         raise GeoDataError(f"{path}: missing header")
     n_env = sum(1 for c in header if c.startswith("env_"))
-    n_soc = sum(1 for c in header if c.startswith("soc_"))
-    out = []
+    width = 2 + n_env + sum(1 for c in header if c.startswith("soc_"))
+    regions, values, counts = [], [], []
     for lineno, parts in rows:
         where = f"{path}: line {lineno}"
         if len(parts) != len(header):
@@ -188,15 +174,16 @@ def load_features(path: str) -> list[RegionFeatures]:
             raise GeoDataError(f"{where}: x_r, y_r and poi_count must be "
                                f"integers ({exc})") from None
         try:
-            vals = np.array([float(v) for v in parts[2:-1]])
+            vals = [float(v) for v in parts[2:2 + width]]
         except ValueError as exc:
             raise GeoDataError(f"{where}: unparsable feature value ({exc})") from None
-        if not np.all(np.isfinite(vals)):
+        if not all(math.isfinite(v) for v in vals):
             raise GeoDataError(f"{where}: non-finite feature value")
-        out.append(RegionFeatures(
-            region=(x, y),
-            e_pos=vals[:2],
-            e_env=vals[2:2 + n_env],
-            e_soc=vals[2 + n_env:2 + n_env + n_soc],
-            poi_count=poi_count))
-    return out
+        regions.append((x, y))
+        values.append(vals)
+        counts.append(poi_count)
+    return FeatureTable(regions=tuple(regions),
+                        matrix=np.array(values, dtype=np.float64).reshape(
+                            len(rows), width),
+                        poi_counts=np.array(counts, dtype=np.int64),
+                        n_env=n_env)

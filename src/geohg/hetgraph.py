@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .geodata import GeoDataError, GridSpec
-from .features import RegionFeatures
+from .features import FeatureTable
 
 RNR_OFFSETS = ((1, 0), (-1, 1), (0, 1), (1, 1))   # east + the three upward neighbors
 
@@ -128,30 +128,37 @@ def _threshold_edges(values: np.ndarray, theta: float, offset: int) -> EdgeFamil
     return EdgeFamily(endpoints, values[region, entity].astype(np.float64))
 
 
-def build_elr(features: Sequence[RegionFeatures], theta_env: float) -> EdgeFamily:
+def build_elr(features: FeatureTable, theta_env: float) -> EdgeFamily:
     """Region-to-env-entity edges where the land-cover proportion reaches theta_env."""
     if not 0.0 <= theta_env <= 1.0:
         raise GeoDataError(f"theta_env must be in [0, 1], got {theta_env}")
-    env = np.stack([f.e_env for f in features])
-    return _threshold_edges(env, theta_env, offset=len(features))
+    return _threshold_edges(features.env, theta_env,
+                            offset=len(features.regions))
 
 
-def build_slr(features: Sequence[RegionFeatures], theta_soc: float) -> EdgeFamily:
+def build_slr(features: FeatureTable, theta_soc: float) -> EdgeFamily:
     """Region-to-soc-entity edges where the impact-weighted value reaches theta_soc."""
     if theta_soc < 0:
         raise GeoDataError(f"theta_soc must be non-negative, got {theta_soc}")
-    soc = np.stack([f.e_soc for f in features])
-    n_env = features[0].e_env.size
-    return _threshold_edges(soc, theta_soc, offset=len(features) + n_env)
+    return _threshold_edges(features.soc, theta_soc,
+                            offset=len(features.regions) + features.n_env)
 
 
-def build_graph(grid: GridSpec, features: Sequence[RegionFeatures],
+def build_graph(grid: GridSpec, features: FeatureTable,
                 theta_env: float, theta_soc: float) -> HeteroGraph:
-    if len(features) != grid.n_regions:
-        raise GeoDataError(f"expected {grid.n_regions} feature rows, got {len(features)}")
+    """The graph of a grid whose feature row i is its i-th region in
+    row-major order, the node id RNR uses; raises GeoDataError otherwise."""
+    if len(features.regions) != grid.n_regions:
+        raise GeoDataError(f"expected {grid.n_regions} feature rows, "
+                           f"got {len(features.regions)}")
+    for i, (got, want) in enumerate(zip(features.regions, grid.regions())):
+        if got != want:
+            raise GeoDataError(f"feature row {i} is region {got}, expected "
+                               f"{want}: rows must follow the grid's "
+                               f"row-major order")
     graph = HeteroGraph(n_regions=grid.n_regions,
-                        n_env=features[0].e_env.size,
-                        n_soc=features[0].e_soc.size,
+                        n_env=features.n_env,
+                        n_soc=features.soc.shape[1],
                         edges_rnr=build_rnr(grid),
                         edges_elr=build_elr(features, theta_env),
                         edges_slr=build_slr(features, theta_soc),

@@ -54,7 +54,7 @@ from . import tensor as T
 from .tensor import (DenseMean, NumericError, PaddedGather, RelationBlock,
                      Tensor)
 from .geodata import GeoDataError, LabelSet, Region
-from .features import RegionFeatures, feature_matrix
+from .features import FeatureTable
 from .hetgraph import HeteroGraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -217,15 +217,14 @@ class GraphTensors:
     layer0: tuple[FoldedRows, FoldedRows]
 
 
-def prepare_graph(graph: HeteroGraph, features: Sequence[RegionFeatures],
+def prepare_graph(graph: HeteroGraph, features: FeatureTable,
                   config: HgnnConfig) -> GraphTensors:
-    if len(features) != graph.n_regions:
+    if len(features.regions) != graph.n_regions:
         raise GeoDataError(f"graph has {graph.n_regions} regions, "
-                           f"features {len(features)}")
-    if features[0].e_env.size != graph.n_env or \
-            features[0].e_soc.size != graph.n_soc:
+                           f"features {len(features.regions)}")
+    if features.n_env != graph.n_env or features.soc.shape[1] != graph.n_soc:
         raise GeoDataError("feature dimensions disagree with graph entity counts")
-    raw = feature_matrix(features)
+    raw = features.matrix
     n = graph.n_regions
     order = np.lexsort(raw.T[::-1])
     rank = np.empty(n, dtype=np.int64)
@@ -521,8 +520,8 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
     return (best if patience is not None else params), log
 
 
-def _region_positions(features: Sequence[RegionFeatures]) -> dict[Region, int]:
-    return {f.region: i for i, f in enumerate(features)}
+def _region_positions(features: FeatureTable) -> dict[Region, int]:
+    return {r: i for i, r in enumerate(features.regions)}
 
 
 def _split_targets(pos: dict[Region, int], labels: LabelSet,
@@ -544,7 +543,7 @@ def _split_targets(pos: dict[Region, int], labels: LabelSet,
             apply_label_transform(kind, y_val, mean, std), (mean, std))
 
 
-def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
+def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
                      labels: LabelSet, split: "EvalSplit",
                      config: HgnnConfig,
                      gt: Optional[GraphTensors] = None
@@ -581,7 +580,7 @@ def train_end_to_end(graph: HeteroGraph, features: Sequence[RegionFeatures],
 SIMILARITY_BLOCK = 256
 
 
-def positive_sets(graph: HeteroGraph, features: Sequence[RegionFeatures],
+def positive_sets(graph: HeteroGraph, features: FeatureTable,
                   top_k: int) -> list[np.ndarray]:
     """Per region: spatially adjacent regions plus top-k cosine-similar ones.
 
@@ -595,7 +594,7 @@ def positive_sets(graph: HeteroGraph, features: Sequence[RegionFeatures],
         picked[u].add(int(v))
         picked[v].add(int(u))
     if top_k > 0:
-        raw = feature_matrix(features)
+        raw = features.matrix
         norms = np.sqrt((raw ** 2).sum(axis=1))
         norms[norms == 0.0] = 1.0
         for lo in range(0, n, SIMILARITY_BLOCK):
@@ -620,7 +619,7 @@ def _most_similar(raw: np.ndarray, norms: np.ndarray, rows: np.ndarray,
     return T.smallest_k(neg, k)
 
 
-def pretrain_contrastive(graph: HeteroGraph, features: Sequence[RegionFeatures],
+def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
                          ssl: SslConfig,
                          config: Optional[HgnnConfig] = None
                          ) -> tuple[ModelState, np.ndarray, list[tuple[int, float]]]:
@@ -690,7 +689,7 @@ def embed_regions(state: ModelState, gt: GraphTensors) -> np.ndarray:
     return T.require_finite(out, "region embeddings")
 
 
-def hgnn_forward(graph: HeteroGraph, features: Sequence[RegionFeatures],
+def hgnn_forward(graph: HeteroGraph, features: FeatureTable,
                  state: ModelState) -> np.ndarray:
     """Public forward: (n_regions, hidden_dim) embeddings in input order."""
     gt = prepare_graph(graph, features, state.config)
@@ -734,7 +733,7 @@ def _head_values(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def predict(state: ModelState, graph: HeteroGraph,
-            features: Sequence[RegionFeatures],
+            features: FeatureTable,
             regions: Sequence[Region]) -> dict[Region, float]:
     """Inverse-transformed predictions for the requested regions."""
     values = predict_all(state, graph, features)
@@ -746,7 +745,7 @@ def predict(state: ModelState, graph: HeteroGraph,
 
 
 def predict_all(state: ModelState, graph: HeteroGraph,
-                features: Sequence[RegionFeatures],
+                features: FeatureTable,
                 gt: Optional[GraphTensors] = None) -> np.ndarray:
     """Predictions for every region, in feature order. `gt`, when given, is
     prepare_graph(graph, features, state.config), already built by the

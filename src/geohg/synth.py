@@ -215,8 +215,9 @@ def generate(config: SynthConfig) -> tuple[LandCoverGrid, list[PoiRecord],
     # 4) Realized features close the loop: y is linear in what models can see.
     feats = featurize_all(grid, lc, pois, n_categories=config.n_categories,
                           warn=False)
-    env_term = np.array([float(res.env_weights @ f.e_env) for f in feats])
-    soc_term = np.array([float(res.soc_weights @ f.e_soc) for f in feats])
+    # Row by row: a matrix-vector product can differ in the last bit.
+    env_term = np.array([float(res.env_weights @ row) for row in feats.env])
+    soc_term = np.array([float(res.soc_weights @ row) for row in feats.soc])
 
     # 5) Smooth field, barrier jump, noise.
     span = float(max(config.n_cols, config.n_rows))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from geohg.features import RegionFeatures, featurize_all
+from geohg.features import FeatureTable, featurize_all
 from geohg.geodata import GridSpec
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.synth import SynthConfig, generate
@@ -28,25 +28,44 @@ def synth_world(n_cols=8, n_rows=8, seed=0, theta_env=0.6, theta_soc=0.9,
     return lc.grid, feats, graph, labels, ledger
 
 
+def table(regions, env, soc, counts=None, pos=None):
+    """A FeatureTable from its column blocks; positions default to the
+    region coordinates and POI counts to zero."""
+    regions = tuple(tuple(r) for r in regions)
+    pos = np.array(regions, dtype=np.float64) if pos is None else pos
+    counts = np.zeros(len(regions), dtype=np.int64) if counts is None else counts
+    env = np.asarray(env, dtype=np.float64)
+    return FeatureTable(regions=regions,
+                        matrix=np.hstack([pos, env, soc]),
+                        poi_counts=np.asarray(counts, dtype=np.int64),
+                        n_env=env.shape[1])
+
+
+def take_rows(features: FeatureTable, rows) -> FeatureTable:
+    """The table of the given rows, in that order."""
+    return FeatureTable(regions=tuple(features.regions[i] for i in rows),
+                        matrix=features.matrix[rows],
+                        poi_counts=features.poi_counts[rows],
+                        n_env=features.n_env)
+
+
 def hand_features(grid: GridSpec, seed=0, n_env=3, n_soc=2):
     """Random but valid feature rows for every region of a grid."""
     rng = np.random.default_rng(seed)
-    feats = []
+    counts, env, soc = [], [], []
     for region in grid.regions():
         count = int(rng.integers(0, 12))
-        soc = (np.log(count + 1) * rng.dirichlet(np.ones(n_soc))
-               if count else np.zeros(n_soc))
-        feats.append(RegionFeatures(region=region,
-                                    e_pos=np.array(region, dtype=np.float64),
-                                    e_env=rng.dirichlet(np.ones(n_env)),
-                                    e_soc=soc, poi_count=count))
-    return feats
+        soc.append(np.log(count + 1) * rng.dirichlet(np.ones(n_soc))
+                   if count else np.zeros(n_soc))
+        env.append(rng.dirichlet(np.ones(n_env)))
+        counts.append(count)
+    return table(list(grid.regions()), env, soc, counts)
 
 
 def relabel(graph: HeteroGraph, features, perm):
     """Renumber regions by a permutation: new index i holds old region perm[i].
 
-    Returns (relabeled graph, permuted feature list). Entity node ids are
+    Returns (relabeled graph, permuted feature table). Entity node ids are
     unchanged; region endpoints are renumbered and re-canonicalized.
     """
     perm = np.asarray(perm)
@@ -69,4 +88,4 @@ def relabel(graph: HeteroGraph, features, perm):
                             edges_elr=renumber(graph.edges_elr, False),
                             edges_slr=renumber(graph.edges_slr, False),
                             thresholds=graph.thresholds)
-    return new_graph, [features[p] for p in perm]
+    return new_graph, take_rows(features, perm)

@@ -363,7 +363,7 @@ def test_criterion_9_frozen_backbone():
 
     split = make_split(labels, masked_ratio=0.5, seed=10)
     head, log = finetune_head(embeddings, labels, split, config,
-                              regions=[f.region for f in feats])
+                              regions=feats.regions)
     checksum_after = backbone_checksum(state)
 
     frozen = checksum_after == checksum_before

@@ -68,7 +68,7 @@ class TestFeaturizeAndGraph:
         assert run(tmp_path, "featurize", *world_flags(world_dir),
                    "--out", str(feats_path)) == 0
         feats = load_features(str(feats_path))
-        assert len(feats) == 100
+        assert len(feats.regions) == 100
 
         graph_path = tmp_path / "graph.txt"
         assert run(tmp_path, "build-graph",
@@ -206,19 +206,6 @@ class TestSweep:
         assert summary[0].startswith("theta_env,")
         assert len(summary) == 3
 
-    def test_parallel_jobs_same_summary(self, world_dir, tmp_path):
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        for d, jobs in ((a, "1"), (b, "2")):
-            d.mkdir()
-            assert run(d, "sweep", *world_flags(world_dir),
-                       "--labels", str(world_dir / "labels.csv"),
-                       "--method", "idw",
-                       "--theta-env", "0.6", "--theta-soc", "0.9",
-                       "--masked-ratio", "0.5,0.8", "--seed", "5",
-                       "--jobs", jobs) == 0
-        assert (a / "sweep_summary.csv").read_bytes() \
-            == (b / "sweep_summary.csv").read_bytes()
-
 
 class TestErrors:
     def test_missing_input_exits_2_with_stage_tag(self, tmp_path, capsys):
@@ -228,6 +215,31 @@ class TestErrors:
                    "--out", str(tmp_path / "f.csv"))
         assert code == 2
         assert "error [featurize]:" in capsys.readouterr().err
+
+    def test_shuffled_features_rejected_by_build_graph(self, world_dir,
+                                                       tmp_path, capsys):
+        # A features CSV in any but row-major region order would attach the
+        # ELR/SLR edges of one region to another's node id.
+        feats_path = tmp_path / "features.csv"
+        assert run(tmp_path, "featurize", *world_flags(world_dir),
+                   "--out", str(feats_path)) == 0
+        lines = feats_path.read_text(encoding="utf-8").splitlines()
+        start = next(i for i, l in enumerate(lines)
+                     if not l.startswith("#")) + 1
+        rows = lines[start:]
+        order = np.random.default_rng(3).permutation(len(rows))
+        feats_path.write_text("\n".join(lines[:start]
+                                        + [rows[i] for i in order]) + "\n",
+                              encoding="utf-8")
+        capsys.readouterr()
+        code = run(tmp_path, "build-graph",
+                   "--grid", str(world_dir / "grid.cfg"),
+                   "--features", str(feats_path),
+                   "--out", str(tmp_path / "graph.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [build-graph]:" in err and "row-major" in err
+        assert not (tmp_path / "graph.txt").exists()
 
     def test_bad_ratio_exits_2(self, world_dir, tmp_path, capsys):
         code = run(tmp_path, "eval", *world_flags(world_dir),

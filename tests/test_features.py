@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from geohg.features import (assign_pois, compute_env, compute_pos,
-                            compute_soc, feature_matrix, featurize_all,
+from geohg.features import (FeatureTable, assign_pois, featurize_all,
                             load_features, save_features)
-from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord
+from geohg.geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiRecord,
+                           region_of)
+from geohg.hetgraph import build_graph
+
+from _worlds import synth_raw
 
 
 def make_grid(n_cols=4, n_rows=4, lon=0.0, lat=0.0, cell_km=1.0):
@@ -28,136 +31,233 @@ def poi_at(grid, region, category):
     return PoiRecord(x=lon, y=lat, c=category)
 
 
+def row(table, grid, region):
+    return table.matrix[grid.region_index(region)]
+
+
+def reference_features(grid, lc, pois, n_categories):
+    """Per-region oracle for featurize_all: (matrix, POI counts).
+
+    Each POI goes through region_of and each region's land cover through
+    lc.region_pixels; e_soc is ln(total + 1) * counts / total.
+    """
+    counts = np.zeros((grid.n_regions, n_categories))
+    for p in pois:
+        region = region_of(p.x, p.y, grid)
+        if region is not None:
+            counts[grid.region_index(region), p.c] += 1
+    rows, totals = [], []
+    for region in grid.regions():
+        pixels = lc.region_pixels(region)
+        env = np.bincount(pixels.ravel(), minlength=lc.n_classes) / pixels.size
+        c = counts[grid.region_index(region)]
+        total = int(c.sum())
+        soc = (math.log(total + 1) * c / total if total
+               else np.zeros(n_categories))
+        rows.append(np.concatenate([np.array(region, dtype=np.float64),
+                                    env, soc]))
+        totals.append(total)
+    return np.array(rows), np.array(totals)
+
+
+def edge_pois(grid, n_categories, rng):
+    """POIs exactly on cell boundaries (as lon/lat values), on the grid's
+    outer edges, and just outside it on every side."""
+    km_lon, km_lat = grid.km_per_degree()
+    pois = []
+    for x in range(grid.n_cols + 1):
+        for y in range(grid.n_rows + 1):
+            lon = grid.origin_lon + x * grid.cell_km / km_lon
+            lat = grid.origin_lat + y * grid.cell_km / km_lat
+            pois.append(PoiRecord(lon, lat, int(rng.integers(0, n_categories))))
+    for dx, dy in ((-1e-9, 0.5), (0.5, -1e-9), (grid.n_cols + 1e-9, 0.5),
+                   (0.5, grid.n_rows + 1e-9), (-3.0, -3.0)):
+        pois.append(PoiRecord(grid.origin_lon + dx * grid.cell_km / km_lon,
+                              grid.origin_lat + dy * grid.cell_km / km_lat,
+                              int(rng.integers(0, n_categories))))
+    return pois
+
+
 class TestComputePos:
+    """The position columns of featurize_all."""
+
     def test_origin_region(self):
-        assert np.array_equal(compute_pos((0, 0), make_grid()), [0.0, 0.0])
+        grid = make_grid()
+        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        assert np.array_equal(row(table, grid, (0, 0))[:2], [0.0, 0.0])
 
     def test_identity_at_unit_scale(self):
-        assert np.array_equal(compute_pos((3, 7), make_grid(8, 8)), [3.0, 7.0])
+        grid = make_grid(8, 8)
+        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        assert np.array_equal(row(table, grid, (3, 7))[:2], [3.0, 7.0])
+        assert np.array_equal(table.matrix[:, :2],
+                              np.array(table.regions, dtype=np.float64))
 
     def test_matches_center_offset_arithmetic(self):
         # Oracle: floor of (cell-center km offset / cell size) recovers the
         # same grid-unit coordinates for any cell size.
         grid = make_grid(8, 8, lon=5.0, lat=45.0, cell_km=2.0)
+        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
         km_lon, km_lat = grid.km_per_degree()
         for region in [(3, 7), (0, 0), (7, 3)]:
             lon, lat = grid.cell_center_lonlat(region)
             x = math.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
             y = math.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
-            assert np.array_equal(compute_pos(region, grid),
+            assert np.array_equal(row(table, grid, region)[:2],
                                   [float(x), float(y)])
 
     def test_invalid_region_rejected(self):
-        with pytest.raises(GeoDataError):
-            compute_pos((4, 0), make_grid(4, 4))
+        # A table naming a region outside the grid cannot become a graph.
+        grid = make_grid(4, 4)
+        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        bad = FeatureTable(regions=table.regions[:-1] + ((4, 0),),
+                           matrix=table.matrix, poi_counts=table.poi_counts,
+                           n_env=table.n_env)
+        with pytest.raises(GeoDataError, match=r"region \(4, 0\)"):
+            build_graph(grid, bad, 0.6, 0.9)
 
 
 class TestComputeEnv:
+    """The land-cover columns of featurize_all."""
+
+    @staticmethod
+    def env(lc):
+        return featurize_all(lc.grid, lc, [], n_categories=0).env
+
     def test_uniform_class_is_one_hot(self):
         grid = make_grid(1, 1)
-        lc = make_lc(grid, classes=np.full((2, 2), 4))
-        env = compute_env((0, 0), lc)
-        want = np.zeros(11)
-        want[4] = 1.0
+        env = self.env(make_lc(grid, classes=np.full((2, 2), 4)))
+        want = np.zeros((1, 11))
+        want[0, 4] = 1.0
         assert np.array_equal(env, want)
 
     def test_even_split_is_half_half(self):
         grid = make_grid(1, 1)
-        lc = make_lc(grid, classes=np.array([[0, 1], [0, 1]]))
-        env = compute_env((0, 0), lc)
+        env = self.env(make_lc(grid, classes=np.array([[0, 1], [0, 1]])))[0]
         assert env[0] == 0.5 and env[1] == 0.5
         assert env[2:].sum() == 0.0
 
     def test_matches_per_pixel_histogram(self):
         grid = make_grid(3, 3)
         lc = make_lc(grid, ppc=4, seed=5)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            region = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            env = compute_env(region, lc)
+        env = self.env(lc)
+        for region in grid.regions():
             pixels = lc.region_pixels(region).ravel()
             want = np.array([(pixels == j).sum() for j in range(11)]) / pixels.size
-            assert np.allclose(env, want, atol=0)
+            assert np.array_equal(env[grid.region_index(region)], want)
 
     def test_sums_to_one_everywhere(self):
         grid = make_grid(4, 4)
-        lc = make_lc(grid, ppc=3, seed=9)
-        for region in grid.regions():
-            assert abs(compute_env(region, lc).sum() - 1.0) < 1e-9
+        env = self.env(make_lc(grid, ppc=3, seed=9))
+        assert np.all(np.abs(env.sum(axis=1) - 1.0) < 1e-9)
 
     def test_resolution_invariance(self):
         # Doubling pixel resolution of the same class map keeps proportions.
         grid = make_grid(2, 2)
         base = np.random.default_rng(2).integers(0, 11, size=(4, 4))
         fine = np.kron(base, np.ones((2, 2), dtype=np.int64))
-        lc1 = make_lc(grid, classes=base, ppc=2)
-        lc2 = make_lc(grid, classes=fine, ppc=4)
-        for region in grid.regions():
-            assert np.allclose(compute_env(region, lc1),
-                               compute_env(region, lc2), atol=0)
+        assert np.array_equal(self.env(make_lc(grid, classes=base, ppc=2)),
+                              self.env(make_lc(grid, classes=fine, ppc=4)))
 
 
 class TestComputeSoc:
+    """The POI columns and counts of featurize_all."""
+
+    @staticmethod
+    def soc(grid, pois, region, n_categories=5):
+        table = featurize_all(grid, make_lc(grid), pois,
+                              n_categories=n_categories)
+        i = grid.region_index(region)
+        return table.soc[i], int(table.poi_counts[i])
+
     def test_no_pois_gives_zero_vector(self):
         grid = make_grid()
-        soc, count = compute_soc((0, 0), [poi_at(grid, (2, 2), 0)], grid)
+        soc, count = self.soc(grid, [poi_at(grid, (2, 2), 0)], (0, 0))
         assert count == 0
         assert np.all(soc == 0.0)
 
     def test_single_poi_ln2_at_its_category(self):
         grid = make_grid()
-        soc, count = compute_soc((1, 1), [poi_at(grid, (1, 1), 2)], grid)
+        soc, count = self.soc(grid, [poi_at(grid, (1, 1), 2)], (1, 1))
         assert count == 1
         assert soc[2] == pytest.approx(math.log(2), abs=1e-12)
-        assert soc[:2].sum() == 0.0
+        assert soc[:2].sum() == 0.0 and soc[3:].sum() == 0.0
 
     def test_matches_brute_force_counts(self):
         grid = make_grid()
         rng = np.random.default_rng(4)
         pois = [poi_at(grid, (int(rng.integers(0, 4)), int(rng.integers(0, 4))),
                        int(rng.integers(0, 5))) for _ in range(10)]
-        target = (2, 1)
-        soc, count = compute_soc(target, pois, grid)
         km_lon, km_lat = grid.km_per_degree()
-        inside = [p for p in pois
-                  if math.floor((p.x - grid.origin_lon) * km_lon) == target[0]
-                  and math.floor((p.y - grid.origin_lat) * km_lat) == target[1]]
-        assert count == len(inside)
-        if inside:
+        for target in grid.regions():
+            soc, count = self.soc(grid, pois, target)
+            inside = [p for p in pois
+                      if math.floor((p.x - grid.origin_lon) * km_lon) == target[0]
+                      and math.floor((p.y - grid.origin_lat) * km_lat) == target[1]]
+            assert count == len(inside)
             want = np.zeros(soc.size)
             for p in inside:
                 want[p.c] += 1
-            want = math.log(len(inside) + 1) * want / len(inside)
+            if inside:
+                want = math.log(len(inside) + 1) * want / len(inside)
             assert np.allclose(soc, want, atol=1e-15)
 
     def test_l1_norm_equals_impact_factor(self):
         grid = make_grid()
         pois = [poi_at(grid, (0, 0), c) for c in (0, 0, 1, 3)]
-        soc, count = compute_soc((0, 0), pois, grid)
+        soc, count = self.soc(grid, pois, (0, 0))
         assert count == 4
         assert abs(np.abs(soc).sum() - math.log(5)) < 1e-9
 
     def test_permutation_invariance(self):
         grid = make_grid()
         pois = [poi_at(grid, (1, 2), c) for c in (0, 1, 1, 2, 4)]
-        a, _ = compute_soc((1, 2), pois, grid)
-        b, _ = compute_soc((1, 2), list(reversed(pois)), grid)
+        order = np.random.default_rng(5).permutation(len(pois))
+        a, _ = self.soc(grid, pois, (1, 2))
+        b, _ = self.soc(grid, [pois[i] for i in order], (1, 2))
         assert np.array_equal(a, b)
 
 
 class TestAssignPois:
     def test_conservation_count(self):
-        grid = make_grid(3, 3)
-        pois = [poi_at(grid, (0, 0), 0), poi_at(grid, (2, 2), 1),
-                PoiRecord(x=99.0, y=99.0, c=0)]
+        grid = make_grid(3, 3, lon=2.0, lat=41.0, cell_km=0.5)
+        pois = ([poi_at(grid, (0, 0), 0), poi_at(grid, (2, 2), 1),
+                 PoiRecord(x=99.0, y=99.0, c=0)]
+                + edge_pois(grid, 2, np.random.default_rng(1)))
         counts, n_outside = assign_pois(pois, grid, n_categories=2)
         assert counts.sum() + n_outside == len(pois)
-        assert n_outside == 1
+        assert n_outside == sum(region_of(p.x, p.y, grid) is None
+                                for p in pois)
+
+    def test_boundary_points_follow_region_of(self):
+        # Points on cell boundaries, on the outer edges and just outside:
+        # the vectorised floor assigns each one exactly where region_of does.
+        for grid in (make_grid(4, 3), make_grid(5, 2, lon=-73.99, lat=40.7,
+                                                cell_km=0.25)):
+            pois = edge_pois(grid, 3, np.random.default_rng(2))
+            counts, _ = assign_pois(pois, grid, n_categories=3)
+            want = np.zeros_like(counts)
+            for p in pois:
+                region = region_of(p.x, p.y, grid)
+                if region is not None:
+                    want[grid.region_index(region), p.c] += 1
+            assert np.array_equal(counts, want)
 
     def test_category_out_of_range(self):
         grid = make_grid()
-        with pytest.raises(GeoDataError, match="out of range"):
-            assign_pois([poi_at(grid, (0, 0), 7)], grid, n_categories=3)
+        inside = grid.cell_center_lonlat((0, 0))
+        for lonlat, c in ((inside, 7), (inside, 3), (inside, -1),
+                          ((0.001, 0.001), -1), ((99.0, 99.0), 3)):
+            with pytest.raises(GeoDataError, match="out of range"):
+                assign_pois([PoiRecord(*lonlat, c)], grid, n_categories=3)
+
+    @pytest.mark.parametrize("lon, lat", [(math.nan, 0.5), (0.5, math.inf),
+                                          (-math.inf, 0.5)])
+    def test_non_finite_coordinate_rejected(self, lon, lat):
+        grid = make_grid()
+        pois = [poi_at(grid, (1, 1), 0), PoiRecord(lon, lat, 0)]
+        with pytest.raises(GeoDataError, match="finite"):
+            assign_pois(pois, grid, n_categories=1)
 
 
 class TestFeaturizeAll:
@@ -165,14 +265,13 @@ class TestFeaturizeAll:
         grid = make_grid(1, 1)
         lc = make_lc(grid, classes=np.full((2, 2), 3))
         pois = [poi_at(grid, (0, 0), 1)]
-        feats = featurize_all(grid, lc, pois, n_categories=4)
-        assert len(feats) == 1
-        f = feats[0]
-        assert np.array_equal(f.e_pos, compute_pos((0, 0), grid))
-        assert np.array_equal(f.e_env, compute_env((0, 0), lc))
-        soc, count = compute_soc((0, 0), pois, grid)
-        assert np.allclose(f.e_soc[:soc.size], soc, atol=0)
-        assert f.poi_count == count == 1
+        table = featurize_all(grid, lc, pois, n_categories=4)
+        assert table.regions == ((0, 0),) and table.n_env == 11
+        want = np.zeros(2 + 11 + 4)
+        want[2 + 3] = 1.0
+        want[2 + 11 + 1] = math.log(2)
+        assert np.array_equal(table.matrix, [want])
+        assert np.array_equal(table.poi_counts, [1])
 
     def test_invariants_on_synthetic_grid(self):
         grid = make_grid(4, 4)
@@ -180,16 +279,14 @@ class TestFeaturizeAll:
         rng = np.random.default_rng(6)
         pois = [poi_at(grid, (int(rng.integers(0, 4)), int(rng.integers(0, 4))),
                        int(rng.integers(0, 6))) for _ in range(40)]
-        feats = featurize_all(grid, lc, pois, n_categories=6)
-        assert len(feats) == grid.n_regions
-        assert [f.region for f in feats] == list(grid.regions())
-        for f in feats:
-            assert abs(f.e_env.sum() - 1.0) < 1e-9
-            if f.poi_count > 0:
-                assert abs(np.abs(f.e_soc).sum()
-                           - math.log(f.poi_count + 1)) < 1e-9
+        table = featurize_all(grid, lc, pois, n_categories=6)
+        assert table.regions == tuple(grid.regions())
+        assert np.all(np.abs(table.env.sum(axis=1) - 1.0) < 1e-9)
+        for soc, count in zip(table.soc, table.poi_counts):
+            if count > 0:
+                assert abs(np.abs(soc).sum() - math.log(count + 1)) < 1e-9
             else:
-                assert np.all(f.e_soc == 0.0)
+                assert np.all(soc == 0.0)
 
     def test_poi_order_invariance(self):
         grid = make_grid(3, 3)
@@ -199,26 +296,55 @@ class TestFeaturizeAll:
                        int(rng.integers(0, 4))) for _ in range(25)]
         a = featurize_all(grid, lc, pois, n_categories=4)
         b = featurize_all(grid, lc, list(reversed(pois)), n_categories=4)
-        for fa, fb in zip(a, b):
-            assert fa.region == fb.region
-            assert np.array_equal(fa.e_soc, fb.e_soc)
-            assert fa.poi_count == fb.poi_count
+        assert a.regions == b.regions
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.poi_counts, b.poi_counts)
 
     def test_outside_pois_warn_and_drop(self):
         grid = make_grid(2, 2)
         lc = make_lc(grid, seed=1)
         pois = [poi_at(grid, (0, 0), 0), PoiRecord(x=50.0, y=50.0, c=1)]
         with pytest.warns(UserWarning, match="dropped 1"):
-            feats = featurize_all(grid, lc, pois, n_categories=2)
-        assert sum(f.poi_count for f in feats) == 1
+            table = featurize_all(grid, lc, pois, n_categories=2)
+        assert table.poi_counts.sum() == 1
 
     def test_feature_matrix_shape(self):
         grid = make_grid(2, 3)
         lc = make_lc(grid, seed=2)
-        feats = featurize_all(grid, lc, [], n_categories=5)
-        mat = feature_matrix(feats)
-        assert mat.shape == (6, 2 + 11 + 5)
-        assert np.array_equal(mat[0], feats[0].raw())
+        table = featurize_all(grid, lc, [], n_categories=5)
+        assert table.matrix.shape == (6, 2 + 11 + 5)
+        assert table.env.shape == (6, 11) and table.soc.shape == (6, 5)
+        assert table.poi_counts.shape == (6,)
+        assert not table.matrix.flags.writeable
+        assert not table.poi_counts.flags.writeable
+
+    @pytest.mark.parametrize("size, seed, origin", [
+        ((8, 8), 0, (0.0, 0.0)), ((12, 7), 3, (0.0, 0.0)),
+        ((10, 10), 5, (-73.99, 40.7))])
+    def test_matches_reference_featurizer_on_synth_worlds(self, size, seed,
+                                                          origin):
+        cfg, lc, pois, _, _ = synth_raw(*size, seed=seed, origin_lon=origin[0],
+                                        origin_lat=origin[1])
+        grid = lc.grid
+        pois = pois + edge_pois(grid, cfg.n_categories,
+                                np.random.default_rng(seed))
+        table = featurize_all(grid, lc, pois, n_categories=cfg.n_categories,
+                              warn=False)
+        matrix, counts = reference_features(grid, lc, pois, cfg.n_categories)
+        assert table.regions == tuple(grid.regions())
+        assert table.matrix.tobytes() == matrix.tobytes()   # bit for bit
+        assert np.array_equal(table.poi_counts, counts)
+
+    def test_categories_default_to_largest_plus_one(self):
+        grid = make_grid(2, 2)
+        table = featurize_all(grid, make_lc(grid), [poi_at(grid, (1, 1), 2)])
+        assert table.soc.shape == (4, 3)
+        assert featurize_all(grid, make_lc(grid), []).soc.shape == (4, 0)
+
+    def test_landcover_of_another_grid_rejected(self):
+        grid = make_grid(2, 2)
+        with pytest.raises(GeoDataError, match="does not match"):
+            featurize_all(grid, make_lc(make_grid(2, 3)), [])
 
 
 class TestFeaturesIo:
@@ -228,17 +354,32 @@ class TestFeaturesIo:
         rng = np.random.default_rng(9)
         pois = [poi_at(grid, (int(rng.integers(0, 3)), int(rng.integers(0, 2))),
                        int(rng.integers(0, 4))) for _ in range(15)]
-        feats = featurize_all(grid, lc, pois, n_categories=4)
+        table = featurize_all(grid, lc, pois, n_categories=4)
         path = tmp_path / "features.csv"
-        save_features(feats, str(path), header_comments=["seed = 9"])
+        save_features(table, str(path), header_comments=["seed = 9"])
         again = load_features(str(path))
-        assert len(again) == len(feats)
-        for fa, fb in zip(feats, again):
-            assert fa.region == fb.region
-            assert np.array_equal(fa.e_pos, fb.e_pos)
-            assert np.array_equal(fa.e_env, fb.e_env)
-            assert np.array_equal(fa.e_soc, fb.e_soc)
-            assert fa.poi_count == fb.poi_count
+        assert again.regions == table.regions
+        assert again.n_env == table.n_env
+        assert again.matrix.tobytes() == table.matrix.tobytes()
+        assert np.array_equal(again.poi_counts, table.poi_counts)
+        resaved = tmp_path / "again.csv"
+        save_features(again, str(resaved), header_comments=["seed = 9"])
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_csv_bytes(self, tmp_path):
+        # Two cells, three land-cover classes, two POI categories.
+        grid = make_grid(2, 1)
+        lc = make_lc(grid, classes=np.array([[0, 1, 2, 2], [0, 0, 2, 2]]),
+                     n_classes=3)
+        pois = [poi_at(grid, (0, 0), 0), poi_at(grid, (0, 0), 1)]
+        path = tmp_path / "features.csv"
+        save_features(featurize_all(grid, lc, pois, n_categories=2),
+                      str(path), header_comments=["k = v"])
+        assert path.read_text(encoding="utf-8") == (
+            "# k = v\n"
+            "x_r,y_r,pos_0,pos_1,env_0,env_1,env_2,soc_0,soc_1,poi_count\n"
+            "0,0,0.0,0.0,0.75,0.25,0.0,0.5493061443340549,0.5493061443340549,2\n"
+            "1,0,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0\n")
 
     @staticmethod
     def saved_rows(tmp_path):

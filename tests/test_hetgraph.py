@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from geohg.features import RegionFeatures, featurize_all
+from geohg.features import featurize_all
 from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord
 from geohg.hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                             build_rnr, build_slr, load_graph, rnr_edge_count,
                             save_graph)
+
+from _worlds import table, take_rows
 
 
 def make_grid(n_cols, n_rows):
@@ -19,18 +21,17 @@ def random_features(n_regions, n_env=5, n_soc=4, seed=0, n_cols=None):
     """Feature rows with uniform-random env proportions and soc values."""
     rng = np.random.default_rng(seed)
     cols = n_cols if n_cols is not None else n_regions
-    out = []
+    env, soc, counts = [], [], []
     for i in range(n_regions):
-        env = rng.dirichlet(np.ones(n_env))
+        env.append(rng.dirichlet(np.ones(n_env)))
         count = int(rng.integers(0, 20))
         if count:
-            soc = math.log(count + 1) * rng.dirichlet(np.ones(n_soc))
+            soc.append(math.log(count + 1) * rng.dirichlet(np.ones(n_soc)))
         else:
-            soc = np.zeros(n_soc)
-        out.append(RegionFeatures(region=(i % cols, i // cols),
-                                  e_pos=np.array([i % cols, i // cols], dtype=float),
-                                  e_env=env, e_soc=soc, poi_count=count))
-    return out
+            soc.append(np.zeros(n_soc))
+        counts.append(count)
+    return table([(i % cols, i // cols) for i in range(n_regions)], env, soc,
+                 counts)
 
 
 def edge_set(family):
@@ -81,7 +82,7 @@ class TestBuildElr:
     def test_zero_threshold_connects_all_positive(self):
         feats = random_features(3, n_env=4, seed=1)
         fam = build_elr(feats, 0.0)
-        positive = sum(int((f.e_env > 0).sum()) for f in feats)
+        positive = int((feats.env > 0).sum())
         assert len(fam) == positive == 12  # dirichlet rows are all-positive
 
     def test_impossible_threshold_gives_no_edges(self):
@@ -94,9 +95,9 @@ class TestBuildElr:
         feats = random_features(8, n_env=6, seed=3)
         theta = 0.6
         fam = build_elr(feats, theta)
-        want = {(i, 8 + j): feats[i].e_env[j]
+        want = {(i, 8 + j): feats.env[i, j]
                 for i in range(8) for j in range(6)
-                if feats[i].e_env[j] >= theta}
+                if feats.env[i, j] >= theta}
         assert edge_set(fam) == set(want)
         for (s, d), w in zip(fam.endpoints, fam.weights):
             assert w == want[(int(s), int(d))]
@@ -104,16 +105,13 @@ class TestBuildElr:
 
 class TestBuildSlr:
     def test_zero_poi_region_contributes_nothing(self):
-        feats = [RegionFeatures(region=(0, 0), e_pos=np.zeros(2),
-                                e_env=np.ones(3) / 3, e_soc=np.zeros(4),
-                                poi_count=0)]
+        feats = table([(0, 0)], [np.ones(3) / 3], [np.zeros(4)])
         assert len(build_slr(feats, 0.1)) == 0
 
     def test_single_poi_below_point_nine(self):
         soc = np.zeros(4)
         soc[1] = math.log(2)  # one POI: 0.693 < 0.9
-        feats = [RegionFeatures(region=(0, 0), e_pos=np.zeros(2),
-                                e_env=np.ones(3) / 3, e_soc=soc, poi_count=1)]
+        feats = table([(0, 0)], [np.ones(3) / 3], [soc], [1])
         assert len(build_slr(feats, 0.9)) == 0
         assert len(build_slr(feats, 0.5)) == 1
 
@@ -137,6 +135,17 @@ class TestBuildGraph:
             pois.append(PoiRecord(x=lon, y=lat, c=int(rng.integers(0, 6))))
         feats = featurize_all(grid, lc, pois, n_categories=6)
         return grid, feats
+
+    def test_rows_out_of_row_major_order_rejected(self):
+        # RNR node ids are row-major grid indices and ELR/SLR node ids are
+        # feature rows, so the two must be the same order.
+        grid, feats = self.grid_world(3, 2)
+        for rows in (np.arange(6)[::-1], np.zeros(6, dtype=np.int64),
+                     np.array([1, 0, 2, 3, 4, 5])):
+            with pytest.raises(GeoDataError, match="row-major"):
+                build_graph(grid, take_rows(feats, rows), 0.6, 0.9)
+        with pytest.raises(GeoDataError, match="expected 6 feature rows"):
+            build_graph(grid, take_rows(feats, np.arange(5)), 0.6, 0.9)
 
     def test_max_thresholds_leave_only_rnr(self):
         grid, feats = self.grid_world(2, 2)

@@ -7,7 +7,7 @@ import pytest
 import geohg.model
 import geohg.tensor as T
 from geohg.evaluation import make_split, r2
-from geohg.features import RegionFeatures, feature_matrix
+from geohg.features import FeatureTable
 from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
@@ -24,7 +24,7 @@ from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
                          write_embeddings)
 from geohg.tensor import Tensor
 
-from _worlds import hand_features, relabel, synth_world
+from _worlds import hand_features, relabel, synth_world, table
 from test_tensor import finite_difference, reference_stacked_layer
 
 
@@ -35,6 +35,13 @@ def leaves_of(params, trainable=True):
 
 def rnr_only_graph(grid, feats):
     return build_graph(grid, feats, theta_env=1.0, theta_soc=1e9)
+
+
+def env_rolled(feats, row):
+    """The table with one row's land-cover proportions rolled by one."""
+    matrix = feats.matrix.copy()
+    matrix[row, 2:2 + feats.n_env] = np.roll(feats.env[row], 1)
+    return FeatureTable(feats.regions, matrix, feats.poi_counts, feats.n_env)
 
 
 def constant_labels(grid, value):
@@ -107,7 +114,7 @@ class TestForward:
         state = init_state(config, 3, 2)
         out = hgnn_forward(graph, feats, state)
         p = state.params
-        raw = np.stack([f.raw() for f in feats])
+        raw = feats.matrix
         want = (raw @ p["w_in"] + p["b_in"]) @ p["layer0.self.w"] \
             + p["layer0.self.b"]
         assert np.allclose(out, want, atol=1e-12)
@@ -117,11 +124,10 @@ class TestForward:
         # blind input projection must stay exactly interchangeable.
         grid = GridSpec(0.0, 0.0, 2, 1)
         base = hand_features(grid, seed=3)
-        feats = [base[0],
-                 type(base[1])(region=(1, 0), e_pos=np.array([1.0, 0.0]),
-                               e_env=base[0].e_env.copy(),
-                               e_soc=base[0].e_soc.copy(),
-                               poi_count=base[0].poi_count)]
+        rows = base.matrix.copy()
+        rows[1, 2:] = rows[0, 2:]
+        feats = FeatureTable(base.regions, rows,
+                             np.full(2, base.poi_counts[0]), base.n_env)
         graph = rnr_only_graph(grid, feats)
         config = HgnnConfig(n_layers=2, hidden_dim=8, seed=4)
         state = init_state(config, 3, 2)
@@ -146,7 +152,7 @@ class TestForward:
         for rel in config.relations:
             state.params[f"layer0.{rel}.w"] = eye.copy()
         out = hgnn_forward(graph, feats, state)
-        raw = np.stack([f.raw() for f in feats])
+        raw = feats.matrix
         for i, (x, y) in enumerate(grid.regions()):
             nbrs = [yy * 3 + xx
                     for yy in range(3) for xx in range(3)
@@ -191,20 +197,11 @@ class TestForward:
         base = hgnn_forward(graph, feats, state)
         target_row = 0  # region (0, 0)
 
-        def perturbed(region_idx):
-            f = feats[region_idx]
-            bumped = type(f)(region=f.region, e_pos=f.e_pos.copy(),
-                             e_env=np.roll(f.e_env, 1),
-                             e_soc=f.e_soc.copy(), poi_count=f.poi_count)
-            out = list(feats)
-            out[region_idx] = bumped
-            return out
-
         far = grid.region_index((5, 5))   # Chebyshev distance 5 > 2 layers
-        out_far = hgnn_forward(graph, perturbed(far), state)
+        out_far = hgnn_forward(graph, env_rolled(feats, far), state)
         assert np.array_equal(out_far[target_row], base[target_row])
         near = grid.region_index((1, 1))  # distance 1 <= 2 layers
-        out_near = hgnn_forward(graph, perturbed(near), state)
+        out_near = hgnn_forward(graph, env_rolled(feats, near), state)
         assert not np.array_equal(out_near[target_row], base[target_row])
 
     def test_entity_edge_carries_distant_influence_at_two_layers(self):
@@ -219,11 +216,7 @@ class TestForward:
         base_graph = rnr_only_graph(grid, feats)
         graph = HeteroGraph(n_regions=n, n_env=3, n_soc=2,
                             edges_rnr=base_graph.edges_rnr, edges_elr=elr)
-        bumped = list(feats)
-        f = feats[b]
-        bumped[b] = type(f)(region=f.region, e_pos=f.e_pos.copy(),
-                            e_env=np.roll(f.e_env, 1), e_soc=f.e_soc.copy(),
-                            poi_count=f.poi_count)
+        bumped = env_rolled(feats, b)
         for n_layers, should_change in ((1, False), (2, True)):
             config = HgnnConfig(n_layers=n_layers, hidden_dim=10, seed=14)
             state = init_state(config, 3, 2)
@@ -463,7 +456,7 @@ class TestRelationalLayer:
 def canonical_inputs(feats, gt, config):
     """The region feature rows in internal order, positions min-max
     scaled when the config says so."""
-    x = feature_matrix(feats)[np.argsort(gt.rank)]
+    x = feats.matrix[np.argsort(gt.rank)]
     if config.normalize_pos:
         for col in (0, 1):
             lo, hi = x[:, col].min(), x[:, col].max()
@@ -815,14 +808,14 @@ class TestPositiveSets:
         grid, feats, graph, _, _ = synth_world(5, 5, seed=28)
         sets0 = positive_sets(graph, feats, top_k=0)
         sets2 = positive_sets(graph, feats, top_k=2)
-        raw = feature_matrix(feats)
+        raw = feats.matrix
         norms = np.linalg.norm(raw, axis=1)
         norms[norms == 0] = 1.0
         sims = (raw @ raw.T) / np.outer(norms, norms)
         np.fill_diagonal(sims, -np.inf)
-        for i in range(len(feats)):
+        for i in range(grid.n_regions):
             extra = set(sets2[i].tolist())
-            ranked = np.lexsort((np.arange(len(feats)), -sims[i]))[:2]
+            ranked = np.lexsort((np.arange(grid.n_regions), -sims[i]))[:2]
             want = set(sets0[i].tolist()) | {int(j) for j in ranked}
             assert extra == want
             assert i not in extra
@@ -837,15 +830,13 @@ class TestPositiveSets:
         rng = np.random.default_rng(30)
         base = rng.integers(0, 4, size=(9, 7)).astype(np.float64)
         base[0] = 0.0                                   # a zero-norm row
-        feats = []
-        for region in grid.regions():
-            row = base[rng.integers(0, 9)] * 2.0 ** int(rng.integers(-2, 3))
-            feats.append(RegionFeatures(
-                region=region, e_pos=row[:2], e_env=row[2:5], e_soc=row[5:],
-                poi_count=0))
+        raw = np.array([base[rng.integers(0, 9)]
+                        * 2.0 ** int(rng.integers(-2, 3))
+                        for _ in grid.regions()])
+        feats = table(list(grid.regions()), raw[:, 2:5], raw[:, 5:],
+                      pos=raw[:, :2])
         graph = rnr_only_graph(grid, hand_features(grid, seed=31))
         n = grid.n_regions
-        raw = feature_matrix(feats)
         norms = np.sqrt((raw ** 2).sum(axis=1))
         norms[norms == 0.0] = 1.0
         sims = (raw @ raw.T) / np.outer(norms, norms)
@@ -956,7 +947,7 @@ class TestFinetuneHead:
         before = backbone_checksum(state)
         split = make_split(labels, masked_ratio=0.5, seed=11)
         finetune_head(emb, labels, split, config,
-                      regions=[f.region for f in feats])
+                      regions=feats.regions)
         assert backbone_checksum(state) == before
 
     def test_constant_labels_converge(self):

@@ -129,7 +129,7 @@ class TestGenerate:
                               n_categories=cfg.n_categories, warn=False)
         w = np.array(ledger["env_weights"])
         v = np.array(ledger["soc_weights"])
-        y = np.array([w @ f.e_env + v @ f.e_soc for f in feats])
+        y = feats.env @ w + feats.soc @ v
         emitted = np.array([val for _, val in labels.entries])
         assert np.max(np.abs(y - emitted)) < 1e-12
 

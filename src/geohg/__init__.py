@@ -11,8 +11,8 @@ from .features import (FeatureTable, assign_pois, featurize_all,
 from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                        build_rnr, build_slr, load_graph, rnr_edge_count,
                        save_graph)
-from .tensor import (AdamState, NumericError, Tensor, adam_init, adam_step,
-                     glorot_uniform, lu_solve, lu_solve_batch)
+from .tensor import (NumericError, Tensor, adam_step, glorot_uniform,
+                     lu_solve, lu_solve_batch)
 from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
                     backbone_checksum, embed_regions, finetune_head,
                     hgnn_forward, infonce_loss, load_checkpoint,
@@ -33,12 +33,12 @@ from .synth import SynthConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "EdgeFamily", "EvalSplit", "ExperimentInputs",
+    "EdgeFamily", "EvalSplit", "ExperimentInputs",
     "ExperimentResult", "FeatureTable", "GeoDataError", "GridSpec",
     "HeadState", "HeteroGraph", "HgnnConfig", "LabelSet", "LandCoverGrid",
     "MetricReport", "ModelState", "NumericError", "PoiRecord", "Region",
     "RunSettings", "Sample", "SslConfig", "SynthConfig", "Tensor",
-    "VariogramModel", "adam_init", "adam_step", "assign_pois",
+    "VariogramModel", "adam_step", "assign_pois",
     "backbone_checksum", "build_elr", "build_graph", "build_rnr",
     "build_slr", "embed_regions", "empirical_variogram",
     "featurize_all", "finetune_head", "fit_variogram", "generate",

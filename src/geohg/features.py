@@ -15,6 +15,7 @@ assigned to its cell by the same floor as :func:`geodata.region_of`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -76,8 +77,9 @@ def assign_pois(pois: Sequence[PoiRecord], grid: GridSpec,
         raise GeoDataError(f"POI category {cat[bad][0]} out of range "
                            f"[0, {n_categories})")
     km_lon, km_lat = grid.km_per_degree()
-    x = np.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
-    y = np.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
+    with np.errstate(over="ignore"):    # an overflowed offset is outside
+        x = np.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
+        y = np.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
     inside = (x >= 0) & (x < grid.n_cols) & (y >= 0) & (y < grid.n_rows)
     index = y[inside].astype(np.int64) * grid.n_cols + x[inside].astype(np.int64)
     counts = np.bincount(index * n_categories + cat[inside],
@@ -100,7 +102,6 @@ def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: Sequence[PoiRecord],
         n_categories = max((p.c for p in pois), default=-1) + 1
     counts, n_outside = assign_pois(pois, grid, n_categories)
     if n_outside and warn:
-        import warnings
         warnings.warn(f"dropped {n_outside} POIs outside the grid", stacklevel=2)
     n, n_env, p = grid.n_regions, lc.n_classes, lc.pixels_per_cell
     blocks = lc.classes.reshape(grid.n_rows, p, grid.n_cols, p)

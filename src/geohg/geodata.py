@@ -91,15 +91,16 @@ def region_of(lon: float, lat: float, grid: GridSpec) -> Optional[Region]:
     """Map a lon/lat point to its region id, or None if outside the grid.
 
     The offset from the origin is converted to km with the per-axis factors and floored
-    by the cell size, so boundary points land in the lower-left cell.
+    by the cell size, so boundary points land in the lower-left cell. An offset that
+    overflows to +-inf is outside.
     """
     if not (math.isfinite(lon) and math.isfinite(lat)):
         raise GeoDataError(f"coordinates must be finite, got ({lon}, {lat})")
     km_lon, km_lat = grid.km_per_degree()
-    x = math.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
-    y = math.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
-    if 0 <= x < grid.n_cols and 0 <= y < grid.n_rows:
-        return (x, y)
+    x = (lon - grid.origin_lon) * km_lon / grid.cell_km
+    y = (lat - grid.origin_lat) * km_lat / grid.cell_km
+    if 0 <= x < grid.n_cols and 0 <= y < grid.n_rows:    # floor(x) < n iff x < n
+        return (math.floor(x), math.floor(y))
     return None
 
 

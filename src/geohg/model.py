@@ -319,10 +319,9 @@ def _fold_layer0(x: np.ndarray, relations: dict[str, RelationBlock],
 # ---------------------------------------------------------------------------
 
 def _leaves(params: dict[str, np.ndarray],
-            trainable: Optional[set[str]] = None) -> dict[str, Tensor]:
+            requires_grad: bool = True) -> dict[str, Tensor]:
     """Wrap parameter arrays as graph leaves; by default all require grad."""
-    return {name: Tensor(arr, requires_grad=(trainable is None
-                                             or name in trainable))
+    return {name: Tensor(arr, requires_grad=requires_grad)
             for name, arr in params.items()}
 
 
@@ -483,15 +482,23 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
          ) -> tuple[dict[str, np.ndarray], list[LogRow]]:
     """Adam over ``params``; returns (parameters, one log row per step).
 
+    The parameters are copied, in dict order, into one flat vector, and the
+    arrays the objectives see and the caller gets back are views into it.
+    Each step is one ``adam_step`` over the whole vector, with a zero
+    gradient for each leaf the loss does not reach, which then never moves.
+
     ``epoch_steps(epoch)`` yields objectives mapping leaves to (loss,
     validation loss); each row is logged before its Adam update. With
     ``patience``, the best-validation parameters come back and training
     stops, before the update, after ``patience`` steps without a strict
     improvement; otherwise the last parameters come back.
     """
-    adam = {name: T.adam_init(arr.shape, lr) for name, arr in params.items()}
-    params = dict(params)
-    best_val, best, wait = np.inf, {k: v.copy() for k, v in params.items()}, 0
+    flat = np.concatenate([arr.ravel() for arr in params.values()])
+    cuts = np.cumsum([arr.size for arr in params.values()])[:-1]
+    params = {name: part.reshape(arr.shape) for (name, arr), part
+              in zip(params.items(), np.split(flat, cuts))}
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    best_val, best, wait = np.inf, flat.copy(), 0
     log: list[LogRow] = []
     for epoch in range(n_epochs):
         for objective in epoch_steps(epoch):
@@ -505,19 +512,20 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
             if patience is not None:
                 if val_loss < best_val:
                     best_val, wait = val_loss, 0
-                    best = {k: leaf.data.copy() for k, leaf in leaves.items()}
+                    best[:] = flat
                 else:
                     wait += 1
                     if wait >= patience:
-                        return best, log
+                        flat[:] = best
+                        return params, log
             loss.backward()
-            for name, leaf in leaves.items():
-                # No gradient: no path to the loss, in any step of the run.
-                # Its moments stay zero, so the update would be a no-op.
-                if leaf.grad is not None:
-                    params[name], adam[name] = T.adam_step(
-                        params[name], leaf.grad, adam[name])
-    return (best if patience is not None else params), log
+            grad = np.concatenate([
+                np.zeros(leaf.data.size) if leaf.grad is None
+                else leaf.grad.ravel() for leaf in leaves.values()])
+            T.adam_step(flat, grad, m, v, len(log), lr)     # a row per step
+    if patience is not None:
+        flat[:] = best
+    return params, log
 
 
 def _region_positions(features: FeatureTable) -> dict[Region, int]:
@@ -683,7 +691,7 @@ def batch_positive_plan(positive_rows: Sequence[np.ndarray]) -> np.ndarray:
 
 def embed_regions(state: ModelState, gt: GraphTensors) -> np.ndarray:
     """Region embeddings in external order, no gradients recorded."""
-    leaves = _leaves(state.params, trainable=set())
+    leaves = _leaves(state.params, requires_grad=False)
     h = backbone_forward(gt, leaves, state.config)
     out = h.data[:gt.n_regions][gt.rank]
     return T.require_finite(out, "region embeddings")
@@ -729,7 +737,7 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
 
 def _head_values(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     """head_forward on arrays, with no gradient recorded."""
-    return head_forward(Tensor(x), _leaves(params, trainable=set())).data
+    return head_forward(Tensor(x), _leaves(params, requires_grad=False)).data
 
 
 def predict(state: ModelState, graph: HeteroGraph,

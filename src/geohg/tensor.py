@@ -13,7 +13,7 @@ floating-point result) never depends on traversal or dict order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -426,44 +426,31 @@ def relational_layer(h: Tensor,
 # optimizer and init
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdamState:
-    """Bias-corrected Adam accumulators for one parameter."""
+def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+              v: np.ndarray, step: int, lr: float) -> None:
+    """Update ``param`` and its moments ``m`` and ``v`` in place by one
+    bias-corrected Adam step (beta1 0.9, beta2 0.999, eps 1e-8); ``step``
+    counts updates from 1.
 
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.m.shape != self.v.shape:
-            raise NumericError("Adam moment shapes disagree")
-        if self.step < 0:
-            raise NumericError("Adam step count must be >= 0")
-
-
-def adam_init(shape: tuple[int, ...], lr: float) -> AdamState:
-    return AdamState(m=np.zeros(shape), v=np.zeros(shape), step=0, lr=lr)
-
-
-def adam_step(param: np.ndarray, grad: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure, returns new param and state."""
-    if param.shape != grad.shape or param.shape != state.m.shape:
+    The update is elementwise, so one call over a flat vector that
+    concatenates many parameters is bitwise one call per parameter. An
+    entry whose gradient has always been 0 keeps zero moments, and its
+    update, lr * 0 / (0 + eps), is exactly 0.
+    """
+    if not param.shape == grad.shape == m.shape == v.shape:
         raise NumericError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
-            f"moments {state.m.shape}")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    require_finite(new_param, "Adam update")
-    return new_param, replace(state, m=m, v=v, step=t)
+            f"moments {m.shape} and {v.shape}")
+    if step < 1:
+        raise NumericError(f"Adam step count must be >= 1, got {step}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    param -= lr * (m / (1.0 - beta1 ** step)) / (
+        np.sqrt(v / (1.0 - beta2 ** step)) + eps)
+    require_finite(param, "Adam update")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

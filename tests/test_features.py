@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ class TestAssignPois:
                 if region is not None:
                     want[grid.region_index(region), p.c] += 1
             assert np.array_equal(counts, want)
+
+    def test_overflowing_offset_is_outside_in_both(self):
+        # The km offset of a huge finite coordinate overflows to +-inf: both
+        # region_of and the vectorised floor call the point outside, and
+        # neither raises nor warns.
+        grid = make_grid()
+        pois = [poi_at(grid, (1, 2), 0)] + [
+            PoiRecord(*((big, 0.5) if axis == 0 else (0.5, big)), 0)
+            for big in (1e307, -1e307) for axis in (0, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            where = [region_of(p.x, p.y, grid) for p in pois]
+            counts, n_outside = assign_pois(pois, grid, n_categories=1)
+        assert where == [(1, 2)] + [None] * 4
+        assert n_outside == 4
+        assert counts[grid.region_index((1, 2)), 0] == counts.sum() == 1
 
     def test_category_out_of_range(self):
         grid = make_grid()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import geohg.tensor as T
-from geohg.tensor import (AdamState, DenseMean, NumericError, PaddedGather,
-                          RelationBlock, Tensor, adam_init, adam_step,
-                          glorot_uniform, lu_solve, lu_solve_batch,
-                          relational_layer, smallest_k)
+from geohg.tensor import (DenseMean, NumericError, PaddedGather,
+                          RelationBlock, Tensor, adam_step, glorot_uniform,
+                          lu_solve, lu_solve_batch, relational_layer,
+                          smallest_k)
 
 # Both aggregation shapes must compute the same weighted mean.
 BUILDERS = (PaddedGather.build, DenseMean.build)
@@ -419,21 +419,49 @@ class TestFirstGradient:
         assert np.array_equal(b.grad, np.full((2, 2), 0.25))
 
 
+def reference_adam_step(param, grad, m, v, step, lr):
+    """adam_step for one parameter, pure, with its own moments and step
+    count: the same operations in the same order. Returns (param, m, v)."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestAdam:
+    SHAPES = ((3, 4), (1, 4), (5,), (2, 3, 2), (1, 1))
+
+    def moments(self, n):
+        return np.zeros(n), np.zeros(n)
+
     def test_zero_gradient_keeps_param(self):
-        param = np.array([1.0, -2.0])
-        state = adam_init(param.shape, lr=0.1)
-        new_param, new_state = adam_step(param, np.zeros(2), state)
-        assert np.array_equal(new_param, param)
-        assert new_state.step == 1
+        # A block whose gradient is always 0 keeps its bits, -0.0 included,
+        # while the rest of the vector moves; its moments stay 0.
+        rng = np.random.default_rng(0)
+        frozen = np.array([1.0, -2.0, -0.0, 0.0, 5e-324, -5e-324])
+        param = np.concatenate([rng.normal(size=4), frozen])
+        start = param.copy()
+        m, v = self.moments(param.size)
+        for step in range(1, 6):
+            grad = np.concatenate([rng.normal(size=4), np.zeros(frozen.size)])
+            adam_step(param, grad, m, v, step, lr=0.1)
+        assert np.array_equal(bits(param[4:]), bits(frozen))
+        assert np.all(param[:4] != start[:4])
+        assert np.array_equal(bits(m[4:]), bits(np.zeros(frozen.size)))
+        assert np.array_equal(bits(v[4:]), bits(np.zeros(frozen.size)))
 
     def test_first_step_magnitude_is_lr(self):
         # With constant gradient g, bias correction makes m_hat = g and
         # v_hat = g^2, so the first update is exactly lr * sign(g) up to eps.
         param = np.array([0.0])
-        state = adam_init((1,), lr=0.002)
-        new_param, _ = adam_step(param, np.array([7.0]), state)
-        assert new_param[0] == pytest.approx(-0.002, rel=1e-6)
+        adam_step(param, np.array([7.0]), *self.moments(1), step=1, lr=0.002)
+        assert param[0] == pytest.approx(-0.002, rel=1e-6)
 
     def test_two_steps_match_reference_formulas(self):
         # Oracle: independent scalar re-derivation of two updates.
@@ -447,25 +475,63 @@ class TestAdam:
             p -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
 
         param = np.array([1.0])
-        state = adam_init((1,), lr=lr)
-        param, state = adam_step(param, np.array([g1]), state)
-        param, state = adam_step(param, np.array([g2]), state)
+        moments = self.moments(1)
+        adam_step(param, np.array([g1]), *moments, step=1, lr=lr)
+        adam_step(param, np.array([g2]), *moments, step=2, lr=lr)
         assert param[0] == pytest.approx(p, abs=1e-15)
-        assert state.step == 2
+
+    def test_flat_vector_matches_per_block_reference_bitwise(self):
+        # Blocks of mixed shapes, one of them never reached (the reference
+        # skips it, as the per-parameter loop did); gradients mix exact
+        # zeros, -0.0 and values across many magnitudes.
+        rng = np.random.default_rng(1)
+        blocks = [rng.normal(size=s) * 10.0 ** rng.integers(-3, 3, size=s)
+                  for s in self.SHAPES]
+        blocks[3].flat[::3] = -0.0
+        unreached = 3
+        flat = np.concatenate([b.ravel() for b in blocks])
+        m, v = self.moments(flat.size)
+        ref = [(b.copy(), np.zeros(b.shape), np.zeros(b.shape))
+               for b in blocks]
+        for step in range(1, 8):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 4, size=s)
+                     for s in self.SHAPES]
+            grads[unreached] = np.zeros(self.SHAPES[unreached])
+            for g in grads[:unreached]:
+                g.flat[::4] = 0.0
+                g.flat[1::5] = -0.0
+            adam_step(flat, np.concatenate([g.ravel() for g in grads]), m, v,
+                      step, lr=0.003)
+            for i, g in enumerate(grads):
+                if i != unreached:
+                    p, rm, rv = ref[i]
+                    ref[i] = reference_adam_step(p, g, rm, rv, step, 0.003)
+        for got, want in ((flat, 0), (m, 1), (v, 2)):
+            assert np.array_equal(
+                bits(got), bits(np.concatenate([r[want].ravel() for r in ref])))
 
     def test_shape_mismatch_rejected(self):
-        state = adam_init((2,), lr=0.1)
-        with pytest.raises(NumericError):
-            adam_step(np.zeros(3), np.zeros(3), state)
-
-    def test_state_is_immutable_value(self):
-        state = adam_init((1,), lr=0.1)
-        adam_step(np.array([1.0]), np.array([1.0]), state)
-        assert state.step == 0 and np.all(state.m == 0.0)
+        n = np.zeros(2)
+        for args in ((np.zeros(3), n, n, n), (n, np.zeros(3), n, n),
+                     (n, n, np.zeros(3), n), (n, n, n, np.zeros((2, 1)))):
+            args = [a.copy() for a in args]
+            with pytest.raises(NumericError, match="shape mismatch"):
+                adam_step(*args, step=1, lr=0.1)
 
     def test_negative_step_rejected(self):
-        with pytest.raises(NumericError):
-            AdamState(m=np.zeros(1), v=np.zeros(1), step=-1, lr=0.1)
+        for step in (0, -1):
+            param = np.ones(2)
+            with pytest.raises(NumericError, match="step"):
+                adam_step(param, np.ones(2), *self.moments(2), step=step,
+                          lr=0.1)
+            assert np.array_equal(param, np.ones(2))
+
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_rejected(self, g):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="Adam update"):
+            adam_step(np.ones(3), np.array([0.5, g, 0.0]), *self.moments(3),
+                      step=1, lr=0.1)
 
 
 class TestGlorot:

@@ -11,8 +11,7 @@ from .features import (FeatureTable, assign_pois, featurize_all,
 from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                        build_rnr, build_slr, load_graph, rnr_edge_count,
                        save_graph)
-from .tensor import (NumericError, Tensor, adam_step, glorot_uniform,
-                     lu_solve, lu_solve_batch)
+from .tensor import NumericError, Tensor, adam_step, glorot_uniform
 from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
                     backbone_checksum, embed_regions, finetune_head,
                     hgnn_forward, infonce_loss, load_checkpoint,
@@ -46,8 +45,7 @@ __all__ = [
     "infonce_loss",
     "load_categories", "load_checkpoint", "load_embeddings",
     "load_features", "load_graph", "load_gridspec", "load_labels",
-    "load_landcover", "load_pois", "lu_solve", "lu_solve_batch", "mae",
-    "make_split",
+    "load_landcover", "load_pois", "mae", "make_split",
     "masked_ratio_sweep", "positive_sets", "predict", "predict_all",
     "predict_from_embeddings", "pretrain_contrastive", "r2", "region_of",
     "rmse", "rnr_edge_count", "run_experiment", "save_checkpoint",

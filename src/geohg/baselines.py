@@ -25,12 +25,22 @@ drift reproduction, which is what lets UK track a linear trend that plain
 kriging or IDW would flatten. A target at a sample location (nearest
 distance exactly 0) needs no solve: gamma(0) = 0 makes gamma0 that sample's
 column of Gamma, so its weights are one-hot on the sample, the lowest index
-among samples at that location, as in IDW. The other targets' systems of a
-chunk are stacked into one (m, k+3, k+3) array and solved together by
-tensor.lu_solve_batch, which flags a system as singular when its matrix is
-zero, a pivot is at most 1e-12 of its largest absolute entry, or its solution
-is not finite. A singular system falls back to IDW (default power and k) for
-that target alone; callers can count these through the on_fallback hook.
+among samples at that location, as in IDW.
+
+The other targets' systems of a chunk are stacked and solved by
+np.linalg.solve. LAPACK raises only on an exact zero pivot and may return
+finite, meaningless weights for a singular system, so singularity is decided
+from the geometry instead. With gamma(0) = 0 the exponential variogram is
+strictly conditionally negative definite on distinct points, so a system is
+nonsingular exactly when its k neighbours lie at distinct locations and the
+drift (1, x, y) has full rank (Cressie, Statistics for Spatial Data, 1993,
+section 3.4). A system is flagged when two neighbours share a location (an
+off-diagonal zero distance) or all lie on one line (every offset from the
+first has a zero cross product with the offset of largest L1 norm; k <= 2 is
+always a line). Both tests are exact on integer cell coordinates, and the
+line test is O(k). A flagged system, or a non-finite solution, falls back to
+IDW (default power and k) for that target alone; callers can count these
+through the on_fallback hook.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .geodata import Region
-from .tensor import NumericError, lu_solve, lu_solve_batch, smallest_k
+from .tensor import NumericError, smallest_k
 
 Sample = tuple[Region, float]
 
@@ -204,8 +214,8 @@ def _gauss_newton(h: np.ndarray, gamma: np.ndarray,
         stepped = False
         for _ in range(8):
             try:
-                delta = lu_solve(jtj + damping * np.eye(3), -g)
-            except NumericError:
+                delta = np.linalg.solve(jtj + damping * np.eye(3), -g)
+            except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
             cand = clamp(p + delta)
@@ -257,14 +267,21 @@ def fit_variogram(samples: Sequence[Sample],
 
 def _uk_systems(coords: np.ndarray, targets: np.ndarray, near: np.ndarray,
                 dists: np.ndarray, model: VariogramModel
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked augmented systems (a, b) of targets whose nearest samples
-    are the rows of `near`, at distances `dists`."""
+    are the rows of `near`, at distances `dists`, and each system's
+    singularity flag under the rule in the module docstring."""
     n = near.shape[1]
     pts = coords[near]                                  # (m, n, 2)
+    pair = _distances(pts[:, :, None], pts[:, None, :])
+    offset = pts - pts[:, :1]
+    far = np.abs(offset).sum(axis=2).argmax(axis=1)
+    f = offset[np.arange(len(pts)), far]                # (m, 2)
+    cross = offset[..., 0] * f[:, None, 1] - offset[..., 1] * f[:, None, 0]
+    singular = ((np.count_nonzero(pair == 0.0, axis=(1, 2)) > n)
+                | (cross == 0.0).all(axis=1))
     a = np.zeros((len(pts), n + 3, n + 3))
-    a[:, :n, :n] = model.semivariance(_distances(pts[:, :, None],
-                                                 pts[:, None, :]))
+    a[:, :n, :n] = model.semivariance(pair)
     a[:, :n, n] = 1.0
     a[:, :n, n + 1:] = pts
     a[:, n, :n] = 1.0
@@ -273,7 +290,7 @@ def _uk_systems(coords: np.ndarray, targets: np.ndarray, near: np.ndarray,
     b[:, :n] = model.semivariance(dists)
     b[:, n] = 1.0
     b[:, n + 1:] = targets
-    return a, b
+    return a, b, singular
 
 
 def _uk_weights(coords: np.ndarray, targets: np.ndarray,
@@ -293,9 +310,13 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
         at = dists[:, 0] == 0.0
         lam[rows.start + np.flatnonzero(at), 0] = 1.0   # one-hot at a sample
         off = rows.start + np.flatnonzero(~at)
-        sol, ok[off] = lu_solve_batch(*_uk_systems(
-            coords, targets[off], near[~at], dists[~at], model))
-        lam[off] = sol[:, :n]
+        a, b, singular = _uk_systems(coords, targets[off], near[~at],
+                                     dists[~at], model)
+        solved = off[~singular]
+        sol = np.linalg.solve(a[~singular], b[~singular, :, None])[..., 0]
+        ok[off[singular]] = False
+        ok[solved] = np.isfinite(sol).all(axis=1)
+        lam[solved] = sol[:, :n]
     return lam, idx, ok
 
 

@@ -247,8 +247,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     grid, lc, pois, n_categories = _load_world(args)
     state = load_checkpoint(args.checkpoint)
-    theta_env = args.theta_env if args.theta_env is not None else DEFAULT_THETA_ENV
-    theta_soc = args.theta_soc if args.theta_soc is not None else DEFAULT_THETA_SOC
+    theta_env, theta_soc = state.thresholds
     feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, theta_env, theta_soc)
     values = predict_all(state, graph, feats)
@@ -484,9 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict every region from a checkpoint")
     _add_world_inputs(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--theta-env", type=float)
-    p.add_argument("--theta-soc", type=float)
+    p.add_argument("--checkpoint", required=True,
+                   help="model checkpoint; its graph thresholds are reused")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

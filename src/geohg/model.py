@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 RELATIONS = ("rnr", "elr_r2e", "elr_e2r", "slr_r2e", "slr_e2r")
 LABEL_TRANSFORMS = ("zscore", "log1p+zscore")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ class SslConfig:
 
 @dataclass
 class ModelState:
-    """All learnable parameters plus label-transform statistics."""
+    """All learnable parameters plus label-transform statistics, and the
+    (theta_env, theta_soc) thresholds of the graph it was trained on."""
 
     config: HgnnConfig
     n_env: int
@@ -124,6 +125,7 @@ class ModelState:
     label_mean: float = 0.0
     label_std: float = 1.0
     trained: bool = False
+    thresholds: tuple[float, float] = (0.0, 0.0)
 
     def backbone_names(self) -> list[str]:
         return [k for k in self.params if not k.startswith("head.")]
@@ -582,6 +584,7 @@ def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
                              patience=config.patience)
     state.label_mean, state.label_std = mean, std
     state.trained = True
+    state.thresholds = graph.thresholds
     return state, log
 
 
@@ -673,6 +676,7 @@ def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
     log = [(epoch, float(np.mean(v)) if v else float("nan"))
            for epoch, v in enumerate(losses)]
     state.trained = True
+    state.thresholds = graph.thresholds
     embeddings = embed_regions(state, gt)
     return state, embeddings, log
 
@@ -799,7 +803,8 @@ def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
                      "kind": "model" if isinstance(state, ModelState) else "head",
                      "config": _config_dict(state.config)}
     if isinstance(state, ModelState):
-        payload.update(n_env=state.n_env, n_soc=state.n_soc)
+        payload.update(n_env=state.n_env, n_soc=state.n_soc,
+                       thresholds=list(state.thresholds))
     payload.update(label_mean=state.label_mean, label_std=state.label_std,
                    trained=state.trained,
                    params={name: {"shape": list(arr.shape),
@@ -810,9 +815,10 @@ def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
 
 
 def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
-    """Read a "model" or "head" checkpoint. Each parameter must be finite
-    and shaped as the config and entity counts say (a head's width is read
-    from head.0.w); otherwise GeoDataError names the file."""
+    """Read a "model" or "head" checkpoint. A model checkpoint also holds
+    its graph's two thresholds. Each parameter must be finite and shaped as
+    the config and entity counts say (a head's width is read from
+    head.0.w); otherwise GeoDataError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION or \
@@ -824,14 +830,17 @@ def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
         params = {name: np.array(spec["data"], dtype=np.float64)
                   .reshape(spec["shape"])
                   for name, spec in payload["params"].items()}
-        counts = ({"n_env": payload["n_env"], "n_soc": payload["n_soc"]}
+        fields = ({"n_env": payload["n_env"], "n_soc": payload["n_soc"]}
                   if kind == "model" else {})
-        layout = (_model_layout(config, **counts) if kind == "model"
+        layout = (_model_layout(config, **fields) if kind == "model"
                   else _head_layout(params["head.0.w"].shape[0]))
+        if kind == "model":
+            theta_env, theta_soc = payload["thresholds"]
+            fields["thresholds"] = (float(theta_env), float(theta_soc))
         state = (ModelState if kind == "model" else HeadState)(
             config=config, params=params, label_mean=payload["label_mean"],
             label_std=payload["label_std"], trained=payload["trained"],
-            **counts)
+            **fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise GeoDataError(f"{path}: malformed checkpoint ({exc!r})") from exc
     want = {name: shape for name, shape, _ in layout}

@@ -29,6 +29,9 @@ import numpy as np
 from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid, PoiRecord)
 from .features import featurize_all
 
+# Region rows per block of the Voronoi step's region-by-patch distances.
+VORONOI_BLOCK = 256
+
 
 def _default_class_mix(n_archetypes: int, n_classes: int) -> np.ndarray:
     """One mixture row per archetype, peaked on a distinct pair of classes."""
@@ -187,8 +190,12 @@ def generate(config: SynthConfig) -> tuple[LandCoverGrid, list[PoiRecord],
     patch_xy = rng.random((config.n_patches, 2)) * [config.n_cols, config.n_rows]
     patch_arch = rng.integers(0, config.n_archetypes, size=config.n_patches)
     centers = np.array([(x + 0.5, y + 0.5) for x, y in grid.regions()])
-    d2 = ((centers[:, None, :] - patch_xy[None, :, :]) ** 2).sum(axis=2)
-    archetype = patch_arch[np.argmin(d2, axis=1)]
+    nearest = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, VORONOI_BLOCK):
+        d2 = ((centers[lo:lo + VORONOI_BLOCK, None, :]
+               - patch_xy[None, :, :]) ** 2).sum(axis=2)
+        nearest[lo:lo + VORONOI_BLOCK] = np.argmin(d2, axis=1)
+    archetype = patch_arch[nearest]
 
     # 2) Land-cover pixels per region from the archetype's class mixture.
     p = config.pixels_per_cell

@@ -493,77 +493,3 @@ def smallest_k(a: np.ndarray, k: int) -> np.ndarray:
         chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= places)
     return np.nonzero(chosen)[1].reshape(a.shape[:-1] + (k,))
 
-
-# ---------------------------------------------------------------------------
-# direct linear solver (kriging systems and the variogram fit)
-# ---------------------------------------------------------------------------
-
-def lu_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] @ x[i] = b[i] for a stack of systems by LU with partial
-    pivoting; returns (x, ok).
-
-    `a` is (B, n, n) and `b` is (B, n) or (B, n, m). Every system goes
-    through the same operations in the same order as a lone one would, so a
-    system's solution does not depend on the others in the stack. ok[i] is
-    False when system i is singular at working precision: its matrix is all
-    zero, a pivot is at most 1e-12 times its largest absolute entry, or the
-    solution is not finite. The x of such a system is meaningless. Its
-    arithmetic runs on with floating-point warnings silenced, so one
-    singular system neither stops nor warns for the rest.
-    """
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] \
-            or b.shape[:2] != a.shape[:2] or b.ndim > 3:
-        raise NumericError(f"bad solve shapes {a.shape} / {b.shape}")
-    n_sys, n = a.shape[:2]
-    n_rhs = b.shape[2] if b.ndim == 3 else 1
-    # The system axis goes last, so that each step below works on contiguous
-    # runs of n_sys values.
-    a = np.ascontiguousarray(a.transpose(1, 2, 0))
-    sys_idx = np.arange(n_sys)
-    scale_ref = np.abs(a).reshape(n * n, n_sys).max(axis=0, initial=0.0)
-    ok = scale_ref != 0.0
-    perm = np.tile(np.arange(n)[:, None], (1, n_sys))
-    with np.errstate(all="ignore"):
-        for col in range(n):
-            pivot_row = col + np.argmax(np.abs(a[col:, col]), axis=0)
-            pivot = a[pivot_row, col, sys_idx]
-            ok &= ~(np.abs(pivot) <= 1e-12 * scale_ref)
-            rows = a[pivot_row, :, sys_idx]   # swap rows col and pivot_row
-            a[pivot_row, :, sys_idx] = a[col].T
-            a[col] = rows.T
-            p = perm[pivot_row, sys_idx]
-            perm[pivot_row, sys_idx] = perm[col]
-            perm[col] = p
-            factors = a[col + 1:, col] / pivot
-            a[col + 1:, col] = factors
-            a[col + 1:, col + 1:] -= factors[:, None] * a[col, None, col + 1:]
-        x = np.take_along_axis(b.reshape(n_sys, n, n_rhs).transpose(1, 2, 0),
-                               perm[:, None, :], axis=0)
-        for col in range(n):                  # forward substitution (unit lower)
-            x[col + 1:] -= a[col + 1:, col, None] * x[col]
-        for col in range(n - 1, -1, -1):      # back substitution
-            x[col] /= a[col, col]
-            x[:col] -= a[:col, col, None] * x[col]
-    ok &= np.isfinite(x).all(axis=(0, 1))
-    return x.transpose(2, 0, 1).reshape(b.shape), ok
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b: the one-system case of :func:`lu_solve_batch`.
-
-    Raises NumericError when the system is singular at working precision
-    (a zero matrix, a pivot at most 1e-12 of the largest absolute entry, or
-    a non-finite solution).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise NumericError(f"bad solve shapes {a.shape} / {b.shape}")
-    x, ok = lu_solve_batch(a[None], b[None])
-    if not ok[0]:
-        raise NumericError("singular system (zero matrix, pivot at most "
-                           "1e-12 of the largest entry, or a non-finite "
-                           "solution)")
-    return x[0]

@@ -9,7 +9,6 @@ from geohg.baselines import (CHUNK, VARIOGRAM_BINS, VariogramModel, _distances,
                              _nearest, _uk_systems, empirical_variogram,
                              fit_variogram, idw_predict, idw_predict_batch,
                              uk_predict, uk_predict_batch, uk_weights)
-from geohg.tensor import lu_solve_batch
 
 
 def grid_samples(values_fn, n_cols=10, n_rows=10):
@@ -361,8 +360,9 @@ class TestUniversalKriging:
 
     def test_skipped_solve_would_give_one_hot_weights(self):
         # The rule replaces a real solve: for every sample, the system that
-        # would have been solved, built and solved by the same code, has
-        # weights within 1e-12 of one-hot.
+        # would have been solved, built by the same code and solved by the
+        # same solver, is not flagged and has weights within 1e-12 of
+        # one-hot.
         samples = random_samples(80, seed=20, span=30)
         model = fit_variogram(samples)
         coords = np.array([r for r, _ in samples], dtype=np.float64)
@@ -370,13 +370,58 @@ class TestUniversalKriging:
         for k in (8, 30):
             near = _nearest(dists, k)
             assert np.array_equal(near[:, 0], np.arange(len(samples)))
-            sol, ok = lu_solve_batch(*_uk_systems(
+            a, b, singular = _uk_systems(
                 coords, coords, near, np.take_along_axis(dists, near, axis=1),
-                model))
-            assert ok.all()
+                model)
+            assert not singular.any()
+            sol = np.linalg.solve(a, b[..., None])[..., 0]
             one_hot = np.zeros((len(samples), k))
             one_hot[:, 0] = 1.0
             assert np.abs(sol[:, :k] - one_hot).max() < 1e-12
+
+    def test_shared_location_among_neighbours_falls_back(self):
+        # Two samples share (5, 5). The k nearest of (5, 6) and (6, 5)
+        # include both, which makes their systems singular. The rule must
+        # flag them: LAPACK need not meet an exact zero pivot on such a
+        # system, and may return finite but meaningless weights instead.
+        others = [s for s in random_samples(40, seed=24, span=20)
+                  if max(abs(s[0][0] - 5), abs(s[0][1] - 5)) > 1]
+        samples = others[:3] + [((5, 5), 1.0)] + others[3:] + [((5, 5), -1.0)]
+        targets = [(15, 15), (5, 6), (18, 2), (1, 17), (6, 5), (16, 9)]
+        model = fit_variogram(samples)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = uk_predict_batch(samples, targets, model, 8,
+                                   on_fallback=calls.append)
+        assert calls == [(5, 6), (6, 5)]
+        for i in (1, 4):
+            assert got[i] == idw_predict(samples, targets[i])
+        solved = [0, 2, 3, 5]
+        assert np.array_equal(
+            got[solved],
+            uk_predict_batch(samples, [targets[i] for i in solved], model, 8))
+
+    def test_singular_flag_matches_matrix_rank(self):
+        # Oracle: a system is singular exactly when its matrix has rank
+        # below k + 3. Small integer point sets, some forced onto a line
+        # and some with a repeated point, cover both clauses of the rule.
+        rng = np.random.default_rng(25)
+        model = VariogramModel(nugget=0.1, sill=1.0, effective_range=5.0)
+        m = 300
+        for k in range(1, 9):
+            pts = rng.integers(0, 5, size=(m, k, 2)).astype(np.float64)
+            steps = rng.integers(-2, 3, size=(m, 1, 2))
+            line = pts[:, :1] + rng.integers(-3, 4, size=(m, k, 1)) * steps
+            pts[::3] = line[::3]
+            pts[1::5, -1] = pts[1::5, 0]
+            targets = rng.integers(0, 5, size=(m, 2)) + 0.5
+            a, _, singular = _uk_systems(
+                pts.reshape(-1, 2), targets, np.arange(m * k).reshape(m, k),
+                _distances(pts, targets[:, None, :]), model)
+            rank = np.linalg.matrix_rank(a)
+            assert np.array_equal(singular, rank < k + 3), k
+            assert singular.all() if k <= 2 else 0 < singular.sum() < m
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
@@ -482,8 +527,8 @@ class TestBatched:
             assert uk_predict(samples, targets[bad], model, 6) == got[bad]
 
     def test_singular_batch_raises_no_runtime_warning(self):
-        # A zero-pivot system divides by zero inside the stacked LU; that
-        # must stay silent and only flag the system.
+        # A singular system is flagged before the stacked solve and never
+        # reaches it; nothing may warn on the way.
         samples, targets, bad = self.planted_singular()
         model = VariogramModel(nugget=0.0, sill=1.0, effective_range=6.0)
         with warnings.catch_warnings(record=True) as caught:
@@ -492,6 +537,26 @@ class TestBatched:
             uk_predict_batch(samples, [(4, 1)] * 3, model, 6)
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    def test_sill_scale_moves_no_weight_until_the_solve_overflows(self):
+        # Scaling Gamma by c scales mu by c and leaves lambda as it is, so a
+        # huge sill is no reason to fall back. Near the float64 limit the
+        # solve overflows, and the non-finite solutions fall back to IDW.
+        samples = random_samples(40, seed=26)
+        targets = [(3, 3), (10, 10), (21, 5), (7, 19)]
+        unit = uk_predict_batch(samples, targets,
+                                VariogramModel(0.0, 1.0, 4.0), 16)
+        for sill, fallbacks in ((1e300, []), (1.7e308, targets)):
+            calls = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = uk_predict_batch(samples, targets,
+                                       VariogramModel(0.0, sill, 4.0), 16,
+                                       on_fallback=calls.append)
+            assert calls == fallbacks
+            want = ([idw_predict(samples, t) for t in targets] if fallbacks
+                    else unit)
+            assert np.abs(got - want).max() < 1e-12
 
     def test_only_off_sample_targets_are_solved(self, monkeypatch):
         samples = random_samples(60, seed=22, span=25)
@@ -506,12 +571,13 @@ class TestBatched:
                                       off[10], on[10], off[11], on[11]]
         want = uk_predict_batch(samples, targets, model, 16)
         solved = []
+        solve = np.linalg.solve
 
         def counted(a, b):
             solved.append(len(a))
-            return lu_solve_batch(a, b)
+            return solve(a, b)
 
-        monkeypatch.setattr(baselines, "lu_solve_batch", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(baselines, "CHUNK", 4)
         got = uk_predict_batch(samples, targets, model, 16)
         assert solved == [0, 0, 4, 4, 2, 2]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from geohg.cli import dispatch
-from geohg.geodata import load_gridspec, load_labels
+from geohg.geodata import load_gridspec, load_labels, load_landcover, load_pois
 from geohg.evaluation import load_report
-from geohg.features import load_features
-from geohg.hetgraph import load_graph
-from geohg.model import load_embeddings
+from geohg.features import featurize_all, load_features
+from geohg.hetgraph import build_graph, load_graph
+from geohg.model import load_checkpoint, load_embeddings, predict_all
 
 
 SYNTH_FLAGS = ["synth", "--n-cols", "10", "--n-rows", "10",
@@ -101,6 +101,38 @@ class TestTrainPredict:
                 if l and not l.startswith("#")]
         assert rows[0] == "x_r,y_r,y_pred"
         assert len(rows) == 1 + 100
+
+    def test_predict_uses_the_checkpoint_thresholds(self, world_dir, tmp_path):
+        # gdp preset: theta_env 0.4, theta_soc 1.2, not the 0.6/0.9 default.
+        assert run(tmp_path, "train", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--masked-ratio", "0.5", "--seed", "1", "--task", "gdp",
+                   *FAST_MODEL) == 0
+        ckpt = tmp_path / "checkpoint.json"
+        out = tmp_path / "pred.csv"
+        assert run(tmp_path, "predict", *world_flags(world_dir),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert "# theta_env = 0.4" in lines and "# theta_soc = 1.2" in lines
+        got = np.array([float(l.split(",")[2]) for l in lines
+                        if l and not l.startswith(("#", "x_r"))])
+
+        state = load_checkpoint(str(ckpt))
+        assert state.thresholds == (0.4, 1.2)
+        grid = load_gridspec(str(world_dir / "grid.cfg"))
+        feats = featurize_all(grid,
+                              load_landcover(str(world_dir / "landcover.txt"),
+                                             grid),
+                              load_pois(str(world_dir / "pois.csv")))
+        want = predict_all(state, build_graph(grid, feats, 0.4, 1.2), feats)
+        assert np.array_equal(got, want)
+        default = predict_all(state, build_graph(grid, feats, 0.6, 0.9), feats)
+        assert not np.array_equal(got, default)
+
+        with pytest.raises(SystemExit):
+            run(tmp_path, "predict", *world_flags(world_dir),
+                "--checkpoint", str(ckpt), "--theta-env", "0.6",
+                "--out", str(out))
 
 
 class TestPretrainFinetuneSimilarity:

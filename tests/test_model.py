@@ -965,13 +965,15 @@ class TestPretrain:
         assert log_a == log_b
 
     def test_embeddings_shape_and_state_flag(self):
-        grid, feats, graph, _, _ = synth_world(6, 6, seed=31)
+        grid, feats, graph, _, _ = synth_world(6, 6, seed=31, theta_env=0.3,
+                                               theta_soc=0.7)
         ssl = SslConfig(batch_size=9, epochs=3, seed=2)
         config = HgnnConfig(n_layers=1, hidden_dim=8, seed=2)
         state, emb, log = pretrain_contrastive(graph, feats, ssl, config)
         assert emb.shape == (36, 8)
         assert np.all(np.isfinite(emb))
         assert state.trained
+        assert state.thresholds == (0.3, 0.7)
         assert len(log) == 3 and all(np.isfinite(v) for _, v in log)
 
     def test_unreached_parameters_keep_their_init(self, monkeypatch):
@@ -1105,14 +1107,18 @@ class TestFinetuneHead:
 
 class TestCheckpointsAndIo:
     def test_model_checkpoint_round_trip(self, tmp_path):
-        grid, feats, graph, labels, _ = synth_world(5, 5, seed=38)
+        grid, feats, graph, labels, _ = synth_world(5, 5, seed=38,
+                                                    theta_env=0.4,
+                                                    theta_soc=1.2)
         split = make_split(labels, masked_ratio=0.5, seed=15)
         config = HgnnConfig(hidden_dim=8, seed=8, max_epochs=10, patience=10)
         state, _ = train_end_to_end(graph, feats, labels, split, config)
+        assert state.thresholds == (0.4, 1.2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, str(path))
         again = load_checkpoint(str(path))
         assert again.config == state.config
+        assert again.thresholds == (0.4, 1.2)
         assert again.label_mean == state.label_mean
         assert again.label_std == state.label_std
         for name in state.params:
@@ -1170,6 +1176,16 @@ class TestCheckpointsAndIo:
         bad = json.loads(json.dumps(good))
         bad["params"]["b_in"]["data"][0] = float("nan")
         rejected(bad, "non-finite values in b_in")
+        for thresholds in ([0.6], None):
+            bad = json.loads(json.dumps(good))
+            bad["thresholds"] = thresholds
+            rejected(bad, "malformed checkpoint")
+        bad = json.loads(json.dumps(good))
+        del bad["thresholds"]
+        rejected(bad, "malformed checkpoint")
+        bad = json.loads(json.dumps(good))
+        bad["version"] = 1                # written before thresholds were kept
+        rejected(bad, "not a version-2 model checkpoint")
         path.write_text(json.dumps(good))
         assert load_checkpoint(str(path)).params.keys() == state.params.keys()
 

@@ -6,7 +6,8 @@ import pytest
 from geohg.features import featurize_all
 from geohg.geodata import (GeoDataError, GridSpec, region_of, save_labels,
                            save_landcover, save_pois)
-from geohg.synth import (SynthConfig, barrier_side, generate, poisson_sample)
+from geohg.synth import (VORONOI_BLOCK, SynthConfig, barrier_side, generate,
+                         poisson_sample)
 
 
 def small_config(**overrides):
@@ -180,16 +181,20 @@ class TestGenerate:
             assert abs(counts[a] - mean) <= 3 * sigma + 1e-9
 
     def test_archetypes_follow_voronoi_partition(self):
-        cfg = small_config(seed=13)
-        _, _, _, ledger = generate(cfg)
-        centers = np.array([(x + 0.5, y + 0.5)
-                            for y in range(cfg.n_rows)
-                            for x in range(cfg.n_cols)])
-        patch_xy = np.array(ledger["patch_centers"])
-        patch_arch = np.array(ledger["patch_archetypes"])
-        d2 = ((centers[:, None, :] - patch_xy[None, :, :]) ** 2).sum(axis=2)
-        want = patch_arch[np.argmin(d2, axis=1)]
-        assert np.array_equal(want, np.array(ledger["archetype_of_region"]))
+        assert 24 * 24 > VORONOI_BLOCK     # the second world spans blocks
+        for cfg in (small_config(seed=13),
+                    small_config(n_cols=24, n_rows=24, pixels_per_cell=1,
+                                 n_patches=40, seed=14)):
+            _, _, _, ledger = generate(cfg)
+            centers = np.array([(x + 0.5, y + 0.5)
+                                for y in range(cfg.n_rows)
+                                for x in range(cfg.n_cols)])
+            patch_xy = np.array(ledger["patch_centers"])
+            patch_arch = np.array(ledger["patch_archetypes"])
+            d2 = ((centers[:, None, :] - patch_xy[None, :, :]) ** 2).sum(axis=2)
+            want = patch_arch[np.argmin(d2, axis=1)]
+            assert np.array_equal(want,
+                                  np.array(ledger["archetype_of_region"]))
 
     def test_custom_weights_used(self):
         w = np.zeros(11)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ import pytest
 import geohg.tensor as T
 from geohg.tensor import (DenseMean, NumericError, PaddedGather,
                           RelationBlock, Tensor, adam_step, glorot_uniform,
-                          lu_solve, lu_solve_batch, relational_layer,
-                          smallest_k)
+                          relational_layer, smallest_k)
 
 # Both aggregation shapes must compute the same weighted mean.
 BUILDERS = (PaddedGather.build, DenseMean.build)
@@ -572,121 +570,3 @@ class TestSmallestK:
         assert got[:, 0].tolist() == [[1, 3]] * 3
         assert got[:, 1].tolist() == [[0, 2]] * 3
 
-
-def reference_lu_solve(a, b):
-    """One system at a time: the loop the stacked solver vectorises, with
-    the same operations in the same order."""
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    scale_ref = np.abs(a).max()
-    if scale_ref == 0.0:
-        return None
-    perm = np.arange(n)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= 1e-12 * scale_ref:
-            return None
-        a[[col, pivot_row]] = a[[pivot_row, col]]
-        perm[[col, pivot_row]] = perm[[pivot_row, col]]
-        factors = a[col + 1:, col] / pivot
-        a[col + 1:, col] = factors
-        a[col + 1:, col + 1:] -= factors[:, None] * a[col, col + 1:]
-    x = np.array(b, dtype=np.float64)[perm].reshape(n, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for col in range(n):
-            x[col + 1:] -= a[col + 1:, col, None] * x[col]
-        for col in range(n - 1, -1, -1):
-            x[col] /= a[col, col]
-            x[:col] -= a[:col, col, None] * x[col]
-    return x.reshape(np.shape(b)) if np.all(np.isfinite(x)) else None
-
-
-class TestLuSolve:
-    def test_matches_numpy_solve(self):
-        # Oracle: dense solve from the linear-algebra library.
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            assert np.allclose(lu_solve(a, b), np.linalg.solve(a, b),
-                               atol=1e-9)
-
-    def test_multiple_right_hand_sides(self):
-        rng = np.random.default_rng(10)
-        a = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        b = rng.normal(size=(5, 3))
-        assert np.allclose(lu_solve(a, b), np.linalg.solve(a, b), atol=1e-9)
-
-    def test_pivoting_handles_zero_leading_entry(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([2.0, 3.0])
-        assert np.allclose(lu_solve(a, b), [3.0, 2.0], atol=1e-12)
-
-    def test_singular_matrix_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(NumericError, match="singular"):
-            lu_solve(a, np.array([1.0, 1.0]))
-
-    def test_zero_matrix_raises(self):
-        with pytest.raises(NumericError):
-            lu_solve(np.zeros((3, 3)), np.ones(3))
-
-    def test_does_not_mutate_inputs(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        b = np.array([1.0, 2.0])
-        a0, b0 = a.copy(), b.copy()
-        lu_solve(a, b)
-        assert np.array_equal(a, a0) and np.array_equal(b, b0)
-
-    def test_batch_matches_one_system_at_a_time(self):
-        # Bitwise: stacking must not change any system's arithmetic.
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3, 7, 20, 67):
-            a = rng.normal(size=(9, n, n))
-            for b in (rng.normal(size=(9, n)), rng.normal(size=(9, n, 2))):
-                x, ok = lu_solve_batch(a, b)
-                assert x.shape == b.shape and ok.all()
-                for i in range(len(a)):
-                    assert np.array_equal(x[i], lu_solve(a[i], b[i]))
-                    assert np.array_equal(x[i], reference_lu_solve(a[i], b[i]))
-
-    def test_batch_flags_each_singular_system(self):
-        good = np.array([[4.0, 1.0], [1.0, 3.0]])
-        stack = np.stack([
-            good,
-            np.zeros((2, 2)),                          # zero matrix
-            np.array([[1.0, 0.0], [0.0, 1e-12]]),      # pivot at the bound
-            1e-300 * np.eye(2),                        # solution overflows
-            good.T])
-        b = np.array([[1.0, 2.0]] * 4 + [[3.0, -1.0]])
-        b[3] = 1e300
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x, ok = lu_solve_batch(stack, b)
-        assert ok.tolist() == [True, False, False, False, True]
-        for i in (0, 4):
-            assert np.array_equal(x[i], lu_solve(stack[i], b[i]))
-        for i in (1, 2, 3):
-            assert reference_lu_solve(stack[i], b[i]) is None
-            with pytest.raises(NumericError, match="singular"):
-                lu_solve(stack[i], b[i])
-        # Just above the bound the pivot is accepted.
-        _, ok = lu_solve_batch(np.array([[[1.0, 0.0], [0.0, 2e-12]]]),
-                               np.ones((1, 2)))
-        assert ok.tolist() == [True]
-
-    def test_batch_empty_stack(self):
-        for b in (np.zeros((0, 3)), np.zeros((0, 3, 2))):
-            x, ok = lu_solve_batch(np.zeros((0, 3, 3)), b)
-            assert x.shape == b.shape
-            assert ok.shape == (0,) and ok.dtype == bool
-
-    def test_batch_bad_shapes_rejected(self):
-        with pytest.raises(NumericError, match="shapes"):
-            lu_solve_batch(np.zeros((2, 3, 2)), np.zeros((2, 3)))
-        with pytest.raises(NumericError, match="shapes"):
-            lu_solve_batch(np.eye(3)[None], np.zeros((2, 3)))
-        with pytest.raises(NumericError, match="shapes"):
-            lu_solve(np.eye(3), np.zeros(2))

@@ -3,15 +3,20 @@
 Both work on sparse (region id, value) samples with distances measured in grid
 units between cell coordinates, the same scale the position features use.
 
-Every call handles all of its targets at once, CHUNK targets at a time: the
-samples become coordinate and value arrays once, and each chunk gets its
-target-by-sample distance rows. Each target's k nearest samples are the first
-k in strict (distance, index) order, so a tie at the k-th distance goes to the
-lower sample index. They are selected in O(n) per row by tensor.smallest_k
-(a partition at the k-th distance; the ties at it taken lowest index first),
-then put in that order by a stable argsort of the k chosen distances.
-idw_predict, uk_predict and uk_weights are the one-target case of the same
-code.
+Every call handles all of its targets at once, in blocks of CHUNK targets:
+the samples become coordinate and value arrays once, and each block gets its
+target-by-sample distance rows. The blocks run on a thread pool with one
+worker per usable CPU, since numpy releases the GIL in the distance math,
+the selection and the stacked solve, and each writes its own rows of
+preallocated outputs. A target's result depends only on its own row, so the
+output is the same bit for bit whatever the worker count, and the memory in
+flight is one block's working set per worker. Each target's k nearest
+samples are the first k in strict (distance, index) order, so a tie at the
+k-th distance goes to the lower sample index. They are selected in O(n) per
+row by tensor.smallest_k (a partition at the k-th distance; the ties at it
+taken lowest index first), then put in that order by a stable argsort of the
+k chosen distances. idw_predict, uk_predict and uk_weights are the
+one-target case of the same code.
 
 Universal Kriging solves, per target, the standard augmented system over the k
 nearest samples with a first-order drift basis (1, x, y):
@@ -27,7 +32,7 @@ distance exactly 0) needs no solve: gamma(0) = 0 makes gamma0 that sample's
 column of Gamma, so its weights are one-hot on the sample, the lowest index
 among samples at that location, as in IDW.
 
-The other targets' systems of a chunk are stacked and solved by
+The other targets' systems of a block are stacked and solved by
 np.linalg.solve. LAPACK raises only on an exact zero pivot and may return
 finite, meaningless weights for a singular system, so singularity is decided
 from the geometry instead. With gamma(0) = 0 the exponential variogram is
@@ -45,10 +50,13 @@ through the on_fallback hook.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,9 +69,11 @@ IDW_POWER = 2.0
 IDW_K = 16
 UK_K = 64
 VARIOGRAM_BINS = 12
-# Targets per block of distance rows and kriging systems. At 128 the UK
-# working set on 1024 samples stays near 20 MB; larger blocks save no time.
-CHUNK = 128
+# Targets per block of distance rows and kriging systems, and sample rows
+# per block of variogram pairs. Each worker thread keeps its own malloc
+# arena at the peak of its blocks, so the block size sets the memory per
+# worker: a UK block over 1024 samples peaks at 4.6 MB (18.4 MB at 128).
+CHUNK = 32
 
 
 def _sample_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
@@ -95,31 +105,55 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=-1)
 
 
-def _neighbour_chunks(coords: np.ndarray, targets: np.ndarray, k: int
-                      ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Per chunk of targets: (target slice, distances, sample indices) of
-    the k nearest samples, as :func:`_nearest` orders them."""
-    for lo in range(0, len(targets), CHUNK):
-        rows = slice(lo, lo + CHUNK)
-        dists = _distances(coords[None, :, :], targets[rows, None, :])
-        idx = _nearest(dists, k)
-        yield rows, np.take_along_axis(dists, idx, axis=1), idx
+def _neighbours(coords: np.ndarray, targets: np.ndarray, k: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, sample indices) of each target's k nearest samples, as
+    :func:`_nearest` orders them."""
+    dists = _distances(coords[None, :, :], targets[:, None, :])
+    idx = _nearest(dists, k)
+    return np.take_along_axis(dists, idx, axis=1), idx
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(block: Callable[[slice], None], n: int) -> None:
+    """Call block on each CHUNK-row slice of range(n), on one worker thread
+    per usable CPU. The blocks must write disjoint rows. Each runs in a copy
+    of the caller's context, so numpy's error state holds there too; the
+    first exception is raised here, and every thread is joined on return."""
+    blocks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
+    workers = min(_usable_cpus(), len(blocks))
+    if workers <= 1:
+        list(map(block, blocks))
+        return
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(lambda rows: context.copy().run(block, rows), blocks))
 
 
 def _idw(coords: np.ndarray, values: np.ndarray, targets: np.ndarray,
          power: float, k_neighbors: int) -> np.ndarray:
-    if power <= 0:
-        raise ValueError(f"IDW power must be positive, got {power}")
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError(f"IDW power must be finite and positive, got {power}")
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     out = np.empty(len(targets))
-    for rows, dists, idx in _neighbour_chunks(coords, targets, k_neighbors):
+
+    def block(rows: slice) -> None:
+        dists, idx = _neighbours(coords, targets[rows], k_neighbors)
         near = values[idx]
         pred = near[:, 0].copy()        # exact where the nearest is at 0
         miss = dists[:, 0] != 0.0
         w = dists[miss] ** -power
         pred[miss] = (w * near[miss]).sum(axis=1) / w.sum(axis=1)
         out[rows] = pred
+
+    _run_blocks(block, len(targets))
     return out
 
 
@@ -155,7 +189,9 @@ class VariogramModel:
     kind: str = "exponential"
 
     def __post_init__(self) -> None:
-        if self.nugget < 0 or self.sill <= 0 or self.effective_range <= 0:
+        params = (self.nugget, self.sill, self.effective_range)
+        if (not all(map(math.isfinite, params)) or self.nugget < 0
+                or self.sill <= 0 or self.effective_range <= 0):
             raise ValueError(
                 f"invalid variogram (nugget={self.nugget}, sill={self.sill}, "
                 f"range={self.effective_range})")
@@ -168,12 +204,24 @@ class VariogramModel:
 
 def empirical_variogram(samples: Sequence[Sample],
                         n_bins: int = VARIOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
-    """Binned (mean distance, mean semivariance) pairs up to half the max distance."""
+    """Binned (mean distance, mean semivariance) pairs up to half the max
+    distance. The pairs i < j are built in row-major (triu) order, CHUNK
+    rows i at a time over the columns from the block's first row on."""
     coords, values = _sample_arrays(samples)
-    i, j = np.triu_indices(len(coords), k=1)
+    n = len(coords)
     x, y = coords.T
-    dist = np.sqrt((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2)
-    semiv = 0.5 * (values[i] - values[j]) ** 2
+    dist = np.empty(n * (n - 1) // 2)
+    semiv = np.empty_like(dist)
+    at = 0
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]
+        end = at + np.count_nonzero(upper)
+        dist[at:end] = np.sqrt((x[lo:hi, None] - x[None, lo:]) ** 2
+                               + (y[lo:hi, None] - y[None, lo:]) ** 2)[upper]
+        semiv[at:end] = (0.5 * (values[lo:hi, None]
+                                - values[None, lo:]) ** 2)[upper]
+        at = end
     cutoff = dist.max() / 2.0
     if cutoff <= 0:
         raise ValueError("all samples at one location")
@@ -305,7 +353,9 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
     lam = np.zeros((len(targets), n))
     idx = np.empty((len(targets), n), dtype=np.intp)
     ok = np.ones(len(targets), dtype=bool)
-    for rows, dists, near in _neighbour_chunks(coords, targets, k_neighbors):
+
+    def block(rows: slice) -> None:
+        dists, near = _neighbours(coords, targets[rows], k_neighbors)
         idx[rows] = near
         at = dists[:, 0] == 0.0
         lam[rows.start + np.flatnonzero(at), 0] = 1.0   # one-hot at a sample
@@ -317,6 +367,8 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
         ok[off[singular]] = False
         ok[solved] = np.isfinite(sol).all(axis=1)
         lam[solved] = sol[:, :n]
+
+    _run_blocks(block, len(targets))
     return lam, idx, ok
 
 

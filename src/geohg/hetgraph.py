@@ -138,8 +138,9 @@ def build_elr(features: FeatureTable, theta_env: float) -> EdgeFamily:
 
 def build_slr(features: FeatureTable, theta_soc: float) -> EdgeFamily:
     """Region-to-soc-entity edges where the impact-weighted value reaches theta_soc."""
-    if theta_soc < 0:
-        raise GeoDataError(f"theta_soc must be non-negative, got {theta_soc}")
+    if not (math.isfinite(theta_soc) and theta_soc >= 0):
+        raise GeoDataError(f"theta_soc must be finite and non-negative, "
+                           f"got {theta_soc}")
     return _threshold_edges(features.soc, theta_soc,
                             offset=len(features.regions) + features.n_env)
 

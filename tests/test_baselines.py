@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -75,8 +77,9 @@ class TestIdw:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_invalid_power_rejected(self):
-        with pytest.raises(ValueError):
-            idw_predict([((0, 0), 1.0)], (1, 1), power=0.0)
+        for power in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                idw_predict([((0, 0), 1.0)], (1, 1), power=power)
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +155,10 @@ class TestVariogramModel:
             VariogramModel(nugget=-0.1, sill=1.0, effective_range=1.0)
         with pytest.raises(ValueError):
             VariogramModel(nugget=0.0, sill=0.0, effective_range=1.0)
+        for bad in (math.nan, math.inf):
+            for params in ((bad, 1.0, 3.0), (0.0, bad, 3.0), (0.0, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    VariogramModel(*params)
 
 
 class TestEmpiricalVariogram:
@@ -185,16 +192,8 @@ class TestEmpiricalVariogram:
         assert np.allclose(h, want_h, atol=1e-12)
         assert np.allclose(g, want_g, atol=1e-12)
 
-    def test_matches_dense_formulation(self):
-        # The n x n difference tensor and full matrices, cut to the upper
-        # triangle afterwards, give the same pairs in the same order.
-        samples = random_samples(150, seed=13, span=40)
-        coords = np.array([r for r, _ in samples], dtype=np.float64)
-        values = np.array([v for _, v in samples])
-        diff = coords[:, None, :] - coords[None, :, :]
-        iu = np.triu_indices(len(samples), k=1)
-        dist = np.sqrt((diff ** 2).sum(axis=2))[iu]
-        semiv = (0.5 * (values[:, None] - values[None, :]) ** 2)[iu]
+    @staticmethod
+    def binned(dist, semiv):
         edges = np.linspace(0.0, dist.max() / 2.0, VARIOGRAM_BINS + 1)
         want_h, want_g = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -202,8 +201,32 @@ class TestEmpiricalVariogram:
             if in_bin.any():
                 want_h.append(dist[in_bin].mean())
                 want_g.append(semiv[in_bin].mean())
-        h, g = empirical_variogram(samples)
-        assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
+        return want_h, want_g
+
+    def test_matches_dense_formulation(self):
+        # Two oracles, each giving the pairs i < j in row-major order: the
+        # n x n difference tensor cut to the upper triangle afterwards, and
+        # the gathers over np.triu_indices. Sizes at the edges of the row
+        # blocks, each but n = 2 with two samples at one location.
+        for n in (2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 150):
+            samples = random_samples(n, seed=13 + n, span=40)
+            if n > 2:
+                samples[-1] = (samples[0][0], samples[-1][1])
+            coords = np.array([r for r, _ in samples], dtype=np.float64)
+            values = np.array([v for _, v in samples])
+            iu = np.triu_indices(n, k=1)
+            diff = coords[:, None, :] - coords[None, :, :]
+            dense = (np.sqrt((diff ** 2).sum(axis=2))[iu],
+                     (0.5 * (values[:, None] - values[None, :]) ** 2)[iu])
+            i, j = iu
+            x, y = coords.T
+            gathered = (np.sqrt((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2),
+                        0.5 * (values[i] - values[j]) ** 2)
+            h, g = empirical_variogram(samples)
+            for dist, semiv in (dense, gathered):
+                want_h, want_g = self.binned(dist, semiv)
+                assert np.array_equal(h, want_h), n
+                assert np.array_equal(g, want_g), n
 
 
 class TestFitVariogram:
@@ -579,10 +602,92 @@ class TestBatched:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(baselines, "CHUNK", 4)
+        # One worker, so the blocks reach the solve in order.
+        monkeypatch.setattr(baselines, "_usable_cpus", lambda: 1)
         got = uk_predict_batch(samples, targets, model, 16)
         assert solved == [0, 0, 4, 4, 2, 2]
         assert np.array_equal(got, want)
         assert got[:8].tolist() == [v for _, v in samples[:8]]
+
+    @staticmethod
+    def on_workers(monkeypatch, workers):
+        """Run the blocks of 4 targets on `workers` threads, and record
+        the threads that select neighbours."""
+        monkeypatch.setattr(baselines, "CHUNK", 4)
+        monkeypatch.setattr(baselines, "_usable_cpus", lambda: workers)
+        threads = set()
+        neighbours = baselines._neighbours
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return neighbours(*args)
+
+        monkeypatch.setattr(baselines, "_neighbours", recorded)
+        return threads
+
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        # On the lattice at k = 3, many systems have three collinear
+        # neighbours and fall back to IDW, in several blocks. More workers
+        # than cores, switching threads as often as the interpreter can: a
+        # block writing outside its rows would show.
+        samples, targets = next(self.worlds())
+        targets = targets[:60]
+        model = fit_variogram(samples)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                threads = self.on_workers(monkeypatch, workers)
+                calls = []
+                runs.append((idw_predict_batch(samples, targets, 2.0, 5),
+                             uk_predict_batch(samples, targets, model, 3,
+                                              on_fallback=calls.append),
+                             uk_predict_batch(samples, targets, model, 30),
+                             calls))
+                assert (threading.get_ident() in threads) == (workers == 1)
+                assert len(threads) <= workers
+        finally:
+            sys.setswitchinterval(interval)
+        failed = [targets.index(t) for t in runs[0][3]]
+        assert failed == sorted(failed)
+        assert len({i // 4 for i in failed}) >= 3
+        for idw, uk3, uk30, calls in runs[1:]:
+            assert np.array_equal(idw, runs[0][0])
+            assert np.array_equal(uk3, runs[0][1])
+            assert np.array_equal(uk30, runs[0][2])
+            assert calls == runs[0][3]
+
+    def test_worker_warnings_and_errstate_reach_the_caller(self, monkeypatch):
+        # Samples near the float64 limit on the even lattice points: the
+        # four nearest of an odd point weigh 2 in all, so its IDW weighted
+        # sum overflows.
+        samples = [((x, y), 1.7e308) for y in range(0, 10, 2)
+                   for x in range(0, 10, 2)]
+        targets = [(x, y) for y in range(1, 9, 2) for x in range(1, 9, 2)]
+        for workers in (1, 3):
+            self.on_workers(monkeypatch, workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    idw_predict_batch(samples, targets, 2.0, 4)
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    idw_predict_batch(samples, targets, 2.0, 4)
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = idw_predict_batch(samples, targets, 2.0, 4)
+            assert np.isinf(got).all()
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        samples = random_samples(60, seed=27, span=25)
+        model = fit_variogram(samples)
+        targets = [(x, y) for y in range(25) for x in range(25)]
+        self.on_workers(monkeypatch, 3)
+        before = threading.active_count()
+        uk_predict_batch(samples, targets, model, 16)
+        idw_predict_batch(samples, targets)
+        assert threading.active_count() == before
 
     def test_empty_target_list(self):
         samples = random_samples(20, seed=16)

@@ -273,6 +273,34 @@ class TestErrors:
         assert "error [build-graph]:" in err and "row-major" in err
         assert not (tmp_path / "graph.txt").exists()
 
+    def test_non_finite_idw_power_exits_2(self, world_dir, tmp_path, capsys):
+        code = run(tmp_path, "baseline", "--method", "idw",
+                   "--grid", str(world_dir / "grid.cfg"),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--masked-ratio", "0.5", "--power", "nan")
+        assert code == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "report_idw.txt").exists()
+
+    def test_nan_checkpoint_threshold_exits_2(self, world_dir, tmp_path,
+                                              capsys):
+        assert run(tmp_path, "train", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--masked-ratio", "0.5", "--seed", "1",
+                   *FAST_MODEL) == 0
+        ckpt = tmp_path / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        payload["thresholds"][1] = float("nan")
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(tmp_path, "predict", *world_flags(world_dir),
+                   "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "pred.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [predict]:" in err and "theta_soc" in err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_bad_ratio_exits_2(self, world_dir, tmp_path, capsys):
         code = run(tmp_path, "eval", *world_flags(world_dir),
                    "--labels", str(world_dir / "labels.csv"),

@@ -120,6 +120,14 @@ class TestBuildSlr:
         counts = [len(build_slr(feats, t)) for t in (0.3, 0.6, 0.9, 1.2, 1.5)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_non_finite_threshold_rejected(self):
+        # NaN compares false with everything, so it would build no edge at
+        # all; inf too, and save_graph would write a file load_graph rejects.
+        feats = random_features(20, seed=4)
+        for theta in (math.nan, math.inf, -0.1):
+            with pytest.raises(GeoDataError, match="theta_soc"):
+                build_slr(feats, theta)
+
 
 class TestBuildGraph:
     def grid_world(self, n_cols=4, n_rows=4, seed=0):

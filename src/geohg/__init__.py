@@ -23,10 +23,9 @@ from .baselines import (Sample, VariogramModel, empirical_variogram,
                         fit_variogram, idw_predict, idw_predict_batch,
                         uk_predict, uk_predict_batch, uk_weights)
 from .evaluation import (EvalSplit, ExperimentInputs, ExperimentResult,
-                         MetricReport, RunSettings, mae, make_split,
-                         masked_ratio_sweep, r2, rmse, run_experiment, score,
-                         similarity_map, write_predictions, write_report,
-                         write_similarity)
+                         MetricReport, RunSettings, mae, make_split, r2,
+                         rmse, run_experiment, score, similarity_map,
+                         write_predictions, write_report, write_similarity)
 from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"
@@ -46,7 +45,7 @@ __all__ = [
     "load_categories", "load_checkpoint", "load_embeddings",
     "load_features", "load_graph", "load_gridspec", "load_labels",
     "load_landcover", "load_pois", "mae", "make_split",
-    "masked_ratio_sweep", "positive_sets", "predict", "predict_all",
+    "positive_sets", "predict", "predict_all",
     "predict_from_embeddings", "pretrain_contrastive", "r2", "region_of",
     "rmse", "rnr_edge_count", "run_experiment", "save_checkpoint",
     "save_features", "save_graph", "save_gridspec", "save_labels",

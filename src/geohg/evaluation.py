@@ -195,7 +195,7 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                             settings.theta_soc)
         cfg = replace(settings.hgnn, seed=seed)
         if method == "geohg":
-            gt = prepare_graph(graph, features, cfg)   # once, for both calls
+            gt = prepare_graph(graph, features)   # once, for both calls
             state, rows = train_end_to_end(graph, features, inputs.labels,
                                            split, cfg, gt)
             log = tuple(rows)
@@ -241,19 +241,6 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
     report = score(y_true, y_pred, runtime, notes)
     return ExperimentResult(method=method, report=report,
                             predictions=rows_out, split=split, log=log)
-
-
-def masked_ratio_sweep(inputs: ExperimentInputs, method: str,
-                       ratios: Sequence[float], seeds: Sequence[int],
-                       settings: RunSettings = RunSettings()
-                       ) -> list[tuple[float, int, MetricReport]]:
-    """Cross product of masked ratios and seeds, one report per run."""
-    out = []
-    for ratio in ratios:
-        for seed in seeds:
-            result = run_experiment(inputs, method, ratio, seed, settings)
-            out.append((ratio, seed, result.report))
-    return out
 
 
 def similarity_map(e_pretrain: np.ndarray, anchor_row: int) -> np.ndarray:

@@ -145,9 +145,10 @@ def save_features(table: FeatureTable, path: str,
 def load_features(path: str) -> FeatureTable:
     """Read back a features CSV written by :func:`save_features`.
 
-    Raises GeoDataError, naming the file and line, on a row of the wrong
-    width, a non-integer x_r, y_r or poi_count, or a feature value that is
-    unparsable, NaN or infinite.
+    Raises GeoDataError, naming the file, on a header that does not start
+    with x_r,y_r,pos_0,pos_1 and end with poi_count, and, naming the line,
+    on a row of the wrong width, a non-integer x_r, y_r or poi_count, or a
+    feature value that is unparsable, NaN or infinite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = None
@@ -162,6 +163,10 @@ def load_features(path: str) -> FeatureTable:
             rows.append((lineno, line.split(",")))
     if header is None:
         raise GeoDataError(f"{path}: missing header")
+    if header[:4] != ["x_r", "y_r", "pos_0", "pos_1"] \
+            or header[-1] != "poi_count":
+        raise GeoDataError(f"{path}: header must start with "
+                           f"x_r,y_r,pos_0,pos_1 and end with poi_count")
     n_env = sum(1 for c in header if c.startswith("env_"))
     width = 2 + n_env + sum(1 for c in header if c.startswith("soc_"))
     regions, values, counts = [], [], []

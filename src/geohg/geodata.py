@@ -279,7 +279,7 @@ def load_pois(path: str, categories: Optional[Sequence[str]] = None,
     else:
         index = {}
     records: list[PoiRecord] = []
-    for i, parts in _csv_rows(path, 3, "lon,lat,category"):
+    for i, parts in _csv_rows(path, "lon,lat,category"):
         try:
             lon, lat = float(parts[0]), float(parts[1])
         except ValueError as exc:
@@ -313,7 +313,7 @@ def save_pois(pois: Sequence[PoiRecord], path: str,
 def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") -> LabelSet:
     entries: list[tuple[Region, float]] = []
     seen: set[Region] = set()
-    for i, parts in _csv_rows(path, 3, "x_r,y_r,value"):
+    for i, parts in _csv_rows(path, "x_r,y_r,value"):
         try:
             region = (int(parts[0]), int(parts[1]))
             value = float(parts[2])
@@ -348,9 +348,11 @@ def _data_lines(path: str) -> Iterator[str]:
                 yield line
 
 
-def _csv_rows(path: str, n_fields: int, header: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (row_number, fields) for a simple headed CSV, skipping blank
-    lines and '#' comments (including any before the header)."""
+    lines and '#' comments (including any before the header). The first
+    other line must be ``header`` itself."""
+    names = header.split(",")
     with open(path, "r", encoding="utf-8") as fh:
         saw_header = False
         for i, line in enumerate(fh):
@@ -358,12 +360,16 @@ def _csv_rows(path: str, n_fields: int, header: str) -> Iterator[tuple[int, list
             if not line or line.startswith("#"):
                 continue
             if not saw_header:
+                if [f.strip() for f in line.split(",")] != names:
+                    raise GeoDataError(
+                        f"{path}: row {i}: expected header '{header}', "
+                        f"got '{line}'")
                 saw_header = True
                 continue
             parts = line.split(",")
-            if len(parts) != n_fields:
+            if len(parts) != len(names):
                 raise GeoDataError(
-                    f"{path}: row {i}: expected {n_fields} fields ({header}), got {len(parts)}")
+                    f"{path}: row {i}: expected {len(names)} fields ({header}), got {len(parts)}")
             yield i, parts
         if not saw_header:
             raise GeoDataError(f"{path}: empty file, expected header '{header}'")

@@ -62,21 +62,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 RELATIONS = ("rnr", "elr_r2e", "elr_e2r", "slr_r2e", "slr_e2r")
 LABEL_TRANSFORMS = ("zscore", "log1p+zscore")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
 class HgnnConfig:
     n_layers: int = 3
     hidden_dim: int = 64
-    relations: tuple[str, ...] = RELATIONS
-    use_self_loop: bool = True
     label_transform: str = "zscore"
     seed: int = 0
     lr: float = 2e-3
     max_epochs: int = 1000
     patience: int = 50
-    normalize_pos: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_layers <= 3:
@@ -85,11 +82,10 @@ class HgnnConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.label_transform not in LABEL_TRANSFORMS:
             raise ValueError(f"unknown label transform {self.label_transform!r}")
-        unknown = set(self.relations) - set(RELATIONS)
-        if unknown:
-            raise ValueError(f"unknown relations {sorted(unknown)}")
-        if self.lr <= 0 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("lr, max_epochs and patience must be positive")
+        if not 0 < self.lr < np.inf or self.max_epochs < 1 \
+                or self.patience < 1:
+            raise ValueError("lr must be finite and positive, max_epochs "
+                             "and patience at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,19 +94,20 @@ class SslConfig:
     top_k: int = 4
     batch_size: int = 64
     epochs: int = 60
-    pooling: str = "mean"
     lr: float = 2e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
-        if self.pooling != "mean":
-            raise ValueError(f"unsupported pooling {self.pooling!r}")
 
 
 @dataclass
@@ -160,7 +157,7 @@ def _model_layout(config: HgnnConfig, n_env: int, n_soc: int) -> list[ParamSpec]
                                ("b_in", (1, d), None),
                                ("entity_emb", (n_env + n_soc, d), (d, d))]
     for layer in range(config.n_layers):
-        for rel in ("self", *config.relations):
+        for rel in ("self", *RELATIONS):
             layout += [(f"layer{layer}.{rel}.w", (d, d), (d, d)),
                        (f"layer{layer}.{rel}.b", (1, d), None)]
     return layout + _head_layout(d)
@@ -206,10 +203,11 @@ class FoldedRows:
 class GraphTensors:
     """Immutable per-run tensors: frozen aggregations in canonical order.
 
-    ``layer0`` holds the region and the entity block of the first layer,
-    folded into constants. The aggregations in ``relations`` serve only
-    layers 1 and up, so a 2-layer model uses them in training only
-    restricted to the rows of its last layer.
+    ``relations`` holds one block per relation whose family has edges, in
+    RELATIONS order. ``layer0`` holds the region and the entity block of
+    the first layer, folded into constants. The aggregations in
+    ``relations`` serve only layers 1 and up, so a 2-layer model uses them
+    in training only restricted to the rows of its last layer.
     """
 
     n_regions: int
@@ -219,8 +217,9 @@ class GraphTensors:
     layer0: tuple[FoldedRows, FoldedRows]
 
 
-def prepare_graph(graph: HeteroGraph, features: FeatureTable,
-                  config: HgnnConfig) -> GraphTensors:
+def prepare_graph(graph: HeteroGraph, features: FeatureTable) -> GraphTensors:
+    """The graph's tensors in canonical order, with the feature rows'
+    positions min-max scaled per axis (a degenerate span maps to 0)."""
     if len(features.regions) != graph.n_regions:
         raise GeoDataError(f"graph has {graph.n_regions} regions, "
                            f"features {len(features.regions)}")
@@ -232,16 +231,14 @@ def prepare_graph(graph: HeteroGraph, features: FeatureTable,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     x = raw[order].copy()
-    if config.normalize_pos:
-        # Min-max per position axis; degenerate span maps to 0.
-        for col in (0, 1):
-            lo, hi = x[:, col].min(), x[:, col].max()
-            x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
+    for col in (0, 1):
+        lo, hi = x[:, col].min(), x[:, col].max()
+        x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
 
     regions = slice(0, n)
     relations: dict[str, RelationBlock] = {}
     rnr = graph.edges_rnr
-    if "rnr" in config.relations and len(rnr):
+    if len(rnr):
         u, v = rank[rnr.endpoints[:, 0]], rank[rnr.endpoints[:, 1]]
         relations["rnr"] = RelationBlock(
             PaddedGather.build(np.concatenate([u, v]), np.concatenate([v, u]),
@@ -256,23 +253,19 @@ def prepare_graph(graph: HeteroGraph, features: FeatureTable,
         reg = rank[fam.endpoints[:, 0]]
         ent = fam.endpoints[:, 1] - lo   # entity ids are labeling-independent
         entities = slice(lo, lo + n_ent)
-        if r2e in config.relations:
-            relations[r2e] = RelationBlock(
-                DenseMean.build(reg, ent, fam.weights, n_in=n, n_out=n_ent),
-                regions, entities)
-        if e2r in config.relations:
-            relations[e2r] = RelationBlock(
-                DenseMean.build(ent, reg, fam.weights, n_in=n_ent, n_out=n),
-                entities, regions)
+        relations[r2e] = RelationBlock(
+            DenseMean.build(reg, ent, fam.weights, n_in=n, n_out=n_ent),
+            regions, entities)
+        relations[e2r] = RelationBlock(
+            DenseMean.build(ent, reg, fam.weights, n_in=n_ent, n_out=n),
+            entities, regions)
     return GraphTensors(n_regions=n, n_nodes=graph.n_nodes, rank=rank,
                         relations=relations,
-                        layer0=_fold_layer0(x, relations, config.use_self_loop,
-                                            graph.n_nodes))
+                        layer0=_fold_layer0(x, relations, graph.n_nodes))
 
 
 def _fold_layer0(x: np.ndarray, relations: dict[str, RelationBlock],
-                 use_self_loop: bool, n_nodes: int
-                 ) -> tuple[FoldedRows, FoldedRows]:
+                 n_nodes: int) -> tuple[FoldedRows, FoldedRows]:
     """Layer 0 of the region and of the entity block as constants of the
     graph times small parameter products.
 
@@ -295,11 +288,10 @@ def _fold_layer0(x: np.ndarray, relations: dict[str, RelationBlock],
 
     folds = []
     for block in (slice(0, n), slice(n, n_nodes)):
-        parts = []      # (rel, theta rows or None, dst rows, constant)
-        if use_self_loop:
-            const, src = lift(block)
-            parts += [("self", src, block, const),
-                      ("self", None, block, np.ones((const.shape[0], 1)))]
+        const, src = lift(block)
+        # (rel, theta rows or None, dst rows, constant)
+        parts = [("self", src, block, const),
+                 ("self", None, block, np.ones((const.shape[0], 1)))]
         for name, rel in relations.items():
             if (rel.dst.start < n) == (block.start == 0):   # into block
                 const, src = lift(rel.src)
@@ -371,12 +363,11 @@ def backbone_forward(gt: GraphTensors, leaves: dict[str, Tensor],
     for layer in range(1, config.n_layers):
         restrict = layer == config.n_layers - 1 and subset is not None
         blocks = subset.relations if restrict else gt.relations
-        relations = [(blocks[rel], leaves[f"layer{layer}.{rel}.w"],
+        relations = [(block, leaves[f"layer{layer}.{rel}.w"],
                       leaves[f"layer{layer}.{rel}.b"])
-                     for rel in config.relations if rel in blocks]
-        self_loop = ((leaves[f"layer{layer}.self.w"],
-                      leaves[f"layer{layer}.self.b"])
-                     if config.use_self_loop else None)
+                     for rel, block in blocks.items()]
+        self_loop = (leaves[f"layer{layer}.self.w"],
+                     leaves[f"layer{layer}.self.b"])
         h = T.relational_layer(T.relu(h), relations, self_loop,
                                subset.rows if restrict else None)
     return h
@@ -386,8 +377,6 @@ def _folded(fold: FoldedRows, leaves: dict[str, Tensor], theta: Tensor,
             rows: Optional[np.ndarray] = None) -> Tensor:
     """Layer 0 over one node block, or over its ``rows`` alone."""
     z = fold.z if rows is None else fold.z[rows]
-    if not fold.terms:
-        return Tensor(np.zeros((z.shape[0], theta.shape[1])))
     stack = T.concat_rows(*(
         leaves[f"layer0.{rel}.b"] if src is None else
         T.matmul(T.gather_rows(theta, src), leaves[f"layer0.{rel}.w"])
@@ -563,12 +552,12 @@ def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
     The returned state carries the best-validation parameters; the log holds
     one (epoch, train MSE, validation MSE) row per epoch, both computed with
     the parameters in force before that epoch's update. `gt`, when given,
-    is prepare_graph(graph, features, config), already built by the caller.
+    is prepare_graph(graph, features), already built by the caller.
     """
     train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
         _region_positions(features), labels, split, config.label_transform)
     if gt is None:
-        gt = prepare_graph(graph, features, config)
+        gt = prepare_graph(graph, features)
     state = init_state(config, graph.n_env, graph.n_soc)
     train_internal, val_internal = gt.rank[train_ext], gt.rank[val_ext]
     subset = row_subset(gt, np.concatenate([train_internal, val_internal]))
@@ -645,7 +634,7 @@ def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
     if graph.n_regions < ssl.batch_size:
         raise ValueError(f"batch size {ssl.batch_size} exceeds "
                          f"{graph.n_regions} regions")
-    gt = prepare_graph(graph, features, config)
+    gt = prepare_graph(graph, features)
     state = init_state(config, graph.n_env, graph.n_soc)
     positives_ext = positive_sets(graph, features, ssl.top_k)
     positives_int = [np.sort(gt.rank[p]) if p.size else p
@@ -704,7 +693,7 @@ def embed_regions(state: ModelState, gt: GraphTensors) -> np.ndarray:
 def hgnn_forward(graph: HeteroGraph, features: FeatureTable,
                  state: ModelState) -> np.ndarray:
     """Public forward: (n_regions, hidden_dim) embeddings in input order."""
-    gt = prepare_graph(graph, features, state.config)
+    gt = prepare_graph(graph, features)
     return embed_regions(state, gt)
 
 
@@ -760,12 +749,11 @@ def predict_all(state: ModelState, graph: HeteroGraph,
                 features: FeatureTable,
                 gt: Optional[GraphTensors] = None) -> np.ndarray:
     """Predictions for every region, in feature order. `gt`, when given, is
-    prepare_graph(graph, features, state.config), already built by the
-    caller."""
+    prepare_graph(graph, features), already built by the caller."""
     if not state.trained:
         raise ValueError("model state is untrained")
     if gt is None:
-        gt = prepare_graph(graph, features, state.config)
+        gt = prepare_graph(graph, features)
     e = embed_regions(state, gt)
     z = _head_values(state.params, e).ravel()
     out = invert_label_transform(state.config.label_transform, z,
@@ -801,7 +789,7 @@ def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
     fine-tuned on frozen embeddings ("kind": "head")."""
     payload: dict = {"version": CHECKPOINT_VERSION,
                      "kind": "model" if isinstance(state, ModelState) else "head",
-                     "config": _config_dict(state.config)}
+                     "config": asdict(state.config)}
     if isinstance(state, ModelState):
         payload.update(n_env=state.n_env, n_soc=state.n_soc,
                        thresholds=list(state.thresholds))
@@ -826,7 +814,7 @@ def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
         raise GeoDataError(f"{path}: not a version-{CHECKPOINT_VERSION} "
                            f"{kind} checkpoint")
     try:
-        config = _config_from_dict(payload["config"])
+        config = HgnnConfig(**payload["config"])
         params = {name: np.array(spec["data"], dtype=np.float64)
                   .reshape(spec["shape"])
                   for name, spec in payload["params"].items()}
@@ -852,18 +840,6 @@ def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
         if not np.all(np.isfinite(params[name])):
             raise GeoDataError(f"{path}: non-finite values in {name}")
     return state
-
-
-def _config_dict(config: HgnnConfig) -> dict:
-    out = asdict(config)
-    out["relations"] = list(config.relations)
-    return out
-
-
-def _config_from_dict(data: dict) -> HgnnConfig:
-    data = dict(data)
-    data["relations"] = tuple(data["relations"])
-    return HgnnConfig(**data)
 
 
 def write_embeddings(regions: Sequence[Region], embeddings: np.ndarray,

@@ -366,7 +366,7 @@ class RelationBlock:
 
 def relational_layer(h: Tensor,
                      relations: Sequence[tuple[RelationBlock, Tensor, Tensor]],
-                     self_loop: Optional[tuple[Tensor, Tensor]] = None,
+                     self_loop: tuple[Tensor, Tensor],
                      rows: Optional[np.ndarray] = None) -> Tensor:
     """R-GCN layer, before the activation, each product in its cheaper order.
 
@@ -375,8 +375,7 @@ def relational_layer(h: Tensor,
     that type. A relation with no more destination than source rows (RNR,
     region->entity) aggregates first, (A_r h) W_r; one with more (entity->
     region) projects its few source rows first, A_r (h W_r). The backward
-    mirrors that per relation. No array is wider than d columns. With no
-    self loop and no relation the output is zero.
+    mirrors that per relation. No array is wider than d columns.
 
     With ``rows``, a sorted array of distinct rows of h, the output holds
     only those rows, in that order: the self loop reads h[rows], and each
@@ -386,8 +385,7 @@ def relational_layer(h: Tensor,
     computation graph of a layer whose later consumers read only ``rows``.
     """
     x_self = h.data if rows is None else h.data[rows]
-    out = x_self @ self_loop[0].data + self_loop[1].data \
-        if self_loop is not None else np.zeros_like(x_self)
+    out = x_self @ self_loop[0].data + self_loop[1].data
     saved = []      # per relation: (A_r h[src], or h[src] if projected first)
     for rel, w, b in relations:
         x = h.data[rel.src]
@@ -398,9 +396,7 @@ def relational_layer(h: Tensor,
         saved.append((x, first))
 
     def bwd(g: np.ndarray) -> None:
-        if self_loop is None:
-            gh = np.zeros_like(h.data)
-        elif rows is None:
+        if rows is None:
             gh = g @ self_loop[0].data.T
         else:
             gh = np.zeros_like(h.data)
@@ -412,13 +408,12 @@ def relational_layer(h: Tensor,
             w._accumulate(x.T @ gd)
             gx = gd @ w.data.T
             gh[rel.src] += gx if first else rel.agg.apply_t(gx)
-        if self_loop is not None:
-            self_loop[0]._accumulate(x_self.T @ g)
-            self_loop[1]._accumulate(g.sum(axis=0, keepdims=True))
+        self_loop[0]._accumulate(x_self.T @ g)
+        self_loop[1]._accumulate(g.sum(axis=0, keepdims=True))
         h._accumulate(gh)
 
     params = [t for _, w, b in relations for t in (w, b)]
-    return Tensor(out, _parents=(h, *(self_loop or ()), *params),
+    return Tensor(out, _parents=(h, *self_loop, *params),
                   _backward=bwd)
 
 

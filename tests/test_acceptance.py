@@ -52,7 +52,7 @@ def test_criterion_1_gradient_correctness():
     grid, feats, graph, labels, _ = synth_world(4, 4, seed=1)
     config = HgnnConfig(n_layers=2, hidden_dim=8, seed=0)
     state = init_state(config, graph.n_env, graph.n_soc)
-    gt = prepare_graph(graph, feats, config)
+    gt = prepare_graph(graph, feats)
 
     rng = np.random.default_rng(0)
     train_idx = gt.rank[rng.choice(16, size=8, replace=False)]
@@ -206,7 +206,7 @@ def test_criterion_5_infonce_oracle():
         grid, feats, graph, _, _ = synth_world(6, 6, seed=world_seed)
         config = HgnnConfig(n_layers=2, hidden_dim=16, seed=world_seed)
         state = init_state(config, graph.n_env, graph.n_soc)
-        gt = prepare_graph(graph, feats, config)
+        gt = prepare_graph(graph, feats)
         positives = [np.sort(gt.rank[p])
                      for p in positive_sets(graph, feats, 4)]
         for _ in range(10):
@@ -229,7 +229,7 @@ def test_criterion_5_infonce_oracle():
     config = HgnnConfig(n_layers=2, hidden_dim=16, seed=2)
     state = init_state(config, graph.n_env, graph.n_soc)
     zeros = {k: np.zeros_like(v) for k, v in state.params.items()}
-    gt = prepare_graph(graph, feats, config)
+    gt = prepare_graph(graph, feats)
     positives = [np.sort(gt.rank[p]) for p in positive_sets(graph, feats, 4)]
     batch = rng.choice(grid.n_regions, size=9, replace=False)
     plan = batch_positive_plan([positives[i] for i in batch])

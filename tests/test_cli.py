@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from geohg.cli import dispatch
+from geohg.cli import (_resolve_model_args, _resolve_ssl, build_parser,
+                       dispatch)
 from geohg.geodata import load_gridspec, load_labels, load_landcover, load_pois
 from geohg.evaluation import load_report
 from geohg.features import featurize_all, load_features
@@ -210,6 +212,23 @@ class TestEval:
         assert "# theta_soc = 1.2" in text
 
 
+class TestResolvedConfigs:
+    def test_every_config_field_is_set_by_a_flag(self):
+        # A field that keeps its default here has no flag that reaches it.
+        args = build_parser().parse_args([
+            "eval", "--grid", "g", "--landcover", "l", "--pois", "p",
+            "--labels", "y", "--seed", "5", "--layers", "2",
+            "--hidden-dim", "16", "--lr", "0.01", "--max-epochs", "7",
+            "--patience", "3", "--label-transform", "log1p+zscore",
+            "--temperature", "0.5", "--top-k", "2", "--batch-size", "8",
+            "--ssl-epochs", "3", "--ssl-lr", "0.05"])
+        _, _, hgnn = _resolve_model_args(args)
+        for config in (hgnn, _resolve_ssl(args)):
+            for field in fields(config):
+                assert getattr(config, field.name) != field.default, \
+                    (type(config).__name__, field.name)
+
+
 class TestBaseline:
     def test_idw_and_uk(self, world_dir, tmp_path):
         for method in ("idw", "uk"):
@@ -300,6 +319,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [predict]:" in err and "theta_soc" in err
         assert not (tmp_path / "pred.csv").exists()
+
+    def test_bad_ssl_settings_exit_2(self, world_dir, tmp_path, capsys):
+        for flags in (["--ssl-epochs", "0"], ["--ssl-lr", "-1"],
+                      ["--ssl-lr", "0"], ["--temperature", "nan"]):
+            capsys.readouterr()
+            code = run(tmp_path, "pretrain", *world_flags(world_dir),
+                       *FAST_MODEL, *FAST_SSL, *flags)
+            assert code == 2, flags
+            assert "error [pretrain]:" in capsys.readouterr().err, flags
+            assert not (tmp_path / "pretrain_checkpoint.json").exists()
 
     def test_bad_ratio_exits_2(self, world_dir, tmp_path, capsys):
         code = run(tmp_path, "eval", *world_flags(world_dir),

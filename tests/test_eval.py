@@ -6,10 +6,10 @@ import pytest
 import geohg.evaluation
 import geohg.model
 from geohg.evaluation import (EvalSplit, ExperimentInputs, RunSettings,
-                              load_report, mae, make_split,
-                              masked_ratio_sweep, r2, rmse, run_experiment,
-                              score, similarity_map, write_predictions,
-                              write_report, write_similarity)
+                              load_report, mae, make_split, r2, rmse,
+                              run_experiment, score, similarity_map,
+                              write_predictions, write_report,
+                              write_similarity)
 from geohg.geodata import GeoDataError, LabelSet
 from geohg.model import HgnnConfig, SslConfig
 
@@ -281,18 +281,6 @@ class TestRunExperiment:
         result = run_experiment(inputs, "geohg", masked_ratio=0.5, seed=9,
                                 settings=settings)
         assert result.report.r2 > 0.2
-
-
-class TestSweep:
-    def test_cross_product_order_and_counts(self):
-        inputs = world_inputs(seed=17)
-        rows = masked_ratio_sweep(inputs, "idw", ratios=(0.5, 0.8),
-                                  seeds=(0, 1))
-        assert [(m, s) for m, s, _ in rows] == [(0.5, 0), (0.5, 1),
-                                                (0.8, 0), (0.8, 1)]
-        n = len(inputs.labels)
-        for ratio, _, report in rows:
-            assert report.n_eval == round(ratio * n)
 
 
 class TestArtifactFiles:

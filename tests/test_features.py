@@ -430,3 +430,17 @@ class TestFeaturesIo:
         with pytest.raises(GeoDataError, match=message) as err:
             load_features(str(path))
         assert f"{path}: line 4" in str(err.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:1] + lines[2:],               # no header line
+        lambda lines: lines[:1] + [lines[1].replace("pos_1", "pos_9")]
+        + lines[2:],
+        lambda lines: lines[:1] + [lines[1].replace(",poi_count", ",count")]
+        + lines[2:],
+    ], ids=["no header", "pos_1 renamed", "poi_count renamed"])
+    def test_bad_header_rejected_with_file(self, tmp_path, edit):
+        path, lines, _ = self.saved_rows(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(GeoDataError, match="header") as err:
+            load_features(str(path))
+        assert str(path) in str(err.value)

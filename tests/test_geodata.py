@@ -170,6 +170,13 @@ class TestPois:
         with pytest.raises(GeoDataError, match="non-numeric"):
             load_pois(str(path))
 
+    def test_headerless_file_rejected(self, tmp_path):
+        path = tmp_path / "pois.csv"
+        path.write_text("1.0,2.0,0\n1.5,2.5,1\n")
+        with pytest.raises(GeoDataError, match="expected header") as err:
+            load_pois(str(path))
+        assert str(path) in str(err.value)
+
     def test_count_and_categories_preserved_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         pois = [PoiRecord(x=float(rng.uniform(0, 10)),
@@ -209,6 +216,13 @@ class TestLabels:
         path.write_text("x_r,y_r,value\n1,1,inf\n")
         with pytest.raises(GeoDataError, match="non-finite"):
             load_labels(str(path), make_grid(4, 4))
+
+    def test_headerless_file_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0,0,1.5\n1,0,2.5\n2,0,3.5\n")
+        with pytest.raises(GeoDataError, match="expected header") as err:
+            load_labels(str(path), make_grid(4, 4))
+        assert str(path) in str(err.value)
 
     def test_round_trip_bit_equal(self, tmp_path):
         grid = make_grid(8, 8)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from geohg.evaluation import make_split, r2
 from geohg.features import FeatureTable
 from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
-from geohg.model import (HgnnConfig, SslConfig, apply_label_transform,
+from geohg.model import (CHECKPOINT_VERSION, RELATIONS, HgnnConfig,
+                         SslConfig, apply_label_transform,
                          backbone_checksum, backbone_forward,
                          batch_positive_plan, finetune_head,
                          fit_label_transform, head_forward, hgnn_forward,
@@ -67,16 +69,20 @@ class TestConfigs:
     def test_unknown_transform_and_relation(self):
         with pytest.raises(ValueError):
             HgnnConfig(label_transform="boxcox")
-        with pytest.raises(ValueError):
-            HgnnConfig(relations=("rnr", "mystery"))
+
+    def test_lr_must_be_finite_and_positive(self):
+        for lr in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                HgnnConfig(lr=lr)
 
     def test_ssl_validation(self):
-        with pytest.raises(ValueError):
-            SslConfig(temperature=0.0)
-        with pytest.raises(ValueError):
-            SslConfig(batch_size=1)
-        with pytest.raises(ValueError):
-            SslConfig(pooling="max")
+        for bad in ({"temperature": 0.0}, {"temperature": -0.1},
+                    {"temperature": math.nan}, {"temperature": math.inf},
+                    {"batch_size": 1}, {"epochs": 0}, {"epochs": -3},
+                    {"lr": 0.0}, {"lr": -1.0}, {"lr": math.nan},
+                    {"lr": math.inf}):
+            with pytest.raises(ValueError):
+                SslConfig(**bad)
 
 
 class TestLabelTransforms:
@@ -110,12 +116,11 @@ class TestForward:
         grid = GridSpec(0.0, 0.0, 3, 1)
         feats = hand_features(grid, seed=1)
         graph = HeteroGraph(n_regions=3, n_env=3, n_soc=2)
-        config = HgnnConfig(n_layers=1, hidden_dim=6, seed=2,
-                            normalize_pos=False)
+        config = HgnnConfig(n_layers=1, hidden_dim=6, seed=2)
         state = init_state(config, 3, 2)
         out = hgnn_forward(graph, feats, state)
         p = state.params
-        raw = feats.matrix
+        raw = pos_scaled(feats.matrix)
         want = (raw @ p["w_in"] + p["b_in"]) @ p["layer0.self.w"] \
             + p["layer0.self.b"]
         assert np.allclose(out, want, atol=1e-12)
@@ -141,8 +146,7 @@ class TestForward:
         grid = GridSpec(0.0, 0.0, 3, 3)
         feats = hand_features(grid, seed=5, n_env=2, n_soc=1)
         graph = rnr_only_graph(grid, feats)
-        config = HgnnConfig(n_layers=1, hidden_dim=5, seed=0,
-                            normalize_pos=False)
+        config = HgnnConfig(n_layers=1, hidden_dim=5, seed=0)
         state = init_state(config, 2, 1)
         eye = np.eye(5)
         for name in list(state.params):
@@ -150,10 +154,10 @@ class TestForward:
                 state.params[name] = np.zeros_like(state.params[name])
         state.params["w_in"] = eye.copy()
         state.params["layer0.self.w"] = eye.copy()
-        for rel in config.relations:
+        for rel in RELATIONS:
             state.params[f"layer0.{rel}.w"] = eye.copy()
         out = hgnn_forward(graph, feats, state)
-        raw = feats.matrix
+        raw = pos_scaled(feats.matrix)
         for i, (x, y) in enumerate(grid.regions()):
             nbrs = [yy * 3 + xx
                     for yy in range(3) for xx in range(3)
@@ -231,12 +235,11 @@ def fused_layer_cases():
     """(name, graph, features, config) for the fused-layer checks."""
     cases = []
     grid, feats, graph, _, _ = synth_world(5, 4, seed=40)
-    cases.append(("no self loop", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=1,
-                             use_self_loop=False)))
+    graph = HeteroGraph(n_regions=graph.n_regions, n_env=graph.n_env,
+                        n_soc=graph.n_soc, edges_rnr=graph.edges_rnr,
+                        edges_elr=graph.edges_elr)      # no SLR edges
     cases.append(("relation subset", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=2,
-                             relations=("slr_e2r", "rnr", "elr_r2e"))))
+                  HgnnConfig(n_layers=2, hidden_dim=4, seed=2)))
     # Hand-made entity edges: env entity 2 and soc entity 1 stay isolated.
     grid = GridSpec(0.0, 0.0, 4, 3)
     feats = hand_features(grid, seed=41)
@@ -282,13 +285,13 @@ def fused_layer_cases():
 
 def layer_inputs(graph, feats, config, seed):
     """Graph tensors, relations in use, random (w, b) per relation and
-    for "self" when the config has a self loop, and a random h."""
-    gt = prepare_graph(graph, feats, config)
+    for "self", and a random h."""
+    gt = prepare_graph(graph, feats)
     rng = np.random.default_rng(seed)
     d = config.hidden_dim
-    rels = [r for r in config.relations if r in gt.relations]
+    rels = list(gt.relations)
     weights = {r: (rng.normal(size=(d, d)), rng.normal(size=(1, d)))
-               for r in ("self",) * config.use_self_loop + tuple(rels)}
+               for r in ("self", *rels)}
     h = rng.normal(size=(gt.n_nodes, d))
     return gt, rels, weights, h
 
@@ -300,7 +303,7 @@ def run_layer(gt, rels, weights, h, trainable=False,
               for k, (w, b) in weights.items()}
     th = Tensor(h, requires_grad=trainable)
     out = layer(
-        th, [(gt.relations[r], *leaves[r]) for r in rels], leaves.get("self"))
+        th, [(gt.relations[r], *leaves[r]) for r in rels], leaves["self"])
     return out, th, leaves
 
 
@@ -324,8 +327,8 @@ class TestRelationalLayer:
     CASES = fused_layer_cases()
 
     def test_cases_cover_the_shapes(self):
-        by_name = {name: (graph, feats, config)
-                   for name, graph, feats, config in self.CASES}
+        by_name = {name: (graph, feats)
+                   for name, graph, feats, _ in self.CASES}
         gt = prepare_graph(*by_name["isolated entity"])
         env = gt.relations["elr_r2e"].agg.has_in_edge
         soc = gt.relations["slr_r2e"].agg.has_in_edge
@@ -335,7 +338,7 @@ class TestRelationalLayer:
         gt = prepare_graph(*by_name["1x7 grid"])
         assert gt.relations["rnr"].agg.idx.shape == (7, 2)
         gt = prepare_graph(*by_name["relation subset"])
-        assert sorted(gt.relations) == ["elr_r2e", "rnr", "slr_e2r"]
+        assert sorted(gt.relations) == ["elr_e2r", "elr_r2e", "rnr"]
         gt = prepare_graph(*by_name["weighted rnr"])
         w = gt.relations["rnr"].agg.w
         assert np.unique(w[w > 0]).size > 10
@@ -348,9 +351,7 @@ class TestRelationalLayer:
         for name, graph, feats, config in self.CASES:
             gt, rels, weights, h = layer_inputs(graph, feats, config, 43)
             out, _, _ = run_layer(gt, rels, weights, h)
-            want = np.zeros_like(h)
-            if config.use_self_loop:
-                want += h @ weights["self"][0] + weights["self"][1]
+            want = h @ weights["self"][0] + weights["self"][1]
             for rel in rels:
                 a, has_in = reference_adjacency(graph, gt, rel)
                 w, b = weights[rel]
@@ -431,7 +432,7 @@ class TestRelationalLayer:
                 assert set(rels) - set(kept) <= {"elr_r2e", "slr_r2e"}, name
                 out = T.relational_layer(
                     th, [(subset.relations[r], *leaves[r]) for r in kept],
-                    leaves.get("self"), subset.rows)
+                    leaves["self"], subset.rows)
                 assert out.shape == (subset.rows.size, h.shape[1]), name
                 assert np.max(np.abs(out.data - full.data[subset.rows])) \
                     <= 1e-12, name
@@ -454,15 +455,20 @@ class TestRelationalLayer:
                                 <= 1e-12, (name, key)
 
 
-def canonical_inputs(feats, gt, config):
-    """The region feature rows in internal order, positions min-max
-    scaled when the config says so."""
-    x = feats.matrix[np.argsort(gt.rank)]
-    if config.normalize_pos:
-        for col in (0, 1):
-            lo, hi = x[:, col].min(), x[:, col].max()
-            x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
+def pos_scaled(matrix):
+    """A copy of the feature rows with each position column min-max
+    scaled, a constant column to 0."""
+    x = matrix.copy()
+    for col in (0, 1):
+        lo, hi = x[:, col].min(), x[:, col].max()
+        x[:, col] = (x[:, col] - lo) / (hi - lo) if hi > lo else 0.0
     return x
+
+
+def canonical_inputs(feats, gt):
+    """The region feature rows in internal order, positions min-max
+    scaled."""
+    return pos_scaled(feats.matrix[np.argsort(gt.rank)])
 
 
 def unfolded_backbone(x, gt, leaves, config, subset=None):
@@ -475,12 +481,11 @@ def unfolded_backbone(x, gt, leaves, config, subset=None):
         last = layer == config.n_layers - 1
         restrict = last and subset is not None
         blocks = subset.relations if restrict else gt.relations
-        relations = [(blocks[rel], leaves[f"layer{layer}.{rel}.w"],
+        relations = [(block, leaves[f"layer{layer}.{rel}.w"],
                       leaves[f"layer{layer}.{rel}.b"])
-                     for rel in config.relations if rel in blocks]
-        self_loop = ((leaves[f"layer{layer}.self.w"],
-                      leaves[f"layer{layer}.self.b"])
-                     if config.use_self_loop else None)
+                     for rel, block in blocks.items()]
+        self_loop = (leaves[f"layer{layer}.self.w"],
+                     leaves[f"layer{layer}.self.b"])
         acc = T.relational_layer(h, relations, self_loop,
                                  subset.rows if restrict else None)
         h = acc if last else T.relu(acc)
@@ -495,11 +500,11 @@ class TestFoldedLayerZero:
         # for the full forward and for row subsets of the last layer.
         rng = np.random.default_rng(55)
         for name, graph, feats, config in self.CASES:
-            gt = prepare_graph(graph, feats, config)
+            gt = prepare_graph(graph, feats)
             params = {k: rng.normal(scale=0.7, size=v.shape) for k, v in
                       init_state(config, graph.n_env, graph.n_soc)
                       .params.items() if not k.startswith("head.")}
-            x = canonical_inputs(feats, gt, config)
+            x = canonical_inputs(feats, gt)
             n = gt.n_regions
             for rows in (None, rng.choice(n, size=1),
                          rng.choice(n, size=n // 2, replace=False)):
@@ -530,7 +535,7 @@ class TestFoldedLayerZero:
         monkeypatch.setattr(T, "relational_layer",
                             lambda *a: calls.append(1) or layer(*a))
         for name, graph, feats, config in self.CASES:
-            gt = prepare_graph(graph, feats, config)
+            gt = prepare_graph(graph, feats)
             state = init_state(config, graph.n_env, graph.n_soc)
             calls.clear()
             backbone_forward(gt, leaves_of(state.params), config)
@@ -568,7 +573,7 @@ class TestRowSubsetLosses:
         rng = np.random.default_rng(seed)
         params = {k: rng.normal(scale=0.5, size=v.shape)
                   for k, v in state.params.items()}
-        return graph, feats, config, prepare_graph(graph, feats, config), \
+        return graph, feats, config, prepare_graph(graph, feats), \
             params, rng
 
     @staticmethod
@@ -743,7 +748,7 @@ class TestTrainEndToEnd:
         config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=20,
                             patience=20)
         state_a, log_a = train_end_to_end(graph, feats, labels, split, config)
-        gt = prepare_graph(graph, feats, config)
+        gt = prepare_graph(graph, feats)
         state_b, log_b = train_end_to_end(graph, feats, labels, split, config,
                                           gt)
         assert log_a == log_b
@@ -839,7 +844,7 @@ class TestInfoNce:
         grid, feats, graph, _, _ = synth_world(6, 6, seed=seed)
         config = HgnnConfig(n_layers=2, hidden_dim=hidden_dim, seed=seed)
         state = init_state(config, graph.n_env, graph.n_soc)
-        gt = prepare_graph(graph, feats, config)
+        gt = prepare_graph(graph, feats)
         positives = [np.sort(gt.rank[p]) if p.size else p
                      for p in positive_sets(graph, feats, top_k)]
         rng = np.random.default_rng(seed)
@@ -1116,6 +1121,8 @@ class TestCheckpointsAndIo:
         assert state.thresholds == (0.4, 1.2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, str(path))
+        saved = json.loads(path.read_text())["config"]
+        assert sorted(saved) == sorted(f.name for f in fields(HgnnConfig))
         again = load_checkpoint(str(path))
         assert again.config == state.config
         assert again.thresholds == (0.4, 1.2)
@@ -1184,8 +1191,10 @@ class TestCheckpointsAndIo:
         del bad["thresholds"]
         rejected(bad, "malformed checkpoint")
         bad = json.loads(json.dumps(good))
-        bad["version"] = 1                # written before thresholds were kept
-        rejected(bad, "not a version-2 model checkpoint")
+        for version in (1, 2):            # before thresholds; old config
+            bad["version"] = version
+            rejected(bad, f"not a version-{CHECKPOINT_VERSION} model "
+                          f"checkpoint")
         path.write_text(json.dumps(good))
         assert load_checkpoint(str(path)).params.keys() == state.params.keys()
 

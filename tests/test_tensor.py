@@ -229,7 +229,8 @@ class TestSegmentMean:
 
             def layer(x):
                 return relational_layer(
-                    x, [(block, Tensor(np.eye(d)), Tensor(np.zeros((1, d))))])
+                    x, [(block, Tensor(np.eye(d)), Tensor(np.zeros((1, d))))],
+                    (Tensor(np.zeros((d, d))), Tensor(np.zeros((1, d)))))
 
             def forward():
                 out = layer(Tensor(h))
@@ -256,7 +257,8 @@ class TestSegmentMean:
             block = RelationBlock(agg, slice(0, 3), slice(0, 3))
             h = Tensor(np.ones((3, 2)), requires_grad=True)
             out = relational_layer(
-                h, [(block, Tensor(np.eye(2)), Tensor(np.ones((1, 2))))])
+                h, [(block, Tensor(np.eye(2)), Tensor(np.ones((1, 2))))],
+                (Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))))
             assert np.array_equal(out.data, np.zeros((3, 2)))
             T.mean_all(out).backward()
             assert np.array_equal(h.grad, np.zeros((3, 2)))
@@ -292,24 +294,22 @@ class TestSegmentMean:
                                       [1.0, 0.0]])
 
 
-def reference_stacked_layer(h, relations, self_loop=None):
+def reference_stacked_layer(h, relations, self_loop):
     """The layer as one stacked product: [h | A_1 h | ... | 1 | m_1 | ...]
     @ W_stack in one GEMM, with the stacked gradient split back into the
-    per-relation (w, b) leaves. relational_layer must agree with it."""
-    pairs = ([self_loop] if self_loop is not None else []) \
-        + [(w, b) for _, w, b in relations]
+    self-loop and per-relation (w, b) leaves. relational_layer must agree
+    with it."""
+    pairs = [self_loop] + [(w, b) for _, w, b in relations]
     params = [w for w, _ in pairs] + [b for _, b in pairs]
     d = h.data.shape[1]
-    n_self = len(pairs) - len(relations)
     nd = len(pairs) * d
     x = np.zeros((h.data.shape[0], nd + len(pairs)))
-    if self_loop is not None:
-        x[:, :d] = h.data
-        x[:, nd] = 1.0
-    for j, (rel, _, _) in enumerate(relations):
-        col = (n_self + j) * d
+    x[:, :d] = h.data
+    x[:, nd] = 1.0
+    for j, (rel, _, _) in enumerate(relations, start=1):
+        col = j * d
         x[rel.dst, col:col + d] = rel.agg.apply(h.data[rel.src])
-        x[rel.dst, nd + n_self + j] = rel.agg.has_in_edge
+        x[rel.dst, nd + j] = rel.agg.has_in_edge
     w_stack = np.concatenate([np.zeros((0, d))] + [t.data for t in params])
 
     def bwd(g):
@@ -321,10 +321,9 @@ def reference_stacked_layer(h, relations, self_loop=None):
                     t._accumulate(g_t)
         if h.requires_grad:
             gx = g @ w_stack[:nd].T
-            gh = gx[:, :d].copy() if self_loop is not None \
-                else np.zeros_like(h.data)
-            for j, (rel, _, _) in enumerate(relations):
-                col = (n_self + j) * d
+            gh = gx[:, :d].copy()
+            for j, (rel, _, _) in enumerate(relations, start=1):
+                col = j * d
                 gh[rel.src] += rel.agg.apply_t(gx[rel.dst, col:col + d])
             h._accumulate(gh)
 

@@ -140,7 +140,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_labels(labels, _out_path(args, "labels.csv"), echo)
     ledger["echo"] = echo
     with open(_out_path(args, "ledger.json"), "w", encoding="utf-8") as fh:
-        json.dump(ledger, fh)
+        fh.write(json.dumps(ledger))    # the C encoder; json.dump has none
     print(f"synth: {lc.grid.n_regions} regions, {len(pois)} POIs, "
           f"{len(labels)} labels -> {args.out_dir}")
     return 0

@@ -257,7 +257,7 @@ def save_landcover(lc: LandCoverGrid, path: str,
             fh.write(f"# {line}\n")
         fh.write(f"LANDCOVER {rows} {cols} {lc.n_classes}\n")
         for row in lc.classes:
-            fh.write(" ".join(str(int(v)) for v in row))
+            fh.write(" ".join(map(str, row.tolist())))
             fh.write("\n")
 
 
@@ -283,9 +283,9 @@ def load_pois(path: str, categories: Optional[Sequence[str]] = None,
         try:
             lon, lat = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise GeoDataError(f"{path}: row {i}: non-numeric coordinate ({exc})") from exc
+            raise GeoDataError(f"{path}: line {i}: non-numeric coordinate ({exc})") from exc
         if not (math.isfinite(lon) and math.isfinite(lat)):
-            raise GeoDataError(f"{path}: row {i}: non-finite coordinate")
+            raise GeoDataError(f"{path}: line {i}: non-finite coordinate")
         raw_cat = parts[2].strip()
         if raw_cat in index:
             cat = index[raw_cat]
@@ -293,9 +293,9 @@ def load_pois(path: str, categories: Optional[Sequence[str]] = None,
             try:
                 cat = int(raw_cat)
             except ValueError:
-                raise GeoDataError(f"{path}: row {i}: unknown category {raw_cat!r}") from None
+                raise GeoDataError(f"{path}: line {i}: unknown category {raw_cat!r}") from None
         if cat < 0 or (n_categories is not None and cat >= n_categories):
-            raise GeoDataError(f"{path}: row {i}: category index {cat} out of range")
+            raise GeoDataError(f"{path}: line {i}: category index {cat} out of range")
         records.append(PoiRecord(x=lon, y=lat, c=cat))
     return records
 
@@ -318,13 +318,13 @@ def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") ->
             region = (int(parts[0]), int(parts[1]))
             value = float(parts[2])
         except ValueError as exc:
-            raise GeoDataError(f"{path}: row {i}: {exc}") from exc
+            raise GeoDataError(f"{path}: line {i}: {exc}") from exc
         if not grid.contains(region):
-            raise GeoDataError(f"{path}: row {i}: region {region} outside grid")
+            raise GeoDataError(f"{path}: line {i}: region {region} outside grid")
         if region in seen:
-            raise GeoDataError(f"{path}: row {i}: duplicate region {region}")
+            raise GeoDataError(f"{path}: line {i}: duplicate region {region}")
         if not math.isfinite(value):
-            raise GeoDataError(f"{path}: row {i}: non-finite value")
+            raise GeoDataError(f"{path}: line {i}: non-finite value")
         seen.add(region)
         entries.append((region, value))
     return LabelSet(entries=tuple(entries), indicator_name=indicator_name)
@@ -349,27 +349,27 @@ def _data_lines(path: str) -> Iterator[str]:
 
 
 def _csv_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row_number, fields) for a simple headed CSV, skipping blank
+    """Yield (line_number, fields) for a simple headed CSV, skipping blank
     lines and '#' comments (including any before the header). The first
-    other line must be ``header`` itself."""
+    other line must be ``header`` itself. Line numbers count from 1."""
     names = header.split(",")
     with open(path, "r", encoding="utf-8") as fh:
         saw_header = False
-        for i, line in enumerate(fh):
+        for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if not saw_header:
                 if [f.strip() for f in line.split(",")] != names:
                     raise GeoDataError(
-                        f"{path}: row {i}: expected header '{header}', "
+                        f"{path}: line {i}: expected header '{header}', "
                         f"got '{line}'")
                 saw_header = True
                 continue
             parts = line.split(",")
             if len(parts) != len(names):
                 raise GeoDataError(
-                    f"{path}: row {i}: expected {len(names)} fields ({header}), got {len(parts)}")
+                    f"{path}: line {i}: expected {len(names)} fields ({header}), got {len(parts)}")
             yield i, parts
         if not saw_header:
             raise GeoDataError(f"{path}: empty file, expected header '{header}'")

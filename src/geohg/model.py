@@ -862,8 +862,10 @@ def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip().split(",") for line in fh
                  if line.strip() and not line.strip().startswith("#")]
-    if lines and lines[0][:2] != ["x_r", "y_r"]:
-        raise GeoDataError(f"{path}: not an embeddings CSV")
+    d = len(lines[0]) - 2 if lines else 0
+    if d < 1 or lines[0] != ["x_r", "y_r"] + [f"e_{i}" for i in range(d)]:
+        raise GeoDataError(f"{path}: not an embeddings CSV "
+                           f"(header x_r,y_r,e_0..e_<d-1>)")
     if len(lines) < 2:
         raise GeoDataError(f"{path}: no embedding rows")
     header, rows = lines[0], lines[1:]

@@ -330,6 +330,32 @@ class TestErrors:
             assert "error [pretrain]:" in capsys.readouterr().err, flags
             assert not (tmp_path / "pretrain_checkpoint.json").exists()
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--n-classes", "0", "land-cover class"),
+        ("--pixels-per-cell", "0", "pixel per cell"),
+        ("--n-categories", "-1", "category count"),
+        ("--noise-sigma", "nan", "must be finite"),
+        ("--jump", "inf", "must be finite"),
+        ("--smooth-amplitude", "nan", "must be finite")])
+    def test_bad_synth_settings_exit_2(self, tmp_path, capsys, flag, value,
+                                       reason):
+        code = run(tmp_path, *SYNTH_FLAGS, flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [synth]:" in err and reason in err
+        assert not (tmp_path / "ledger.json").exists()
+
+    def test_labels_csv_as_embeddings_exits_2(self, world_dir, tmp_path,
+                                              capsys):
+        code = run(tmp_path, "finetune",
+                   "--grid", str(world_dir / "grid.cfg"),
+                   "--embeddings", str(world_dir / "labels.csv"),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--masked-ratio", "0.5", *FAST_MODEL)
+        assert code == 2
+        assert "not an embeddings CSV" in capsys.readouterr().err
+        assert not (tmp_path / "head.json").exists()
+
     def test_bad_ratio_exits_2(self, world_dir, tmp_path, capsys):
         code = run(tmp_path, "eval", *world_flags(world_dir),
                    "--labels", str(world_dir / "labels.csv"),

@@ -224,6 +224,13 @@ class TestLabels:
             load_labels(str(path), make_grid(4, 4))
         assert str(path) in str(err.value)
 
+    def test_errors_name_the_one_based_file_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("x_r,y_r,value\n# c\n0,0,1.0\n9,9,2.0\n")
+        with pytest.raises(GeoDataError, match="line 4: region") as err:
+            load_labels(str(path), make_grid(4, 4))
+        assert str(path) in str(err.value)
+
     def test_round_trip_bit_equal(self, tmp_path):
         grid = make_grid(8, 8)
         rng = np.random.default_rng(3)

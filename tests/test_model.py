@@ -1219,6 +1219,15 @@ class TestCheckpointsAndIo:
                 load_embeddings(str(path))
             assert str(path) in str(info.value)
 
+    def test_embeddings_header_must_be_exact(self, tmp_path):
+        for header in ("x_r,y_r,value", "x_r,y_r", "x_r,y_r,e_1",
+                       "x_r,y_r,e_0,e_2", "x_r,y_r,e_0,value"):
+            path = tmp_path / "emb.csv"
+            width = header.count(",") - 1
+            path.write_text(header + "\n" + "0,0" + ",1.0" * width + "\n")
+            with pytest.raises(GeoDataError, match="not an embeddings CSV"):
+                load_embeddings(str(path))
+
     def test_training_log_round_trip(self, tmp_path):
         log = [(0, 1.5, 2.25), (1, 0.125, 0.75)]
         path = tmp_path / "log.csv"

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import geohg
 
@@ -15,3 +17,21 @@ def test_import_starts_no_thread():
     code = ("import threading; n = threading.active_count(); import geohg; "
             "assert threading.active_count() == n, threading.enumerate()")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_numpy_is_the_only_dependency():
+    # Every absolute import under src/geohg must come from the standard
+    # library or numpy; relative imports stay inside the package.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(Path(geohg.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []

@@ -3,11 +3,63 @@ import math
 import numpy as np
 import pytest
 
+from geohg import synth
 from geohg.features import featurize_all
-from geohg.geodata import (GeoDataError, GridSpec, region_of, save_labels,
-                           save_landcover, save_pois)
+from geohg.geodata import (GeoDataError, GridSpec, LabelSet, PoiRecord,
+                           region_of, save_labels, save_landcover, save_pois)
 from geohg.synth import (VORONOI_BLOCK, SynthConfig, barrier_side, generate,
                          poisson_sample)
+
+
+def loop_generate(config):
+    """The draw-by-draw generator the block draws must reproduce: one
+    rng.choice per region, one sequential Poisson search per (region,
+    category) with a positive rate, then two scalar uniforms per POI."""
+    res = config.resolved()
+    rng = np.random.default_rng(config.seed)
+    grid = GridSpec(config.origin_lon, config.origin_lat, config.n_cols,
+                    config.n_rows, config.cell_km)
+    n = grid.n_regions
+    patch_xy = rng.random((config.n_patches, 2)) * [config.n_cols,
+                                                    config.n_rows]
+    patch_arch = rng.integers(0, config.n_archetypes, size=config.n_patches)
+    centers = np.array([(x + 0.5, y + 0.5) for x, y in grid.regions()])
+    d2 = ((centers[:, None, :] - patch_xy[None, :, :]) ** 2).sum(axis=2)
+    archetype = patch_arch[np.argmin(d2, axis=1)]
+    p = config.pixels_per_cell
+    classes = np.zeros((grid.n_rows * p, grid.n_cols * p), dtype=np.int64)
+    for idx, (x, y) in enumerate(grid.regions()):
+        classes[y * p:(y + 1) * p, x * p:(x + 1) * p] = rng.choice(
+            config.n_classes, size=(p, p), p=res.class_mix[archetype[idx]])
+    km_lon, km_lat = grid.km_per_degree()
+    pois = []
+    for idx, (x, y) in enumerate(grid.regions()):
+        for k in range(config.n_categories):
+            lam = res.poi_rates[archetype[idx], k]
+            count = 0
+            if lam > 0:
+                u = rng.random()
+                prob = cum = math.exp(-lam)
+                while u > cum:
+                    count += 1
+                    prob *= lam / count
+                    cum += prob
+            for _ in range(count):
+                u, w_ = rng.random(), rng.random()
+                pois.append(PoiRecord(
+                    x=config.origin_lon + (x + u) * config.cell_km / km_lon,
+                    y=config.origin_lat + (y + w_) * config.cell_km / km_lat,
+                    c=k))
+    smooth = synth._smooth_field(rng, centers, config.smooth_amplitude,
+                                 config.smooth_waves,
+                                 float(max(config.n_cols, config.n_rows)))
+    pts = sorted(res.barrier, key=lambda pt: pt[1])
+    side = [1 if cx > float(np.interp(cy, [pt[1] for pt in pts],
+                                      [pt[0] for pt in pts])) else 0
+            for cx, cy in centers]
+    noise = (rng.standard_normal(n) * config.noise_sigma
+             if config.noise_sigma > 0 else np.zeros(n))
+    return classes, pois, archetype, smooth, side, noise
 
 
 def small_config(**overrides):
@@ -35,6 +87,46 @@ class TestConfigValidation:
         cfg = SynthConfig(barrier=((1.0, 1.0),))
         with pytest.raises(GeoDataError):
             cfg.resolved()
+
+    def test_no_class_rejected(self):
+        with pytest.raises(GeoDataError, match="land-cover class"):
+            SynthConfig(n_classes=0)
+
+    def test_no_pixel_rejected(self):
+        with pytest.raises(GeoDataError, match="pixel per cell"):
+            SynthConfig(pixels_per_cell=0)
+
+    def test_negative_category_count_rejected(self):
+        with pytest.raises(GeoDataError, match="category count"):
+            SynthConfig(n_categories=-1)
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "jump",
+                                       "smooth_amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, field, value):
+        with pytest.raises(GeoDataError, match="must be finite"):
+            SynthConfig(**{field: value})
+
+    def test_row_sum_held_to_rng_choice_tolerance(self):
+        # rng.choice rejects a row further than sqrt(eps) from 1; the block
+        # draw would renormalise it silently, so resolved() must reject it.
+        mix = np.full((1, 11), 1.0 / 11)
+        mix[0, 0] += 1e-6
+        with pytest.raises(GeoDataError, match="class_mix"):
+            SynthConfig(n_archetypes=1, class_mix=mix).resolved()
+        mix[0, 0] -= 1e-6 - 1e-9          # within tolerance: accepted
+        SynthConfig(n_archetypes=1, class_mix=mix).resolved()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_or_mix_rejected(self, bad):
+        rates = np.ones((4, 6))
+        rates[1, 2] = bad
+        with pytest.raises(GeoDataError, match="poi_rates"):
+            SynthConfig(poi_rates=rates).resolved()
+        mix = np.full((4, 11), 1.0 / 11)
+        mix[2, 3] = bad
+        with pytest.raises(GeoDataError, match="class_mix"):
+            SynthConfig(class_mix=mix).resolved()
 
 
 class TestPoissonSample:
@@ -203,3 +295,73 @@ class TestGenerate:
                            jump=0.0, smooth_amplitude=0.0)
         _, _, labels, _ = generate(cfg)
         assert all(val == 0.0 for _, val in labels.entries)
+
+
+class TestBlockDrawsMatchLoop:
+    """generate draws in blocks; a draw-by-draw loop must give the same
+    world to the bit, and leave the rng where the block draws leave it
+    (the noise comes last)."""
+
+    ZERO_MIX = np.array([[0.0, 0.5, 0.0, 0.5],
+                         [1.0, 0.0, 0.0, 0.0],
+                         [0.25, 0.25, 0.25, 0.25]])
+    ZERO_RATES = np.array([[0.0, 0.0, 0.0],
+                           [1.5, 0.0, 4.0],
+                           [0.3, 0.02, 0.0]])
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_cols=11, n_rows=6, seed=1),
+        dict(pixels_per_cell=1, seed=2),
+        dict(pixels_per_cell=5, seed=3),
+        dict(n_archetypes=1, n_patches=3, seed=4),
+        dict(n_archetypes=3, n_classes=4, n_categories=3,
+             class_mix=ZERO_MIX, poi_rates=ZERO_RATES, seed=5),
+        dict(n_categories=0, seed=6),
+        dict(noise_sigma=0.0, seed=7),
+        dict(n_cols=20, n_rows=17, n_patches=30, origin_lon=12.5,
+             origin_lat=41.9, cell_km=0.5, seed=8),
+    ])
+    @pytest.mark.parametrize("chunk", [synth.POI_CHUNK, 1, 7])
+    def test_world_is_bit_identical(self, overrides, chunk, monkeypatch):
+        # Tiny chunks put count and placement draws across chunk ends.
+        monkeypatch.setattr(synth, "POI_CHUNK", chunk)
+        cfg = small_config(**overrides)
+        lc, pois, labels, ledger = generate(cfg)
+        classes, want_pois, archetype, smooth, side, noise = \
+            loop_generate(cfg)
+        assert np.array_equal(lc.classes, classes)
+        assert pois == want_pois
+        assert ledger["archetype_of_region"] == archetype.tolist()
+        assert ledger["poi_count_total"] == len(want_pois)
+        comp = ledger["components"]
+        assert comp["smooth"] == smooth.tolist()
+        assert ledger["barrier_side"] == side
+        assert comp["noise"] == noise.tolist()
+
+        # Labels and the other ledger fields from the loop world's raster and
+        # POIs, as generate composes them.
+        res = cfg.resolved()
+        feats = featurize_all(lc.grid, lc, want_pois,
+                              n_categories=cfg.n_categories, warn=False)
+        env = [float(res.env_weights @ row) for row in feats.env]
+        soc = [float(res.soc_weights @ row) for row in feats.soc]
+        assert comp["env_term"] == env
+        assert comp["soc_term"] == soc
+        jump = [cfg.jump * float(s) for s in side]
+        assert comp["jump_term"] == jump
+        y = (np.array(env) + np.array(soc) + smooth + np.array(jump)
+             + noise).tolist()
+        assert ledger["labels"] == y
+        assert labels == LabelSet(tuple(zip(lc.grid.regions(), y)),
+                                  cfg.indicator_name)
+
+    def test_unreachable_rate_raises_at_once(self):
+        # exp(-1000) underflows to 0: the sequential search never ends (it
+        # gave up after 10 M steps); the table has one entry and says so.
+        assert synth._poisson_table(1000.0) == [0.0]
+        rates = np.full((4, 6), 1.0)
+        rates[:, 2] = 1000.0
+        with pytest.raises(GeoDataError, match="did not terminate"):
+            generate(small_config(poi_rates=rates))
+        with pytest.raises(GeoDataError, match="did not terminate"):
+            poisson_sample(np.random.default_rng(0), 1000.0)

@@ -9,8 +9,7 @@ from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
 from .features import (FeatureTable, assign_pois, featurize_all,
                        load_features, save_features)
 from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
-                       build_rnr, build_slr, load_graph, rnr_edge_count,
-                       save_graph)
+                       build_rnr, build_slr, rnr_edge_count, save_graph)
 from .tensor import NumericError, Tensor, adam_step, glorot_uniform
 from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
                     backbone_checksum, embed_regions, finetune_head,
@@ -43,7 +42,7 @@ __all__ = [
     "glorot_uniform", "hgnn_forward", "idw_predict", "idw_predict_batch",
     "infonce_loss",
     "load_categories", "load_checkpoint", "load_embeddings",
-    "load_features", "load_graph", "load_gridspec", "load_labels",
+    "load_features", "load_gridspec", "load_labels",
     "load_landcover", "load_pois", "mae", "make_split",
     "positive_sets", "predict", "predict_all",
     "predict_from_embeddings", "pretrain_contrastive", "r2", "region_of",

@@ -149,7 +149,10 @@ def _idw(coords: np.ndarray, values: np.ndarray, targets: np.ndarray,
         near = values[idx]
         pred = near[:, 0].copy()        # exact where the nearest is at 0
         miss = dists[:, 0] != 0.0
-        w = dists[miss] ** -power
+        # Relative to the nearest distance, whose weight is then exactly 1,
+        # so the weight sum cannot underflow to 0 at any finite power.
+        d = dists[miss]
+        w = (d / d[:, :1]) ** -power
         pred[miss] = (w * near[miss]).sum(axis=1) / w.sum(axis=1)
         out[rows] = pred
 

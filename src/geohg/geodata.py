@@ -208,12 +208,9 @@ def save_gridspec(grid: GridSpec, path: str,
 def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
     """Parse a land-cover class grid and validate it against the region grid."""
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = ""
-        while True:
-            header_line = fh.readline()
-            if not header_line or not header_line.lstrip().startswith("#"):
-                break
-        header = header_line.split()
+        lines = enumerate(fh, start=1)
+        header = next((line for _, line in lines
+                       if not line.lstrip().startswith("#")), "").split()
         if len(header) != 4 or header[0] != "LANDCOVER":
             raise GeoDataError(f"{path}: expected header 'LANDCOVER rows cols classes'")
         try:
@@ -221,16 +218,16 @@ def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
         except ValueError as exc:
             raise GeoDataError(f"{path}: non-integer header field ({exc})") from exc
         rows = []
-        for i, line in enumerate(fh):
+        for i, line in lines:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             try:
                 row = np.array(line.split(), dtype=np.int64)
             except ValueError as exc:
-                raise GeoDataError(f"{path}: bad pixel row {i}: {exc}") from exc
+                raise GeoDataError(f"{path}: line {i}: bad pixel row: {exc}") from exc
             if row.size != pixel_cols:
                 raise GeoDataError(
-                    f"{path}: pixel row {i} has {row.size} codes, expected {pixel_cols}")
+                    f"{path}: line {i}: pixel row has {row.size} codes, expected {pixel_cols}")
             rows.append(row)
     if len(rows) != pixel_rows:
         raise GeoDataError(f"{path}: found {len(rows)} pixel rows, header says {pixel_rows}")

@@ -60,8 +60,9 @@ class HeteroGraph:
     def n_nodes(self) -> int:
         return self.n_regions + self.n_env + self.n_soc
 
-    def validate(self, grid: GridSpec | None = None) -> None:
-        """Check the structural invariants; raises GeoDataError on violation."""
+    def validate(self, grid: GridSpec) -> None:
+        """Check the structural invariants on ``grid``; raises GeoDataError
+        on violation."""
         theta_env, theta_soc = self.thresholds
         for name, fam, lo, hi, theta in (
                 ("RNR", self.edges_rnr, 0, self.n_regions, None),
@@ -75,8 +76,8 @@ class HeteroGraph:
             if name == "RNR":
                 if e.min() < 0 or e.max() >= self.n_regions:
                     raise GeoDataError("RNR endpoint out of region range")
-                if np.any(fam.weights <= 0):
-                    raise GeoDataError("RNR weight not positive")
+                if np.any(fam.weights != 1.0):
+                    raise GeoDataError("RNR weight not 1")
             else:
                 src, dst = e[:, 0], e[:, 1]
                 if src.min() < 0 or src.max() >= self.n_regions:
@@ -90,7 +91,7 @@ class HeteroGraph:
                 raise GeoDataError(f"duplicate {name} edges")
             if theta is not None and np.any(fam.weights < theta):
                 raise GeoDataError(f"{name} weight below threshold {theta}")
-        if grid is not None and len(self.edges_rnr):
+        if len(self.edges_rnr):
             e = self.edges_rnr.endpoints
             x = e % grid.n_cols
             y = e // grid.n_cols
@@ -170,6 +171,10 @@ def build_graph(grid: GridSpec, features: FeatureTable,
 
 def save_graph(graph: HeteroGraph, path: str,
                header_comments: Sequence[str] = ()) -> None:
+    """Export the graph as text: ``# `` comment lines, a ``HETGRAPH n_regions
+    n_env n_soc theta_env theta_soc`` header, then one ``RNR``/``ELR``/``SLR
+    src dst weight`` line per edge. Nothing reads the file back; every
+    command rebuilds the graph from features."""
     theta_env, theta_soc = graph.thresholds
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_comments:
@@ -180,63 +185,3 @@ def save_graph(graph: HeteroGraph, path: str,
                           ("SLR", graph.edges_slr)):
             for (src, dst), w in zip(fam.endpoints, fam.weights):
                 fh.write(f"{name} {src} {dst} {float(w)!r}\n")
-
-
-def load_graph(path: str) -> HeteroGraph:
-    """Read back a graph written by :func:`save_graph`.
-
-    Raises GeoDataError, naming the file and line, on a malformed line, an
-    unparsable count, id, threshold or weight, a NaN or infinite weight or
-    threshold, or an RNR weight that is not positive; then the graph's own
-    invariants are validated.
-    """
-    header = None
-    rows: dict[str, list[tuple[int, int, float]]] = {"RNR": [], "ELR": [], "SLR": []}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            where = f"{path}: line {lineno}"
-            if header is None:
-                if len(parts) != 6 or parts[0] != "HETGRAPH":
-                    raise GeoDataError(f"{where}: bad header line {line!r}")
-                header = _parse_fields(where, parts[1:], (int, int, int,
-                                                          float, float))
-                continue
-            if len(parts) != 4 or parts[0] not in rows:
-                raise GeoDataError(f"{where}: bad edge line {line!r}")
-            edge = _parse_fields(where, parts[1:], (int, int, float))
-            if parts[0] == "RNR" and edge[2] <= 0:
-                raise GeoDataError(f"{where}: RNR weight not positive")
-            rows[parts[0]].append(edge)
-    if header is None:
-        raise GeoDataError(f"{path}: missing HETGRAPH header")
-
-    def family(items: list[tuple[int, int, float]]) -> EdgeFamily:
-        if not items:
-            return _empty_family()
-        arr = np.array([(s, d) for s, d, _ in items], dtype=np.int64)
-        w = np.array([w for _, _, w in items], dtype=np.float64)
-        return EdgeFamily(arr, w)
-
-    graph = HeteroGraph(n_regions=header[0], n_env=header[1],
-                        n_soc=header[2],
-                        edges_rnr=family(rows["RNR"]),
-                        edges_elr=family(rows["ELR"]),
-                        edges_slr=family(rows["SLR"]),
-                        thresholds=(header[3], header[4]))
-    graph.validate()
-    return graph
-
-
-def _parse_fields(where: str, fields: Sequence[str], kinds) -> tuple:
-    """Each field parsed by its kind; a float must be finite."""
-    try:
-        values = tuple(kind(f) for kind, f in zip(kinds, fields))
-    except ValueError as exc:
-        raise GeoDataError(f"{where}: unparsable value ({exc})") from None
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-        raise GeoDataError(f"{where}: non-finite value")
-    return values

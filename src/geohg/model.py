@@ -242,7 +242,6 @@ def prepare_graph(graph: HeteroGraph, features: FeatureTable) -> GraphTensors:
         u, v = rank[rnr.endpoints[:, 0]], rank[rnr.endpoints[:, 1]]
         relations["rnr"] = RelationBlock(
             PaddedGather.build(np.concatenate([u, v]), np.concatenate([v, u]),
-                               np.concatenate([rnr.weights, rnr.weights]),
                                n_in=n, n_out=n), regions, regions)
     for fam, r2e, e2r, lo, n_ent in (
             (graph.edges_elr, "elr_r2e", "elr_e2r", n, graph.n_env),

@@ -89,3 +89,24 @@ def relabel(graph: HeteroGraph, features, perm):
                             edges_slr=renumber(graph.edges_slr, False),
                             thresholds=graph.thresholds)
     return new_graph, take_rows(features, perm)
+
+
+def parse_graph_export(text):
+    """Read the text of ``save_graph``: '#' comment lines, one HETGRAPH
+    header, then one RNR/ELR/SLR line per edge, the families in that order.
+    Returns the five header fields as strings and, per family, the (m, 2)
+    endpoints and (m,) weights as their strings."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    head = lines[0].split()
+    assert head[0] == "HETGRAPH" and len(head) == 6
+    names = ("RNR", "ELR", "SLR")
+    edges = {name: [] for name in names}
+    for line in lines[1:]:
+        name, src, dst, weight = line.split()
+        edges[name].append(((int(src), int(dst)), weight))
+    order = [line.split()[0] for line in lines[1:]]
+    assert order == sorted(order, key=names.index)
+    return head[1:], {name: (np.array([e for e, _ in rows],
+                                      dtype=np.int64).reshape(-1, 2),
+                             [w for _, w in rows])
+                      for name, rows in edges.items()}

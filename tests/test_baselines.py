@@ -76,6 +76,15 @@ class TestIdw:
         b = idw_predict(shifted, (target[0] + 13, target[1] + 5))
         assert a == pytest.approx(b, abs=1e-12)
 
+    def test_large_finite_power_keeps_the_nearest(self):
+        # Each weight is taken relative to the nearest distance, so the
+        # weight sum stays 1 even where every d ** -power underflows.
+        samples = [((0, 0), 1.0), ((3, 0), 5.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = idw_predict(samples, (1, 1), power=3000.0, k_neighbors=2)
+        assert got == 1.0
+
     def test_invalid_power_rejected(self):
         for power in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):

@@ -9,8 +9,10 @@ from geohg.cli import (_resolve_model_args, _resolve_ssl, build_parser,
 from geohg.geodata import load_gridspec, load_labels, load_landcover, load_pois
 from geohg.evaluation import load_report
 from geohg.features import featurize_all, load_features
-from geohg.hetgraph import build_graph, load_graph
+from geohg.hetgraph import build_graph, rnr_edge_count
 from geohg.model import load_checkpoint, load_embeddings, predict_all
+
+from _worlds import parse_graph_export
 
 
 SYNTH_FLAGS = ["synth", "--n-cols", "10", "--n-rows", "10",
@@ -72,15 +74,20 @@ class TestFeaturizeAndGraph:
         feats = load_features(str(feats_path))
         assert len(feats.regions) == 100
 
-        graph_path = tmp_path / "graph.txt"
-        assert run(tmp_path, "build-graph",
-                   "--grid", str(world_dir / "grid.cfg"),
-                   "--features", str(feats_path),
-                   "--theta-env", "0.6", "--theta-soc", "0.9",
-                   "--out", str(graph_path)) == 0
-        graph = load_graph(str(graph_path))
-        assert graph.n_regions == 100
-        assert graph.edges_rnr.weights.size == 4 * 10 * 10 - 3 * 10 - 3 * 10 + 2
+        paths = [tmp_path / "graph.txt", tmp_path / "again.txt"]
+        for graph_path in paths:
+            assert run(tmp_path, "build-graph",
+                       "--grid", str(world_dir / "grid.cfg"),
+                       "--features", str(feats_path),
+                       "--theta-env", "0.6", "--theta-soc", "0.9",
+                       "--out", str(graph_path)) == 0
+        text = paths[0].read_text()
+        assert paths[1].read_text() == text
+        head, edges = parse_graph_export(text)
+        assert head[0] == "100"
+        _, weights = edges["RNR"]
+        assert len(weights) == rnr_edge_count(10, 10)
+        assert set(weights) == {"1.0"}
 
 
 class TestTrainPredict:

@@ -113,6 +113,20 @@ class TestLandCover:
         with pytest.raises(GeoDataError, match="codes"):
             load_landcover(str(path), grid)
 
+    @pytest.mark.parametrize("row,message", [
+        ("0 x", "line 5: bad pixel row"),
+        ("0 0 0", "line 5: pixel row has 3 codes, expected 2"),
+    ])
+    def test_errors_name_the_one_based_file_line(self, tmp_path, row,
+                                                  message):
+        # A comment before the header, and a comment and a blank line
+        # before the bad row, all count as file lines.
+        path = tmp_path / "lc.txt"
+        path.write_text(f"# c\nLANDCOVER 2 2 11\n# c\n\n{row}\n0 0\n")
+        with pytest.raises(GeoDataError, match=message) as err:
+            load_landcover(str(path), make_grid(1, 1))
+        assert str(err.value).startswith(f"{path}: line 5: ")
+
     def test_dimension_mismatch_with_grid(self, tmp_path):
         grid = make_grid(3, 2)
         path = tmp_path / "lc.txt"

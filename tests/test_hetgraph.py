@@ -6,10 +6,9 @@ import pytest
 from geohg.features import featurize_all
 from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord
 from geohg.hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
-                            build_rnr, build_slr, load_graph, rnr_edge_count,
-                            save_graph)
+                            build_rnr, build_slr, rnr_edge_count, save_graph)
 
-from _worlds import table, take_rows
+from _worlds import parse_graph_export, table, take_rows
 
 
 def make_grid(n_cols, n_rows):
@@ -122,7 +121,7 @@ class TestBuildSlr:
 
     def test_non_finite_threshold_rejected(self):
         # NaN compares false with everything, so it would build no edge at
-        # all; inf too, and save_graph would write a file load_graph rejects.
+        # all; inf too, and save_graph would export a threshold of inf.
         feats = random_features(20, seed=4)
         for theta in (math.nan, math.inf, -0.1):
             with pytest.raises(GeoDataError, match="theta_soc"):
@@ -169,17 +168,26 @@ class TestBuildGraph:
         assert graph.n_regions == 16 and graph.n_env == 11 and graph.n_soc == 6
         assert graph.n_nodes == 16 + 11 + 6
 
-    @pytest.mark.parametrize("weight", [0.0, -2.0])
-    def test_validate_rejects_non_positive_rnr_weight(self, weight):
-        grid = make_grid(2, 2)
-        rnr = build_rnr(grid)
+    @staticmethod
+    def with_rnr_weight(weight):
+        """A 2x2 grid's graph whose second RNR edge weighs ``weight``."""
+        rnr = build_rnr(make_grid(2, 2))
         weights = rnr.weights.copy()
         weights[1] = weight
-        graph = HeteroGraph(n_regions=4, n_env=1, n_soc=1,
-                            edges_rnr=EdgeFamily(rnr.endpoints.copy(),
-                                                 weights))
-        with pytest.raises(GeoDataError, match="RNR weight not positive"):
-            graph.validate(grid)
+        return HeteroGraph(n_regions=4, n_env=1, n_soc=1,
+                           edges_rnr=EdgeFamily(rnr.endpoints.copy(), weights))
+
+    @pytest.mark.parametrize("weight", [0.0, -2.0])
+    def test_validate_rejects_non_positive_rnr_weight(self, weight):
+        with pytest.raises(GeoDataError, match="RNR weight not 1"):
+            self.with_rnr_weight(weight).validate(make_grid(2, 2))
+
+    # The model's RNR mean is 1/in-degree per neighbour, so an RNR weight
+    # other than exactly 1 is rejected, not only a non-positive one.
+    @pytest.mark.parametrize("weight", [0.5, 2.0, math.nan])
+    def test_validate_rejects_rnr_weight_other_than_one(self, weight):
+        with pytest.raises(GeoDataError, match="RNR weight not 1"):
+            self.with_rnr_weight(weight).validate(make_grid(2, 2))
 
     def test_raising_thresholds_never_adds_edges(self):
         grid, feats = self.grid_world(seed=5)
@@ -215,55 +223,30 @@ class TestBuildGraph:
 
 class TestGraphIo:
     def test_round_trip(self, tmp_path):
+        # The export is parsed here; nothing in geohg reads it back.
         grid = make_grid(3, 3)
         feats = random_features(9, seed=8, n_cols=3)
         graph = build_graph(grid, feats, theta_env=0.3, theta_soc=0.4)
         path = tmp_path / "graph.txt"
         save_graph(graph, str(path), header_comments=["theta_env = 0.3"])
-        again = load_graph(str(path))
-        assert again.n_regions == graph.n_regions
-        assert again.thresholds == graph.thresholds
-        for a, b in ((again.edges_rnr, graph.edges_rnr),
-                     (again.edges_elr, graph.edges_elr),
-                     (again.edges_slr, graph.edges_slr)):
-            assert np.array_equal(a.endpoints, b.endpoints)
-            assert np.array_equal(a.weights, b.weights)
+        text = path.read_text()
+        assert text.startswith("# theta_env = 0.3\n")
+        head, edges = parse_graph_export(text)
+        assert head == ["9", str(graph.n_env), str(graph.n_soc), "0.3", "0.4"]
+        for name, fam in (("RNR", graph.edges_rnr), ("ELR", graph.edges_elr),
+                          ("SLR", graph.edges_slr)):
+            endpoints, weights = edges[name]
+            assert np.array_equal(endpoints, fam.endpoints)
+            assert np.array_equal(np.array(weights, dtype=np.float64),
+                                  fam.weights)
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("n_cols,n_rows", [(1, 1), (7, 1), (5, 4)])
+    def test_rnr_lines_are_the_unit_lattice(self, tmp_path, n_cols, n_rows):
+        grid = make_grid(n_cols, n_rows)
+        feats = random_features(grid.n_regions, seed=9, n_cols=n_cols)
         path = tmp_path / "graph.txt"
-        path.write_text("NOTAGRAPH 1 2 3\n")
-        with pytest.raises(GeoDataError):
-            load_graph(str(path))
-
-    GOOD = ["# a comment", "HETGRAPH 4 1 1 0.5 0.5", "RNR 0 1 1.0",
-            "ELR 0 4 0.7", "SLR 2 5 0.9"]
-
-    def test_good_file_loads(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("\n".join(self.GOOD) + "\n")
-        graph = load_graph(str(path))
-        assert graph.n_nodes == 6 and graph.thresholds == (0.5, 0.5)
-        assert edge_set(graph.edges_slr) == {(2, 5)}
-
-    @pytest.mark.parametrize("lineno,line,message", [
-        (3, "RNR 0 1 nan", "non-finite"),
-        (4, "ELR 0 4 inf", "non-finite"),
-        (5, "SLR 2 5 -inf", "non-finite"),
-        (3, "RNR 0 x 1.0", "unparsable"),
-        (3, "RNR 0.5 1 1.0", "unparsable"),
-        (4, "ELR 0 4 heavy", "unparsable"),
-        (2, "HETGRAPH 4 one 1 0.5 0.5", "unparsable"),
-        (2, "HETGRAPH 4 1 1 nan 0.5", "non-finite"),
-        (5, "SLR 2 5", "bad edge line"),
-        (3, "RNR 0 1 -2.0", "RNR weight not positive"),
-        (3, "RNR 0 1 0.0", "RNR weight not positive"),
-    ])
-    def test_bad_value_rejected_with_file_and_line(self, tmp_path, lineno,
-                                                   line, message):
-        lines = list(self.GOOD)
-        lines[lineno - 1] = line
-        path = tmp_path / "graph.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GeoDataError, match=message) as err:
-            load_graph(str(path))
-        assert f"{path}: line {lineno}" in str(err.value)
+        save_graph(build_graph(grid, feats, 0.3, 0.4), str(path))
+        _, edges = parse_graph_export(path.read_text())
+        _, weights = edges["RNR"]
+        assert len(weights) == rnr_edge_count(n_rows, n_cols)
+        assert set(weights) <= {"1.0"}

@@ -268,16 +268,7 @@ def fused_layer_cases():
     feats = hand_features(grid, seed=42)
     cases.append(("1x7 grid", build_graph(grid, feats, 0.3, 0.2), feats,
                   HgnnConfig(n_layers=2, hidden_dim=4, seed=5)))
-    # RNR weights as a graph file may give them, not all 1.
     grid, feats, graph, _, _ = synth_world(5, 4, seed=43)
-    rnr = graph.edges_rnr
-    weights = np.random.default_rng(44).uniform(0.2, 3.0, rnr.weights.size)
-    graph = HeteroGraph(n_regions=graph.n_regions, n_env=graph.n_env,
-                        n_soc=graph.n_soc,
-                        edges_rnr=EdgeFamily(rnr.endpoints.copy(), weights),
-                        edges_elr=graph.edges_elr, edges_slr=graph.edges_slr)
-    cases.append(("weighted rnr", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=7)))
     cases.append(("one layer", graph, feats,
                   HgnnConfig(n_layers=1, hidden_dim=4, seed=8)))
     return cases
@@ -339,9 +330,6 @@ class TestRelationalLayer:
         assert gt.relations["rnr"].agg.idx.shape == (7, 2)
         gt = prepare_graph(*by_name["relation subset"])
         assert sorted(gt.relations) == ["elr_e2r", "elr_r2e", "rnr"]
-        gt = prepare_graph(*by_name["weighted rnr"])
-        w = gt.relations["rnr"].agg.w
-        assert np.unique(w[w > 0]).size > 10
         assert {config.n_layers for _, _, _, config in self.CASES} \
             == {1, 2, 3}
 

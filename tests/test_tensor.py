@@ -8,8 +8,22 @@ from geohg.tensor import (DenseMean, NumericError, PaddedGather,
                           RelationBlock, Tensor, adam_step, glorot_uniform,
                           relational_layer, smallest_k)
 
-# Both aggregation shapes must compute the same weighted mean.
-BUILDERS = (PaddedGather.build, DenseMean.build)
+
+def padded_build(src, dst, weights, n_in, n_out):
+    """PaddedGather is an unweighted mean, so it takes unit weights only."""
+    assert np.all(np.asarray(weights) == 1.0)
+    return PaddedGather.build(src, dst, n_in=n_in, n_out=n_out)
+
+
+# Both aggregation shapes must compute the same mean on unit weights.
+BUILDERS = (padded_build, DenseMean.build)
+
+
+def unit_and_weighted(w):
+    """(build, weights) pairs: each shape on unit weights, and the dense
+    block, the one weighted mean, on ``w``."""
+    ones = np.ones(len(w))
+    return [(build, ones) for build in BUILDERS] + [(DenseMean.build, w)]
 
 
 def finite_difference(f, params, step=1e-5):
@@ -187,11 +201,10 @@ class TestSegmentMean:
 
     def test_weighted_mean(self):
         h = np.array([[2.0], [6.0]])
-        for build in BUILDERS:
-            agg = build(src=[0, 1], dst=[0, 0], weights=[3.0, 1.0], n_in=2,
-                        n_out=1)
-            assert agg.apply(h)[0, 0] == pytest.approx((3 * 2 + 1 * 6) / 4,
-                                                       abs=1e-15)
+        agg = DenseMean.build(src=[0, 1], dst=[0, 0], weights=[3.0, 1.0],
+                              n_in=2, n_out=1)
+        assert agg.apply(h)[0, 0] == pytest.approx((3 * 2 + 1 * 6) / 4,
+                                                   abs=1e-15)
 
     def test_matches_dense_normalized_adjacency(self):
         # Oracle: dense row-normalized weighted adjacency matrix product,
@@ -200,16 +213,16 @@ class TestSegmentMean:
         n_in, n_out, d, m = 7, 5, 3, 20
         src = rng.integers(0, n_in, size=m)
         dst = rng.integers(0, n_out, size=m)
-        w = rng.uniform(0.1, 2.0, size=m)
+        weights = rng.uniform(0.1, 2.0, size=m)
         h = rng.normal(size=(n_in, d))
         g = rng.normal(size=(n_out, d))
-        dense = np.zeros((n_out, n_in))
-        for s_, t, wi in zip(src, dst, w):
-            dense[t, s_] += wi
-        row_sums = dense.sum(axis=1, keepdims=True)
-        dense = np.divide(dense, row_sums, out=np.zeros_like(dense),
-                          where=row_sums != 0)
-        for build in BUILDERS:
+        for build, w in unit_and_weighted(weights):
+            dense = np.zeros((n_out, n_in))
+            for s_, t, wi in zip(src, dst, w):
+                dense[t, s_] += wi
+            row_sums = dense.sum(axis=1, keepdims=True)
+            dense = np.divide(dense, row_sums, out=np.zeros_like(dense),
+                              where=row_sums != 0)
             agg = build(src, dst, w, n_in=n_in, n_out=n_out)
             assert np.allclose(agg.apply(h), dense @ h, atol=1e-12)
             assert np.allclose(agg.apply_t(g), dense.T @ g, atol=1e-12)
@@ -220,10 +233,10 @@ class TestSegmentMean:
         n, d = 5, 2
         src = np.array([0, 1, 2, 3, 4, 0])
         dst = np.array([1, 1, 3, 3, 3, 4])
-        w = rng.uniform(0.5, 1.5, size=6)
+        weights = rng.uniform(0.5, 1.5, size=6)
         h = rng.normal(size=(n, d))
         target = rng.normal(size=(n, d))
-        for build in BUILDERS:
+        for build, w in unit_and_weighted(weights):
             block = RelationBlock(build(src, dst, w, n_in=n, n_out=n),
                                   slice(0, n), slice(0, n))
 
@@ -245,11 +258,11 @@ class TestSegmentMean:
 
     def test_duplicate_edges_accumulate(self):
         h = np.array([[1.0], [5.0]])
-        for build in BUILDERS:
-            agg = build(src=[0, 0, 1], dst=[0, 0, 0], weights=[1.0, 1.0, 2.0],
+        for build, w in unit_and_weighted(np.array([1.0, 1.0, 2.0])):
+            agg = build(src=[0, 0, 1], dst=[0, 0, 0], weights=w,
                         n_in=2, n_out=1)
-            assert agg.apply(h)[0, 0] == pytest.approx((1 + 1 + 10) / 4,
-                                                       abs=1e-15)
+            want = (w[0] + w[1] + 5 * w[2]) / w.sum()
+            assert agg.apply(h)[0, 0] == pytest.approx(want, abs=1e-15)
 
     def test_empty_plan_gives_zeros(self):
         for build in BUILDERS:
@@ -273,11 +286,11 @@ class TestSegmentMean:
         rng = np.random.default_rng(7)
         src = rng.integers(0, 6, size=15)
         dst = rng.integers(0, 6, size=15)
-        w = rng.uniform(0.1, 1.0, size=15)
+        weights = rng.uniform(0.1, 1.0, size=15)
         h = rng.normal(size=(6, 4))
         g = rng.normal(size=(6, 4))
         perm = rng.permutation(15)
-        for build in BUILDERS:
+        for build, w in unit_and_weighted(weights):
             a = build(src, dst, w, n_in=6, n_out=6)
             b = build(src[perm], dst[perm], w[perm], n_in=6, n_out=6)
             # bit-identical, frozen order
@@ -287,11 +300,10 @@ class TestSegmentMean:
     def test_padded_table_width_is_max_in_degree(self):
         # A 1x4 path: in-degrees 1, 2, 2, 1, so K = 2 and the end rows pad.
         src, dst = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
-        agg = PaddedGather.build(src, dst, np.ones(6), n_in=4, n_out=4)
+        agg = PaddedGather.build(src, dst, n_in=4, n_out=4)
         assert agg.idx.shape == (4, 2) and agg.idx_t.shape == (4, 2)
         assert np.array_equal(agg.idx, [[1, 4], [0, 2], [1, 3], [2, 4]])
-        assert np.array_equal(agg.w, [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5],
-                                      [1.0, 0.0]])
+        assert np.array_equal(agg.inv_deg, [1.0, 0.5, 0.5, 1.0])
 
 
 def reference_stacked_layer(h, relations, self_loop):
@@ -335,6 +347,23 @@ def unchunked_gather_sum(idx, w, x):
     return np.einsum("nk,nkd->nd", w, padded[idx])
 
 
+def slot_weights(agg, dst, n_in, n_out):
+    """The (n_out, K) and (n_in, K_t) per-slot weight tables of a weighted
+    gather on unit weights: 1/deg of the slot's destination row, 0 in a
+    pad slot. The unweighted gather must match them bit for bit."""
+    deg = np.bincount(dst, minlength=n_out).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        inv = np.append(1.0 / deg, 0.0)
+    w = np.where(agg.idx != n_in, inv[:n_out, None], 0.0)
+    return w, inv[agg.idx_t]
+
+
+def with_signed_zeros(rng, shape):
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.2] = -0.0
+    return a
+
+
 class TestChunkedGather:
     @pytest.mark.parametrize("n", [T.GATHER_CHUNK - 1, T.GATHER_CHUNK,
                                    T.GATHER_CHUNK + 1,
@@ -344,14 +373,16 @@ class TestChunkedGather:
         m = 5 * n
         src = rng.integers(0, n, size=m)
         dst = rng.integers(0, n, size=m)
-        agg = PaddedGather.build(src, dst, rng.uniform(0.1, 2.0, size=m),
-                                 n_in=n, n_out=n)
-        x = rng.normal(size=(n, 6))
-        g = rng.normal(size=(n, 6))
-        assert np.array_equal(agg.apply(x),
-                              unchunked_gather_sum(agg.idx, agg.w, x))
-        assert np.array_equal(agg.apply_t(g),
-                              unchunked_gather_sum(agg.idx_t, agg.w_t, g))
+        agg = PaddedGather.build(src, dst, n_in=n, n_out=n)
+        w, w_t = slot_weights(agg, dst, n, n)
+        x = with_signed_zeros(rng, (n, 6))
+        g = with_signed_zeros(rng, (n, 6))
+        assert np.array_equal(agg.apply(x).view(np.uint64),
+                              unchunked_gather_sum(agg.idx, w, x)
+                              .view(np.uint64))
+        assert np.array_equal(agg.apply_t(g).view(np.uint64),
+                              unchunked_gather_sum(agg.idx_t, w_t, g)
+                              .view(np.uint64))
 
 
 class TestRowRestriction:
@@ -364,17 +395,25 @@ class TestRowRestriction:
         m = 5 * n
         src = rng.integers(0, n, size=m)
         dst = rng.integers(0, n - 1, size=m)        # row n-1 has no in-edge
-        agg = PaddedGather.build(src, dst, rng.uniform(0.1, 2.0, size=m),
-                                 n_in=n, n_out=n)
-        x = rng.normal(size=(n, 6))
+        agg = PaddedGather.build(src, dst, n_in=n, n_out=n)
+        w, w_t = slot_weights(agg, dst, n, n)
+        x = with_signed_zeros(rng, (n, 6))
         for keep in (np.array([n - 1]), np.arange(n),
                      np.sort(rng.choice(n, size=n // 3, replace=False))):
             sub = agg.rows(keep)
-            g = rng.normal(size=(keep.size, 6))
+            g = with_signed_zeros(rng, (keep.size, 6))
             g_full = np.zeros((n, 6))
             g_full[keep] = g
-            assert np.array_equal(sub.apply(x), agg.apply(x)[keep])
-            assert np.array_equal(sub.apply_t(g), agg.apply_t(g_full))
+            got = sub.apply(x)
+            assert np.array_equal(got, agg.apply(x)[keep])
+            assert np.array_equal(
+                got.view(np.uint64),
+                unchunked_gather_sum(agg.idx[keep], w[keep], x).view(np.uint64))
+            got = sub.apply_t(g)
+            assert np.array_equal(got, agg.apply_t(g_full))
+            assert np.array_equal(
+                got.view(np.uint64),
+                unchunked_gather_sum(agg.idx_t, w_t, g_full).view(np.uint64))
             assert np.array_equal(sub.has_in_edge, agg.has_in_edge[keep])
 
     def test_dense_rows_slice_the_block(self):

@@ -2,21 +2,25 @@
 
 Both work on sparse (region id, value) samples with distances measured in grid
 units between cell coordinates, the same scale the position features use.
+Samples and targets are integer cells, so every squared distance d2 between
+them is an exact int64; a non-finite or non-integer coordinate, or cells
+spread so far that the selection keys below would overflow int64, raise
+ValueError. A distance is sqrt(d2), taken in float64 only where it is used.
 
 Every call handles all of its targets at once, in blocks of CHUNK targets:
 the samples become coordinate and value arrays once, and each block gets its
-target-by-sample distance rows. The blocks run on a thread pool with one
-worker per usable CPU, since numpy releases the GIL in the distance math,
-the selection and the stacked solve, and each writes its own rows of
+target-by-sample d2 rows. The blocks run on a thread pool with one worker
+per usable CPU, since numpy releases the GIL in the distance math, the
+selection and the stacked solve, and each writes its own rows of
 preallocated outputs. A target's result depends only on its own row, so the
 output is the same bit for bit whatever the worker count, and the memory in
 flight is one block's working set per worker. Each target's k nearest
 samples are the first k in strict (distance, index) order, so a tie at the
-k-th distance goes to the lower sample index. They are selected in O(n) per
-row by tensor.smallest_k (a partition at the k-th distance; the ties at it
-taken lowest index first), then put in that order by a stable argsort of the
-k chosen distances. idw_predict, uk_predict and uk_weights are the
-one-target case of the same code.
+k-th distance goes to the lower sample index. Each d2 and its sample index
+pack into one key d2 * n + index. The keys are unique, so a partition at the
+k-th key selects the k in O(n) per row, a sort of those k puts them in that
+order with no tie left, and divmod unpacks them. idw_predict, uk_predict and
+uk_weights are the one-target case of the same code.
 
 Universal Kriging solves, per target, the standard augmented system over the k
 nearest samples with a first-order drift basis (1, x, y):
@@ -33,19 +37,25 @@ column of Gamma, so its weights are one-hot on the sample, the lowest index
 among samples at that location, as in IDW.
 
 The other targets' systems of a block are stacked and solved by
-np.linalg.solve. LAPACK raises only on an exact zero pivot and may return
-finite, meaningless weights for a singular system, so singularity is decided
-from the geometry instead. With gamma(0) = 0 the exponential variogram is
-strictly conditionally negative definite on distinct points, so a system is
+np.linalg.solve. Gamma is the semivariance of sqrt(d2) over the neighbours'
+pairwise d2. It is read from a table of the semivariance at sqrt(0), ...,
+sqrt(top), top being the block's largest d2, when that table is smaller than
+the block's pairs, and computed pair by pair otherwise: the same bits, with
+memory bounded by the block either way.
+
+LAPACK raises only on an exact zero pivot and may return finite, meaningless
+weights for a singular system, so singularity is decided from the geometry
+instead. With gamma(0) = 0 the exponential variogram is strictly
+conditionally negative definite on distinct points, so a system is
 nonsingular exactly when its k neighbours lie at distinct locations and the
 drift (1, x, y) has full rank (Cressie, Statistics for Spatial Data, 1993,
 section 3.4). A system is flagged when two neighbours share a location (an
-off-diagonal zero distance) or all lie on one line (every offset from the
-first has a zero cross product with the offset of largest L1 norm; k <= 2 is
-always a line). Both tests are exact on integer cell coordinates, and the
-line test is O(k). A flagged system, or a non-finite solution, falls back to
-IDW (default power and k) for that target alone; callers can count these
-through the on_fallback hook.
+off-diagonal d2 of 0) or all lie on one line (every offset from the first
+has a zero cross product with the offset of largest L1 norm; k <= 2 is
+always a line). Both tests are exact int64 arithmetic, and the line test is
+O(k). A flagged system, or a non-finite solution, falls back to IDW (default
+power and k) for that target alone; callers can count these through the
+on_fallback hook.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geodata import Region
-from .tensor import NumericError, smallest_k
+from .tensor import NumericError
 
 Sample = tuple[Region, float]
 
@@ -76,42 +86,71 @@ VARIOGRAM_BINS = 12
 CHUNK = 32
 
 
+def _cells(points, what: str) -> np.ndarray:
+    """Grid cells as an (n, 2) int64 array. Every coordinate must be a finite
+    integer, since all distance work below is exact integer arithmetic."""
+    arr = np.array(points)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{what} cells must be (x, y) pairs")
+    if arr.dtype.kind == "f":
+        ok = (np.isfinite(arr) & (arr == np.trunc(arr))
+              & (np.abs(arr) < 2.0 ** 63)).all()
+    else:
+        ok = arr.dtype.kind in "biu" and (arr <= np.iinfo(np.int64).max).all()
+    if not ok:
+        raise ValueError(f"{what} coordinates must be finite integers")
+    return arr.astype(np.int64)
+
+
+def _check_span(cells: np.ndarray, n: int) -> None:
+    """Reject cells whose largest squared distance d2, packed with a sample
+    index into the key d2 * n + index, would overflow int64. That bound
+    covers every other integer product taken from these cells."""
+    (x0, y0), (x1, y1) = cells.min(axis=0).tolist(), cells.max(axis=0).tolist()
+    if ((x1 - x0) ** 2 + (y1 - y0) ** 2 + 1) * n > 2 ** 63:
+        raise ValueError("cells span too far for exact int64 squared distances")
+
+
 def _sample_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     if not samples:
         raise ValueError("no samples")
-    coords = np.array([region for region, _ in samples], dtype=np.float64)
+    coords = _cells([region for region, _ in samples], "sample")
+    _check_span(coords, len(coords))
     values = np.array([v for _, v in samples], dtype=np.float64)
     return coords, values
 
 
-def _target_array(targets: Sequence[Region]) -> np.ndarray:
-    return np.array(targets, dtype=np.float64).reshape(-1, 2)
+def _target_array(targets: Sequence[Region], coords: np.ndarray) -> np.ndarray:
+    t = _cells(targets, "target")
+    _check_span(np.concatenate([coords, t]), len(coords))
+    return t
 
 
-def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between point arrays p and q of shape (..., 2),
-    broadcast against each other."""
-    return np.sqrt((p[..., 0] - q[..., 0]) ** 2 + (p[..., 1] - q[..., 1]) ** 2)
-
-
-def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances along the last axis, in strict
-    (distance, index) order, so a tie at the k-th distance goes to the lower
-    sample index. smallest_k lists the chosen k by index, and a stable sort
-    of their distances keeps equal ones in that order."""
-    idx = smallest_k(dists, k)
-    order = np.argsort(np.take_along_axis(dists, idx, axis=-1), axis=-1,
-                       kind="stable")
-    return np.take_along_axis(idx, order, axis=-1)
+def _check_k(k_neighbors: int) -> None:
+    if not isinstance(k_neighbors, (int, np.integer)) or k_neighbors < 1:
+        raise ValueError(f"k_neighbors must be an integer >= 1, "
+                         f"got {k_neighbors!r}")
 
 
 def _neighbours(coords: np.ndarray, targets: np.ndarray, k: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, sample indices) of each target's k nearest samples, as
-    :func:`_nearest` orders them."""
-    dists = _distances(coords[None, :, :], targets[:, None, :])
-    idx = _nearest(dists, k)
-    return np.take_along_axis(dists, idx, axis=1), idx
+    """(distances, sample indices) of each target's k nearest samples, in
+    strict (distance, index) order, from the keys d2 * n + index."""
+    n = len(coords)
+    keys = targets[:, :1] - coords[:, 0]
+    dy = targets[:, 1:] - coords[:, 1]
+    keys *= keys
+    dy *= dy
+    keys += dy
+    keys *= n
+    keys += np.arange(n)
+    if k < n:
+        keys = np.partition(keys, k - 1, axis=1)[:, :k]
+    keys.sort(axis=1)
+    d2, idx = np.divmod(keys, n)
+    return np.sqrt(d2), idx
 
 
 def _usable_cpus() -> int:
@@ -140,8 +179,7 @@ def _idw(coords: np.ndarray, values: np.ndarray, targets: np.ndarray,
          power: float, k_neighbors: int) -> np.ndarray:
     if not (math.isfinite(power) and power > 0):
         raise ValueError(f"IDW power must be finite and positive, got {power}")
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
+    _check_k(k_neighbors)
     out = np.empty(len(targets))
 
     def block(rows: slice) -> None:
@@ -168,7 +206,8 @@ def idw_predict_batch(samples: Sequence[Sample], targets: Sequence[Region],
     Exact at sample locations (the zero-distance sample wins outright).
     """
     coords, values = _sample_arrays(samples)
-    return _idw(coords, values, _target_array(targets), power, k_neighbors)
+    return _idw(coords, values, _target_array(targets, coords), power,
+                k_neighbors)
 
 
 def idw_predict(samples: Sequence[Sample], target: Region,
@@ -212,6 +251,9 @@ def empirical_variogram(samples: Sequence[Sample],
     rows i at a time over the columns from the block's first row on."""
     coords, values = _sample_arrays(samples)
     n = len(coords)
+    if n < 2:
+        raise ValueError(f"the empirical variogram needs at least 2 samples, "
+                         f"got {n}")
     x, y = coords.T
     dist = np.empty(n * (n - 1) // 2)
     semiv = np.empty_like(dist)
@@ -323,16 +365,26 @@ def _uk_systems(coords: np.ndarray, targets: np.ndarray, near: np.ndarray,
     are the rows of `near`, at distances `dists`, and each system's
     singularity flag under the rule in the module docstring."""
     n = near.shape[1]
-    pts = coords[near]                                  # (m, n, 2)
-    pair = _distances(pts[:, :, None], pts[:, None, :])
+    pts = coords[near]                                  # (m, n, 2) int64
+    x, y = pts[..., 0], pts[..., 1]
+    d2 = x[:, :, None] - x[:, None, :]                  # pairwise squared
+    dy = y[:, :, None] - y[:, None, :]                  # distances, exact
+    d2 *= d2
+    dy *= dy
+    d2 += dy
     offset = pts - pts[:, :1]
     far = np.abs(offset).sum(axis=2).argmax(axis=1)
     f = offset[np.arange(len(pts)), far]                # (m, 2)
     cross = offset[..., 0] * f[:, None, 1] - offset[..., 1] * f[:, None, 0]
-    singular = ((np.count_nonzero(pair == 0.0, axis=(1, 2)) > n)
-                | (cross == 0.0).all(axis=1))
+    singular = ((np.count_nonzero(d2 == 0, axis=(1, 2)) > n)
+                | (cross == 0).all(axis=1))
     a = np.zeros((len(pts), n + 3, n + 3))
-    a[:, :n, :n] = model.semivariance(pair)
+    # Gamma from a table over d2 = 0..top where it is smaller than d2.
+    top = d2.max(initial=0)
+    if top < d2.size:
+        a[:, :n, :n] = model.semivariance(np.sqrt(np.arange(top + 1.0)))[d2]
+    else:
+        a[:, :n, :n] = model.semivariance(np.sqrt(d2))
     a[:, :n, n] = 1.0
     a[:, :n, n + 1:] = pts
     a[:, n, :n] = 1.0
@@ -350,8 +402,7 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
     """Kriging weights, neighbour indices and a solved flag per target."""
     if len(coords) < 4:
         raise ValueError("universal kriging needs at least 4 samples")
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
+    _check_k(k_neighbors)
     n = min(k_neighbors, len(coords))
     lam = np.zeros((len(targets), n))
     idx = np.empty((len(targets), n), dtype=np.intp)
@@ -383,8 +434,8 @@ def uk_weights(samples: Sequence[Sample], target: Region, model: VariogramModel,
     Raises NumericError when the augmented system is singular.
     """
     coords, _ = _sample_arrays(samples)
-    lam, idx, ok = _uk_weights(coords, _target_array([target]), model,
-                               k_neighbors)
+    lam, idx, ok = _uk_weights(coords, _target_array([target], coords),
+                               model, k_neighbors)
     if not ok[0]:
         raise NumericError(f"singular kriging system at {target}")
     return lam[0], idx[0]
@@ -401,7 +452,7 @@ def uk_predict_batch(samples: Sequence[Sample], targets: Sequence[Region],
     instead; on_fallback is called with each such target, in target order.
     """
     coords, values = _sample_arrays(samples)
-    t = _target_array(targets)
+    t = _target_array(targets, coords)
     lam, idx, ok = _uk_weights(coords, t, model, k_neighbors)
     # One dot product per target, the same as lam[i] @ values[idx[i]].
     pred = np.matmul(lam[:, None, :], values[idx][:, :, None])[:, 0, 0]

@@ -471,13 +471,14 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 # ---------------------------------------------------------------------------
-# exact smallest-k selection (kriging neighbours and positive sets)
+# exact smallest-k selection (the most similar peers of positive sets)
 # ---------------------------------------------------------------------------
 
 def smallest_k(a: np.ndarray, k: int) -> np.ndarray:
     """Indices of the first k entries of each row of `a` (shape (..., n)) in
     strict (value, index) order, listed by ascending index; k >= n lists
-    all n.
+    all n. It serves float values, such as the negated similarities of
+    positive sets; the baselines select neighbours on integer keys instead.
 
     A selection, O(n) per row: argpartition finds the k-th smallest value
     and everything at or below it is chosen. In the rows where that is more

@@ -1,16 +1,19 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from geohg import baselines
-from geohg.baselines import (CHUNK, VARIOGRAM_BINS, VariogramModel, _distances,
-                             _nearest, _uk_systems, empirical_variogram,
-                             fit_variogram, idw_predict, idw_predict_batch,
-                             uk_predict, uk_predict_batch, uk_weights)
+from geohg.baselines import (CHUNK, IDW_K, IDW_POWER, VARIOGRAM_BINS,
+                             VariogramModel, _neighbours, _uk_systems,
+                             _uk_weights, empirical_variogram, fit_variogram,
+                             idw_predict, idw_predict_batch, uk_predict,
+                             uk_predict_batch, uk_weights)
+from geohg.tensor import smallest_k
 
 
 def grid_samples(values_fn, n_cols=10, n_rows=10):
@@ -95,27 +98,35 @@ class TestIdw:
             idw_predict([], (0, 0))
 
 
+def float_distances(p, q):
+    """Euclidean distances between integer point arrays p and q of shape
+    (..., 2), broadcast, computed in float64."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return np.sqrt((p[..., 0] - q[..., 0]) ** 2 + (p[..., 1] - q[..., 1]) ** 2)
+
+
+def shuffled_lattice(rng):
+    # Shuffled 12x12 integer lattice: distances from a lattice point repeat
+    # four and eight times, so most k-th slots are ties.
+    return np.array([(x, y) for y in range(12)
+                     for x in range(12)])[rng.permutation(144)]
+
+
 class TestNearest:
     """Neighbour selection in strict (distance, index) order."""
-
-    @staticmethod
-    def lattice_dists(seed):
-        # Shuffled integer lattice: distances from a lattice point repeat
-        # four and eight times, so most k-th slots are ties.
-        rng = np.random.default_rng(seed)
-        pts = np.array([(x, y) for y in range(12) for x in range(12)],
-                       dtype=np.float64)[rng.permutation(144)]
-        target = rng.integers(0, 12, size=2).astype(np.float64)
-        return np.sqrt(((pts - target) ** 2).sum(axis=1))
 
     def test_matches_full_sort_on_tie_heavy_lattice(self):
         n_tied = 0
         for seed in range(20):
-            dists = self.lattice_dists(seed)
+            rng = np.random.default_rng(seed)
+            pts = shuffled_lattice(rng)
+            target = rng.integers(0, 12, size=(1, 2))
+            dists = float_distances(pts, target)
             order = np.lexsort((np.arange(dists.size), dists))
             for k in (1, 4, 5, 8, 9, 16, 64, 143, 144, 200):
-                got = _nearest(dists, k)
-                assert np.array_equal(got, order[:k]), (seed, k)
+                got_d, got = _neighbours(pts, target, k)
+                assert np.array_equal(got[0], order[:k]), (seed, k)
+                assert np.array_equal(got_d[0], dists[order[:k]]), (seed, k)
                 n_tied += k < dists.size and \
                     dists[order[k - 1]] == dists[order[k]]
         assert n_tied > 50   # the lattice really exercises the tie rule
@@ -124,17 +135,17 @@ class TestNearest:
         # One 2-D block of CHUNK targets on the shuffled lattice, as a
         # chunk reaches the selection, at the edges of k.
         rng = np.random.default_rng(21)
-        pts = np.array([(x, y) for y in range(12) for x in range(12)],
-                       dtype=np.float64)[rng.permutation(144)]
-        targets = rng.integers(-2, 14, size=(CHUNK, 2)).astype(np.float64)
-        dists = _distances(pts[None, :, :], targets[:, None, :])
+        pts = shuffled_lattice(rng)
+        targets = rng.integers(-2, 14, size=(CHUNK, 2))
+        dists = float_distances(pts[None, :, :], targets[:, None, :])
         n = len(pts)
         for k in (1, n - 1, n, n + 1):
-            got = _nearest(dists, k)
-            assert got.shape == (CHUNK, min(k, n))
-            for row, d in zip(got, dists):
-                assert np.array_equal(
-                    row, np.lexsort((np.arange(n), d))[:k]), k
+            got_d, got = _neighbours(pts, targets, k)
+            assert got.shape == got_d.shape == (CHUNK, min(k, n))
+            for row, row_d, d in zip(got, got_d, dists):
+                order = np.lexsort((np.arange(n), d))[:k]
+                assert np.array_equal(row, order), k
+                assert np.array_equal(row_d, d[order]), k
 
     def test_idw_prediction_uses_lower_index_on_tie(self):
         # Four samples at distance 1; with k=2 the first two in list order win.
@@ -397,14 +408,11 @@ class TestUniversalKriging:
         # one-hot.
         samples = random_samples(80, seed=20, span=30)
         model = fit_variogram(samples)
-        coords = np.array([r for r, _ in samples], dtype=np.float64)
-        dists = _distances(coords[None, :, :], coords[:, None, :])
+        coords = np.array([r for r, _ in samples])
         for k in (8, 30):
-            near = _nearest(dists, k)
+            dists, near = _neighbours(coords, coords, k)
             assert np.array_equal(near[:, 0], np.arange(len(samples)))
-            a, b, singular = _uk_systems(
-                coords, coords, near, np.take_along_axis(dists, near, axis=1),
-                model)
+            a, b, singular = _uk_systems(coords, coords, near, dists, model)
             assert not singular.any()
             sol = np.linalg.solve(a, b[..., None])[..., 0]
             one_hot = np.zeros((len(samples), k))
@@ -442,7 +450,7 @@ class TestUniversalKriging:
         model = VariogramModel(nugget=0.1, sill=1.0, effective_range=5.0)
         m = 300
         for k in range(1, 9):
-            pts = rng.integers(0, 5, size=(m, k, 2)).astype(np.float64)
+            pts = rng.integers(0, 5, size=(m, k, 2))
             steps = rng.integers(-2, 3, size=(m, 1, 2))
             line = pts[:, :1] + rng.integers(-3, 4, size=(m, k, 1)) * steps
             pts[::3] = line[::3]
@@ -450,7 +458,7 @@ class TestUniversalKriging:
             targets = rng.integers(0, 5, size=(m, 2)) + 0.5
             a, _, singular = _uk_systems(
                 pts.reshape(-1, 2), targets, np.arange(m * k).reshape(m, k),
-                _distances(pts, targets[:, None, :]), model)
+                float_distances(pts, targets[:, None, :]), model)
             rank = np.linalg.matrix_rank(a)
             assert np.array_equal(singular, rank < k + 3), k
             assert singular.all() if k <= 2 else 0 < singular.sum() < m
@@ -708,3 +716,213 @@ class TestBatched:
         samples = random_samples(20, seed=17)
         with pytest.raises(ValueError, match="k_neighbors"):
             uk_predict_batch(samples, [(1, 1)], fit_variogram(samples), 0)
+
+
+def float_neighbours(coords, targets, k):
+    """The float selection the integer keys replaced: float64 distances,
+    tensor.smallest_k, then a stable sort of the k chosen distances."""
+    dists = float_distances(coords[None, :, :], targets[:, None, :])
+    idx = smallest_k(dists, k)
+    order = np.argsort(np.take_along_axis(dists, idx, axis=1), axis=1,
+                       kind="stable")
+    idx = np.take_along_axis(idx, order, axis=1)
+    return np.take_along_axis(dists, idx, axis=1), idx
+
+
+def float_idw(coords, values, targets, power, k):
+    dists, idx = float_neighbours(coords, targets, k)
+    near = values[idx]
+    pred = near[:, 0].copy()
+    miss = dists[:, 0] != 0.0
+    d = dists[miss]
+    w = (d / d[:, :1]) ** -power
+    pred[miss] = (w * near[miss]).sum(axis=1) / w.sum(axis=1)
+    return pred
+
+
+def float_uk_weights(coords, targets, model, k):
+    """Kriging weights, indices and solved flags with Gamma and the
+    singularity tests taken on float64 pair distances."""
+    dists, near = float_neighbours(coords, targets, k)
+    n = near.shape[1]
+    lam = np.zeros((len(targets), n))
+    ok = np.ones(len(targets), dtype=bool)
+    at = dists[:, 0] == 0.0
+    lam[at, 0] = 1.0
+    off = np.flatnonzero(~at)
+    pts = coords[near[off]].astype(np.float64)
+    pair = float_distances(pts[:, :, None], pts[:, None, :])
+    offset = pts - pts[:, :1]
+    far = np.abs(offset).sum(axis=2).argmax(axis=1)
+    f = offset[np.arange(len(pts)), far]
+    cross = offset[..., 0] * f[:, None, 1] - offset[..., 1] * f[:, None, 0]
+    singular = ((np.count_nonzero(pair == 0.0, axis=(1, 2)) > n)
+                | (cross == 0.0).all(axis=1))
+    a = np.zeros((len(pts), n + 3, n + 3))
+    a[:, :n, :n] = model.semivariance(pair)
+    a[:, :n, n] = 1.0
+    a[:, :n, n + 1:] = pts
+    a[:, n, :n] = 1.0
+    a[:, n + 1:, :n] = pts.transpose(0, 2, 1)
+    b = np.empty((len(pts), n + 3))
+    b[:, :n] = model.semivariance(dists[off])
+    b[:, n] = 1.0
+    b[:, n + 1:] = targets[off]
+    solved = off[~singular]
+    sol = np.linalg.solve(a[~singular], b[~singular, :, None])[..., 0]
+    ok[off[singular]] = False
+    ok[solved] = np.isfinite(sol).all(axis=1)
+    lam[solved] = sol[:, :n]
+    return lam, near, ok
+
+
+class TestFloatFormulation:
+    """The integer squared distances against a copy of the float64
+    formulation they replaced: every prediction, weight, index and
+    fallback the same bit for bit."""
+
+    @staticmethod
+    def worlds():
+        # The shuffled lattice, where most k-th slots are ties, a random
+        # world and a sparse one; targets cover each and beyond, with
+        # every sample location among them.
+        rng = np.random.default_rng(28)
+        lattice = [((int(x), int(y)), float(rng.normal()))
+                   for x, y in shuffled_lattice(rng)]
+        for samples, span in ((lattice, 12), (random_samples(90, 29, 30), 30),
+                              (random_samples(70, 30, 400), 400)):
+            step = max(1, span // 24)
+            grid = [(x, y) for y in range(-3, span + 3, step)
+                    for x in range(-3, span + 3, step)]
+            targets = [r for r, _ in samples[:40]] + [
+                grid[i] for i in rng.permutation(len(grid))[:100]]
+            yield samples, targets
+
+    def test_predictions_weights_and_fallbacks_match(self, monkeypatch):
+        n_fallbacks = 0
+        for samples, targets in self.worlds():
+            coords = np.array([r for r, _ in samples])
+            values = np.array([v for _, v in samples])
+            t = np.array(targets)
+            model = fit_variogram(samples)
+            for k in (1, 3, 16, 64, len(samples)):
+                want_idw = float_idw(coords, values, t, IDW_POWER, k)
+                lam, idx, ok = float_uk_weights(coords, t, model, k)
+                want_uk = np.matmul(lam[:, None, :],
+                                    values[idx][:, :, None])[:, 0, 0]
+                failed = np.flatnonzero(~ok)
+                want_uk[failed] = float_idw(coords, values, t[failed],
+                                            IDW_POWER, IDW_K)
+                n_fallbacks += failed.size
+                for workers in (1, 3):
+                    TestBatched.on_workers(monkeypatch, workers)
+                    assert np.array_equal(
+                        idw_predict_batch(samples, targets, IDW_POWER, k),
+                        want_idw), (k, workers)
+                    got = _uk_weights(coords, t, model, k)
+                    for g, w in zip(got, (lam, idx, ok)):
+                        assert np.array_equal(g, w), (k, workers)
+                    calls = []
+                    assert np.array_equal(
+                        uk_predict_batch(samples, targets, model, k,
+                                         on_fallback=calls.append),
+                        want_uk), (k, workers)
+                    assert calls == [targets[i] for i in failed]
+        assert n_fallbacks > 100    # the fallback path is exercised too
+
+
+class TestSemivarianceTable:
+    """Gamma from the per-block table, or directly where the block's
+    largest squared distance outgrows its pairs: the same bits."""
+
+    @staticmethod
+    def systems(monkeypatch, coords, targets, k):
+        # The block's systems, and the shapes semivariance was called on.
+        model = VariogramModel(nugget=0.1, sill=1.3, effective_range=7.0)
+        shapes = []
+        semivariance = VariogramModel.semivariance
+
+        def recorded(self, h):
+            shapes.append(np.shape(h))
+            return semivariance(self, h)
+
+        monkeypatch.setattr(VariogramModel, "semivariance", recorded)
+        dists, near = _neighbours(coords, targets, k)
+        a, _, singular = _uk_systems(coords, targets, near, dists, model)
+        monkeypatch.undo()
+        pts = coords[near]
+        d2 = ((pts[:, :, None] - pts[:, None, :]) ** 2).sum(axis=3)
+        want = model.semivariance(np.sqrt(d2))
+        assert np.array_equal(a[:, :k, :k], want)
+        assert not singular.any()
+        return d2, shapes
+
+    def test_dense_block_reads_the_table(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        coords = shuffled_lattice(rng)
+        targets = rng.integers(0, 12, size=(CHUNK, 2)) + [[20, 0]]
+        d2, shapes = self.systems(monkeypatch, coords, targets, 16)
+        assert d2.max() < d2.size
+        assert shapes[0] == (d2.max() + 1,)
+
+    def test_sparse_block_takes_no_table(self, monkeypatch):
+        # Samples about 10^6 cells apart: a table up to the largest squared
+        # distance would hold some 10^12 entries.
+        rng = np.random.default_rng(32)
+        coords = (np.array([(x, y) for y in range(5) for x in range(5)])
+                  * 1_000_000 + rng.integers(-9, 10, size=(25, 2)))
+        targets = coords[:4] + [[500_000, 300_000]]
+        tracemalloc.start()
+        try:
+            d2, shapes = self.systems(monkeypatch, coords, targets, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d2.max() > 10 ** 12
+        assert shapes[0] == d2.shape
+        assert peak < 1 << 20
+
+
+class TestInputChecks:
+    def test_non_finite_or_fractional_cells_rejected(self):
+        samples = [((0, 0), 1.0), ((3, 1), 2.0), ((1, 4), 3.0), ((5, 5), 0.0)]
+        model = VariogramModel(nugget=0.0, sill=1.0, effective_range=5.0)
+        for bad in ((math.nan, 1), (1, math.inf), (0.5, 2), (2, -0.25)):
+            with pytest.raises(ValueError, match="target coordinates"):
+                idw_predict(samples, bad)
+            with pytest.raises(ValueError, match="target coordinates"):
+                uk_predict_batch(samples, [(1, 1), bad], model)
+            with pytest.raises(ValueError, match="sample coordinates"):
+                idw_predict(samples + [(bad, 1.0)], (1, 1))
+            with pytest.raises(ValueError, match="sample coordinates"):
+                empirical_variogram(samples + [(bad, 1.0)])
+        # Integer-valued floats and numpy integers are cells.
+        assert idw_predict(samples, (3.0, np.int64(1))) == 2.0
+
+    def test_span_beyond_int64_keys_rejected(self):
+        # With two samples the key d2 * 2 + index must fit int64, so the
+        # largest squared distance may be 2**62 - 1 at most.
+        samples = [((0, 0), 1.0), ((0, 1), 3.0)]
+        edge = 2 ** 31 - 1                   # d2 = edge**2 + 1 < 2**62
+        assert idw_predict(samples, (edge, 0), k_neighbors=1) == 1.0
+        for bad in ((edge + 1, 0), (-edge - 1, 1), (2 ** 63, 2 ** 63),
+                    (2 ** 70, 0)):
+            with pytest.raises(ValueError):
+                idw_predict(samples, bad)
+        with pytest.raises(ValueError, match="span"):
+            empirical_variogram([((0, 0), 1.0), ((2 ** 31, 2 ** 31), 2.0)])
+
+    def test_non_integer_k_rejected(self):
+        samples = random_samples(20, seed=33)
+        model = fit_variogram(samples)
+        for k in (1.5, 2.0, "4"):
+            with pytest.raises(ValueError, match="k_neighbors"):
+                idw_predict_batch(samples, [(1, 1)], 2.0, k)
+            with pytest.raises(ValueError, match="k_neighbors"):
+                uk_predict_batch(samples, [(1, 1)], model, k)
+        assert idw_predict(samples, (1, 1), k_neighbors=np.int64(3)) == \
+            idw_predict(samples, (1, 1), k_neighbors=3)
+
+    def test_one_sample_variogram_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            empirical_variogram([((0, 0), 1.0)])

@@ -7,20 +7,21 @@ them is an exact int64; a non-finite or non-integer coordinate, or cells
 spread so far that the selection keys below would overflow int64, raise
 ValueError. A distance is sqrt(d2), taken in float64 only where it is used.
 
-Every call handles all of its targets at once, in blocks of CHUNK targets:
-the samples become coordinate and value arrays once, and each block gets its
-target-by-sample d2 rows. The blocks run on a thread pool with one worker
-per usable CPU, since numpy releases the GIL in the distance math, the
-selection and the stacked solve, and each writes its own rows of
-preallocated outputs. A target's result depends only on its own row, so the
-output is the same bit for bit whatever the worker count, and the memory in
-flight is one block's working set per worker. Each target's k nearest
-samples are the first k in strict (distance, index) order, so a tie at the
-k-th distance goes to the lower sample index. Each d2 and its sample index
-pack into one key d2 * n + index. The keys are unique, so a partition at the
-k-th key selects the k in O(n) per row, a sort of those k puts them in that
-order with no tie left, and divmod unpacks them. idw_predict, uk_predict and
-uk_weights are the one-target case of the same code.
+Every call handles all of its targets at once, in blocks of IDW_CHUNK
+targets for IDW and CHUNK for kriging: the samples become coordinate and
+value arrays once, and each block gets its target-by-sample d2 rows. The
+blocks run on a thread pool with one worker per usable CPU, since numpy
+releases the GIL in the distance math, the selection and the stacked solve,
+and each writes its own rows of preallocated outputs. A target's result
+depends only on its own row, so the output is the same bit for bit whatever
+the worker count, and the memory in flight is one block's working set per
+worker. Each target's k nearest samples are the first k in strict (distance,
+index) order, so a tie at the k-th distance goes to the lower sample index.
+Each d2 and its sample index pack into one key d2 * n + index. The keys are
+unique, so a partition at the k-th key selects the k in O(n) per row, a sort
+of those k puts them in that order with no tie left, and divmod unpacks
+them. idw_predict, uk_predict and uk_weights are the one-target case of the
+same code.
 
 Universal Kriging solves, per target, the standard augmented system over the k
 nearest samples with a first-order drift basis (1, x, y):
@@ -36,26 +37,34 @@ distance exactly 0) needs no solve: gamma(0) = 0 makes gamma0 that sample's
 column of Gamma, so its weights are one-hot on the sample, the lowest index
 among samples at that location, as in IDW.
 
-The other targets' systems of a block are stacked and solved by
-np.linalg.solve. Gamma is the semivariance of sqrt(d2) over the neighbours'
-pairwise d2. It is read from a table of the semivariance at sqrt(0), ...,
-sqrt(top), top being the block's largest d2, when that table is smaller than
-the block's pairs, and computed pair by pair otherwise: the same bits, with
-memory bounded by the block either way.
-
-LAPACK raises only on an exact zero pivot and may return finite, meaningless
-weights for a singular system, so singularity is decided from the geometry
-instead. With gamma(0) = 0 the exponential variogram is strictly
-conditionally negative definite on distinct points, so a system is
+The other targets' systems of a block are classified from their geometry
+before any is built, and only the regular ones are built and solved, stacked,
+by np.linalg.solve. LAPACK raises only on an exact zero pivot and may return
+finite, meaningless weights for a singular system, so singularity is decided
+from the geometry instead. With gamma(0) = 0 the exponential variogram is
+strictly conditionally negative definite on distinct points, so a system is
 nonsingular exactly when its k neighbours lie at distinct locations and the
 drift (1, x, y) has full rank (Cressie, Statistics for Spatial Data, 1993,
-section 3.4). A system is flagged when two neighbours share a location (an
-off-diagonal d2 of 0) or all lie on one line (every offset from the first
-has a zero cross product with the offset of largest L1 norm; k <= 2 is
-always a line). Both tests are exact int64 arithmetic, and the line test is
-O(k). A flagged system, or a non-finite solution, falls back to IDW (default
-power and k) for that target alone; callers can count these through the
-on_fallback hook.
+section 3.4). A system is flagged when all its neighbours lie on one line
+(every offset from the first has a zero cross product with the offset of
+largest L1 norm; k <= 2 is always a line), an exact int64 test in O(k), or
+when two of them share a location, which shows as two equal ids among the
+system's k sorted location ids (computed once per call). A flagged system,
+or a non-finite solution, falls back to IDW (default power and k) for that
+target alone; callers can count these through the on_fallback hook.
+
+Gamma is the semivariance of sqrt(d2) over the neighbours' pairwise int64
+d2. It is read from a table of the semivariance at sqrt(0), ..., sqrt(top),
+top being the largest d2 of the block's systems, when that table is smaller
+than their pairs, and computed pair by pair otherwise: the same bits, with
+memory bounded by the block either way.
+
+The empirical variogram visits the sample pairs i < j in blocks of CHUNK
+rows i, and keeps only a count, a distance sum and a semivariance sum per
+bin, so its memory is one block's pairs whatever the sample count. Each
+pair's bin is read from a table over d2 = 0..top where that table is
+smaller than the first block's pairs, and searched for pair by pair
+otherwise.
 """
 
 from __future__ import annotations
@@ -79,11 +88,19 @@ IDW_POWER = 2.0
 IDW_K = 16
 UK_K = 64
 VARIOGRAM_BINS = 12
-# Targets per block of distance rows and kriging systems, and sample rows
-# per block of variogram pairs. Each worker thread keeps its own malloc
-# arena at the peak of its blocks, so the block size sets the memory per
-# worker: a UK block over 1024 samples peaks at 4.6 MB (18.4 MB at 128).
+# Targets per block of kriging systems, and sample rows per block of
+# variogram pairs. Each worker thread keeps its own malloc arena at the
+# peak of its blocks, so the block size sets the memory per worker: a UK
+# block over 1024 samples peaks at 4.3 MB at k = 64 (16.5 MB at k = 128).
 CHUNK = 32
+# Targets per block of IDW distance rows. An IDW block holds little more
+# than its target-by-sample keys, and over 1024 samples a block of 128
+# peaks at 3.0 MB, under a UK block; fewer, longer blocks spend less of
+# their time handing the GIL between workers. That gain needs a second
+# worker. Over the 1024 interp-64 samples on a 2-core Xeon (2 MB of L2 per
+# core), a call took about 65 ms in blocks of 128 against 78 ms in blocks
+# of 32 on two workers, but about 100 ms against 65 ms on one.
+IDW_CHUNK = 128
 
 
 def _cells(points, what: str) -> np.ndarray:
@@ -129,7 +146,9 @@ def _target_array(targets: Sequence[Region], coords: np.ndarray) -> np.ndarray:
 
 
 def _check_k(k_neighbors: int) -> None:
-    if not isinstance(k_neighbors, (int, np.integer)) or k_neighbors < 1:
+    # bool is an int subclass, but True is no neighbour count.
+    if (not isinstance(k_neighbors, (int, np.integer))
+            or isinstance(k_neighbors, bool) or k_neighbors < 1):
         raise ValueError(f"k_neighbors must be an integer >= 1, "
                          f"got {k_neighbors!r}")
 
@@ -160,12 +179,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(block: Callable[[slice], None], n: int) -> None:
-    """Call block on each CHUNK-row slice of range(n), on one worker thread
+def _run_blocks(block: Callable[[slice], None], n: int, size: int) -> None:
+    """Call block on each size-row slice of range(n), on one worker thread
     per usable CPU. The blocks must write disjoint rows. Each runs in a copy
     of the caller's context, so numpy's error state holds there too; the
     first exception is raised here, and every thread is joined on return."""
-    blocks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
+    blocks = [slice(lo, lo + size) for lo in range(0, n, size)]
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
         list(map(block, blocks))
@@ -194,7 +213,7 @@ def _idw(coords: np.ndarray, values: np.ndarray, targets: np.ndarray,
         pred[miss] = (w * near[miss]).sum(axis=1) / w.sum(axis=1)
         out[rows] = pred
 
-    _run_blocks(block, len(targets))
+    _run_blocks(block, len(targets), IDW_CHUNK)
     return out
 
 
@@ -247,37 +266,58 @@ class VariogramModel:
 def empirical_variogram(samples: Sequence[Sample],
                         n_bins: int = VARIOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Binned (mean distance, mean semivariance) pairs up to half the max
-    distance. The pairs i < j are built in row-major (triu) order, CHUNK
-    rows i at a time over the columns from the block's first row on."""
+    distance, over the non-empty bins in distance order.
+
+    The cutoff's edges split (0, sqrt(top) / 2], top being the largest
+    pairwise d2, into n_bins bins (edges[b], edges[b + 1]]; a pair at
+    distance sqrt(d2) is tested against them, so it lands in the lower bin
+    at an edge, and pairs at distance 0 or beyond the cutoff in none. The
+    pairs i < j come CHUNK rows i at a time, over the columns from the
+    block's first row on, in two passes: one for top, and one adding each
+    pair's count, distance and semivariance 0.5 * (v_i - v_j)**2 to its
+    bin's sums. So no pair array outlives its block, and the table of each
+    d2's bin is only taken where it is smaller than a block.
+    """
     coords, values = _sample_arrays(samples)
     n = len(coords)
     if n < 2:
         raise ValueError(f"the empirical variogram needs at least 2 samples, "
                          f"got {n}")
     x, y = coords.T
-    dist = np.empty(n * (n - 1) // 2)
-    semiv = np.empty_like(dist)
-    at = 0
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]
-        end = at + np.count_nonzero(upper)
-        dist[at:end] = np.sqrt((x[lo:hi, None] - x[None, lo:]) ** 2
-                               + (y[lo:hi, None] - y[None, lo:]) ** 2)[upper]
-        semiv[at:end] = (0.5 * (values[lo:hi, None]
-                                - values[None, lo:]) ** 2)[upper]
-        at = end
-    cutoff = dist.max() / 2.0
-    if cutoff <= 0:
+
+    def blocks():
+        # Each block's int64 d2, with the pairs j <= i set to 0.
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            d2 = (x[lo:hi, None] - x[lo:]) ** 2
+            d2 += (y[lo:hi, None] - y[lo:]) ** 2
+            d2[:, :hi - lo] = np.triu(d2[:, :hi - lo], 1)
+            yield lo, hi, d2
+
+    top = max(int(d2.max()) for _, _, d2 in blocks())
+    if top == 0:
         raise ValueError("all samples at one location")
-    edges = np.linspace(0.0, cutoff, n_bins + 1)
-    hs, gammas = [], []
-    for b in range(n_bins):
-        in_bin = (dist > edges[b]) & (dist <= edges[b + 1])
-        if in_bin.any():
-            hs.append(dist[in_bin].mean())
-            gammas.append(semiv[in_bin].mean())
-    return np.array(hs), np.array(gammas)
+    edges = np.linspace(0.0, math.sqrt(top) / 2.0, n_bins + 1)
+    # A pair's bin is searchsorted(edges, sqrt(d2)): bin b + 1 of the sums
+    # is (edges[b], edges[b + 1]], bin 0 holds distance 0 and bin n_bins + 1
+    # what lies beyond the cutoff. It is read from a table over d2 = 0..top
+    # where that table is smaller than the first block's pairs.
+    table = None
+    if top < min(CHUNK, n) * n:
+        table = np.searchsorted(edges, np.sqrt(np.arange(top + 1.0)))
+    count = np.zeros(n_bins + 2, dtype=np.int64)
+    h_sum = np.zeros(n_bins + 2)
+    g_sum = np.zeros(n_bins + 2)
+    for lo, hi, d2 in blocks():
+        dist = np.sqrt(d2).ravel()
+        bins = (np.searchsorted(edges, dist) if table is None
+                else table[d2.ravel()])
+        semiv = 0.5 * (values[lo:hi, None] - values[lo:]) ** 2
+        count += np.bincount(bins, minlength=n_bins + 2)
+        h_sum += np.bincount(bins, dist, minlength=n_bins + 2)
+        g_sum += np.bincount(bins, semiv.ravel(), minlength=n_bins + 2)
+    hit = np.flatnonzero(count[1:-1]) + 1
+    return h_sum[hit] / count[hit], g_sum[hit] / count[hit]
 
 
 def _gauss_newton(h: np.ndarray, gamma: np.ndarray,
@@ -358,42 +398,52 @@ def fit_variogram(samples: Sequence[Sample],
                           effective_range=float(best_p[2]))
 
 
-def _uk_systems(coords: np.ndarray, targets: np.ndarray, near: np.ndarray,
-                dists: np.ndarray, model: VariogramModel
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacked augmented systems (a, b) of targets whose nearest samples
-    are the rows of `near`, at distances `dists`, and each system's
-    singularity flag under the rule in the module docstring."""
-    n = near.shape[1]
-    pts = coords[near]                                  # (m, n, 2) int64
+def _location_ids(coords: np.ndarray) -> np.ndarray:
+    """Each sample's location id, shared by the samples at one cell."""
+    return np.unique(coords, axis=0, return_inverse=True)[1]
+
+
+def _singular(pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each system's singularity flag under the rule in the module
+    docstring, from its neighbours' cells pts (m, k, 2) and their location
+    ids (m, k)."""
+    offset = pts - pts[:, :1]
+    far = np.abs(offset).sum(axis=2).argmax(axis=1)
+    f = offset[np.arange(len(pts)), far]                # (m, 2)
+    cross = offset[..., 0] * f[:, None, 1] - offset[..., 1] * f[:, None, 0]
+    ids = np.sort(ids, axis=1)
+    return (cross == 0).all(axis=1) | (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+
+
+def _uk_systems(pts: np.ndarray, targets: np.ndarray, dists: np.ndarray,
+                model: VariogramModel) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked augmented systems a (m, k+3, k+3) and right-hand sides
+    b (m, k+3, 1) of targets whose nearest samples lie at the cells pts
+    (m, k, 2), at distances dists (m, k)."""
+    m, k = pts.shape[:2]
     x, y = pts[..., 0], pts[..., 1]
     d2 = x[:, :, None] - x[:, None, :]                  # pairwise squared
     dy = y[:, :, None] - y[:, None, :]                  # distances, exact
     d2 *= d2
     dy *= dy
     d2 += dy
-    offset = pts - pts[:, :1]
-    far = np.abs(offset).sum(axis=2).argmax(axis=1)
-    f = offset[np.arange(len(pts)), far]                # (m, 2)
-    cross = offset[..., 0] * f[:, None, 1] - offset[..., 1] * f[:, None, 0]
-    singular = ((np.count_nonzero(d2 == 0, axis=(1, 2)) > n)
-                | (cross == 0).all(axis=1))
-    a = np.zeros((len(pts), n + 3, n + 3))
+    a = np.empty((m, k + 3, k + 3))
     # Gamma from a table over d2 = 0..top where it is smaller than d2.
     top = d2.max(initial=0)
     if top < d2.size:
-        a[:, :n, :n] = model.semivariance(np.sqrt(np.arange(top + 1.0)))[d2]
+        a[:, :k, :k] = model.semivariance(np.sqrt(np.arange(top + 1.0)))[d2]
     else:
-        a[:, :n, :n] = model.semivariance(np.sqrt(d2))
-    a[:, :n, n] = 1.0
-    a[:, :n, n + 1:] = pts
-    a[:, n, :n] = 1.0
-    a[:, n + 1:, :n] = pts.transpose(0, 2, 1)
-    b = np.empty((len(pts), n + 3))
-    b[:, :n] = model.semivariance(dists)
-    b[:, n] = 1.0
-    b[:, n + 1:] = targets
-    return a, b, singular
+        a[:, :k, :k] = model.semivariance(np.sqrt(d2))
+    a[:, :k, k] = 1.0
+    a[:, :k, k + 1:] = pts
+    a[:, k, :k] = 1.0
+    a[:, k + 1:, :k] = pts.transpose(0, 2, 1)
+    a[:, k:, k:] = 0.0
+    b = np.empty((m, k + 3, 1))
+    b[:, :k, 0] = model.semivariance(dists)
+    b[:, k, 0] = 1.0
+    b[:, k + 1:, 0] = targets
+    return a, b
 
 
 def _uk_weights(coords: np.ndarray, targets: np.ndarray,
@@ -407,22 +457,26 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
     lam = np.zeros((len(targets), n))
     idx = np.empty((len(targets), n), dtype=np.intp)
     ok = np.ones(len(targets), dtype=bool)
+    ids = _location_ids(coords)
 
     def block(rows: slice) -> None:
         dists, near = _neighbours(coords, targets[rows], k_neighbors)
         idx[rows] = near
         at = dists[:, 0] == 0.0
         lam[rows.start + np.flatnonzero(at), 0] = 1.0   # one-hot at a sample
-        off = rows.start + np.flatnonzero(~at)
-        a, b, singular = _uk_systems(coords, targets[off], near[~at],
-                                     dists[~at], model)
-        solved = off[~singular]
-        sol = np.linalg.solve(a[~singular], b[~singular, :, None])[..., 0]
-        ok[off[singular]] = False
+        off = np.flatnonzero(~at)
+        pts = coords[near[off]]
+        singular = _singular(pts, ids[near[off]])
+        ok[rows.start + off[singular]] = False
+        built = off[~singular]
+        a, b = _uk_systems(pts[~singular], targets[rows][built], dists[built],
+                           model)
+        sol = np.linalg.solve(a, b)[..., 0]
+        solved = rows.start + built
         ok[solved] = np.isfinite(sol).all(axis=1)
         lam[solved] = sol[:, :n]
 
-    _run_blocks(block, len(targets))
+    _run_blocks(block, len(targets), CHUNK)
     return lam, idx, ok
 
 

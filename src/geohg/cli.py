@@ -14,6 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from . import baselines
 from .geodata import (GeoDataError, GridSpec, load_categories, load_gridspec,
                       load_labels, load_landcover, load_pois, save_gridspec,
                       save_labels, save_landcover, save_pois)
@@ -494,9 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--masked-ratio", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--power", type=float, default=2.0, help="IDW exponent")
-    p.add_argument("--idw-k", type=int, default=16)
-    p.add_argument("--uk-k", type=int, default=64)
+    p.add_argument("--power", type=float, default=baselines.IDW_POWER,
+                   help="IDW exponent")
+    p.add_argument("--idw-k", type=int, default=baselines.IDW_K)
+    p.add_argument("--uk-k", type=int, default=baselines.UK_K)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("eval", help="run the masked-ratio protocol end to end")

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from geohg import baselines
-from geohg.baselines import (CHUNK, IDW_K, IDW_POWER, VARIOGRAM_BINS,
-                             VariogramModel, _neighbours, _uk_systems,
-                             _uk_weights, empirical_variogram, fit_variogram,
-                             idw_predict, idw_predict_batch, uk_predict,
-                             uk_predict_batch, uk_weights)
+from geohg.baselines import (CHUNK, IDW_CHUNK, IDW_K, IDW_POWER,
+                             VARIOGRAM_BINS, VariogramModel, _location_ids,
+                             _neighbours, _singular, _uk_systems, _uk_weights,
+                             empirical_variogram, fit_variogram, idw_predict,
+                             idw_predict_batch, uk_predict, uk_predict_batch,
+                             uk_weights)
 from geohg.tensor import smallest_k
 
 
@@ -227,7 +228,9 @@ class TestEmpiricalVariogram:
         # Two oracles, each giving the pairs i < j in row-major order: the
         # n x n difference tensor cut to the upper triangle afterwards, and
         # the gathers over np.triu_indices. Sizes at the edges of the row
-        # blocks, each but n = 2 with two samples at one location.
+        # blocks, each but n = 2 with two samples at one location. The bin
+        # sums run block by block, so the means may differ from the
+        # oracles' in the last bits, but the non-empty bins are the same.
         for n in (2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 150):
             samples = random_samples(n, seed=13 + n, span=40)
             if n > 2:
@@ -245,8 +248,102 @@ class TestEmpiricalVariogram:
             h, g = empirical_variogram(samples)
             for dist, semiv in (dense, gathered):
                 want_h, want_g = self.binned(dist, semiv)
-                assert np.array_equal(h, want_h), n
-                assert np.array_equal(g, want_g), n
+                assert len(h) == len(want_h) and len(g) == len(want_g), n
+                assert np.allclose(h, want_h, rtol=1e-14, atol=0), n
+                assert np.allclose(g, want_g, rtol=1e-14, atol=0), n
+
+    @staticmethod
+    def searched(monkeypatch, samples, n_bins):
+        # The variogram, and the sizes of the arrays searchsorted bins: the
+        # d2 table's top + 1 entries, or each block's pairs without one.
+        sizes = []
+        searchsorted = np.searchsorted
+
+        def recorded(a, v, *args, **kwargs):
+            sizes.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", recorded)
+        try:
+            return empirical_variogram(samples, n_bins), sizes
+        finally:
+            monkeypatch.undo()
+
+    def test_bin_membership_is_exact(self, monkeypatch):
+        # Samples on one line, the largest distance 8 * scale, so with 4
+        # bins the cutoff is 4 * scale and the edges are exact. A pair at an
+        # edge lands in the lower bin, the cutoff included; pairs at
+        # distance 0 (the first two samples) or beyond the cutoff in none.
+        # Each sample taken `copies` times repeats every pair copies**2
+        # times and leaves every bin mean as it is. With 4 samples the d2
+        # table (65 entries) outgrows the block (16 pairs), so each pair is
+        # searched; with 12 it does not, and the table is read. At scale
+        # 10^6 d2 reaches 6.4e13, and each pair is searched again.
+        for scale, copies, table in ((1, 1, False), (1, 3, True),
+                                     (10 ** 6, 3, False)):
+            def at(cells):
+                return [((x * scale, y * scale), v) for (x, y), v in cells
+                        for _ in range(copies)]
+
+            samples = at([((0, 0), 0.0), ((0, 0), 2.0), ((2, 0), 1.0),
+                          ((8, 0), 5.0)])
+            (h, g), sizes = self.searched(monkeypatch, samples, 4)
+            assert sizes == [65 if table else len(samples) ** 2]
+            # (1, 2]: the pairs at distance 2, semivariance 0.5 each.
+            assert h.tolist() == [2.0 * scale] and g.tolist() == [0.5]
+            samples += at([((4, 0), 3.0)])
+            h, g = empirical_variogram(samples, n_bins=4)
+            # (1, 2] gains (2, 0)-(4, 0); (3, 4] takes the pairs at 4.
+            assert h.tolist() == [2.0 * scale, 4.0 * scale]
+            assert g.tolist() == [(0.5 + 0.5 + 2.0) / 3,
+                                  (4.5 + 0.5 + 2.0) / 3]
+            # (2, 1) adds pairs at 1, in (0, 1], and at sqrt(5), just past
+            # the edge 2, in (2, 3].
+            h, g = empirical_variogram(samples + at([((2, 1), 1.0)]), 4)
+            assert h[[0, 1, 3]].tolist() == [scale, 2.0 * scale, 4.0 * scale]
+            assert h[2] == pytest.approx(math.sqrt(5.0) * scale, rel=1e-15)
+
+    @staticmethod
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            empirical_variogram(samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_one_block_of_pairs(self):
+        # 4096 distinct cells of a 128 x 128 lattice: the 8.4 million pairs
+        # would take 134 MB as distance and semivariance arrays.
+        rng = np.random.default_rng(34)
+        cells = rng.choice(128 * 128, size=4096, replace=False)
+        samples = [((int(c % 128), int(c // 128)), float(v))
+                   for c, v in zip(cells, rng.normal(size=4096))]
+        assert self.peak(samples) < 10 << 20
+
+    def test_memory_does_not_grow_with_the_span(self):
+        # Samples about 10^6 cells apart: nothing is sized by the d2 range.
+        rng = np.random.default_rng(35)
+        cells = (np.array([(x, y) for y in range(5) for x in range(5)])
+                 * 1_000_000 + rng.integers(-9, 10, size=(25, 2)))
+        samples = [((int(x), int(y)), float(v))
+                   for (x, y), v in zip(cells, rng.normal(size=25))]
+        coords = np.array([r for r, _ in samples], dtype=np.float64)
+        values = np.array([v for _, v in samples])
+        iu = np.triu_indices(25, k=1)
+        diff = coords[:, None, :] - coords[None, :, :]
+        want_h, want_g = self.binned(
+            np.sqrt((diff ** 2).sum(axis=2))[iu],
+            (0.5 * (values[:, None] - values[None, :]) ** 2)[iu])
+        h, g = empirical_variogram(samples)
+        assert len(h) == len(want_h) > 1 and h.max() > 10 ** 6
+        assert np.allclose(h, want_h, rtol=1e-14, atol=0)
+        assert np.allclose(g, want_g, rtol=1e-14, atol=0)
+        assert self.peak(samples) < 1 << 20
+
+    def test_all_samples_at_one_location_rejected(self):
+        with pytest.raises(ValueError, match="one location"):
+            empirical_variogram([((3, 4), 1.0), ((3, 4), 2.0), ((3, 4), 0.5)])
 
 
 class TestFitVariogram:
@@ -412,9 +509,10 @@ class TestUniversalKriging:
         for k in (8, 30):
             dists, near = _neighbours(coords, coords, k)
             assert np.array_equal(near[:, 0], np.arange(len(samples)))
-            a, b, singular = _uk_systems(coords, coords, near, dists, model)
-            assert not singular.any()
-            sol = np.linalg.solve(a, b[..., None])[..., 0]
+            assert not _singular(coords[near],
+                                 _location_ids(coords)[near]).any()
+            a, b = _uk_systems(coords[near], coords, dists, model)
+            sol = np.linalg.solve(a, b)[..., 0]
             one_hot = np.zeros((len(samples), k))
             one_hot[:, 0] = 1.0
             assert np.abs(sol[:, :k] - one_hot).max() < 1e-12
@@ -456,9 +554,11 @@ class TestUniversalKriging:
             pts[::3] = line[::3]
             pts[1::5, -1] = pts[1::5, 0]
             targets = rng.integers(0, 5, size=(m, 2)) + 0.5
-            a, _, singular = _uk_systems(
-                pts.reshape(-1, 2), targets, np.arange(m * k).reshape(m, k),
-                float_distances(pts, targets[:, None, :]), model)
+            ids = _location_ids(pts.reshape(-1, 2)).reshape(m, k)
+            singular = _singular(pts, ids)
+            a, _ = _uk_systems(pts, targets,
+                               float_distances(pts, targets[:, None, :]),
+                               model)
             rank = np.linalg.matrix_rank(a)
             assert np.array_equal(singular, rank < k + 3), k
             assert singular.all() if k <= 2 else 0 < singular.sum() < m
@@ -497,7 +597,8 @@ class TestBatched:
     """All targets of a call at once, chunk by chunk, against the one-target
     wrappers: the same predictions, bit for bit."""
 
-    COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
+    COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, IDW_CHUNK - 1, IDW_CHUNK,
+              IDW_CHUNK + 1)
 
     @staticmethod
     def worlds():
@@ -619,6 +720,7 @@ class TestBatched:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(baselines, "CHUNK", 4)
+        monkeypatch.setattr(baselines, "IDW_CHUNK", 4)
         # One worker, so the blocks reach the solve in order.
         monkeypatch.setattr(baselines, "_usable_cpus", lambda: 1)
         got = uk_predict_batch(samples, targets, model, 16)
@@ -627,17 +729,22 @@ class TestBatched:
         assert got[:8].tolist() == [v for _, v in samples[:8]]
 
     @staticmethod
-    def on_workers(monkeypatch, workers):
+    def blocks_of_four(monkeypatch):
+        """Split every IDW and kriging call into blocks of 4 targets."""
+        monkeypatch.setattr(baselines, "CHUNK", 4)
+        monkeypatch.setattr(baselines, "IDW_CHUNK", 4)
+
+    @classmethod
+    def on_workers(cls, monkeypatch, workers):
         """Run the blocks of 4 targets on `workers` threads, and record
         the threads that select neighbours."""
-        monkeypatch.setattr(baselines, "CHUNK", 4)
+        cls.blocks_of_four(monkeypatch)
         monkeypatch.setattr(baselines, "_usable_cpus", lambda: workers)
         threads = set()
-        neighbours = baselines._neighbours
 
         def recorded(*args):
             threads.add(threading.get_ident())
-            return neighbours(*args)
+            return _neighbours(*args)
 
         monkeypatch.setattr(baselines, "_neighbours", recorded)
         return threads
@@ -799,6 +906,7 @@ class TestFloatFormulation:
             yield samples, targets
 
     def test_predictions_weights_and_fallbacks_match(self, monkeypatch):
+        TestBatched.blocks_of_four(monkeypatch)
         n_fallbacks = 0
         for samples, targets in self.worlds():
             coords = np.array([r for r, _ in samples])
@@ -815,7 +923,8 @@ class TestFloatFormulation:
                                             IDW_POWER, IDW_K)
                 n_fallbacks += failed.size
                 for workers in (1, 3):
-                    TestBatched.on_workers(monkeypatch, workers)
+                    monkeypatch.setattr(baselines, "_usable_cpus",
+                                        lambda w=workers: w)
                     assert np.array_equal(
                         idw_predict_batch(samples, targets, IDW_POWER, k),
                         want_idw), (k, workers)
@@ -829,6 +938,78 @@ class TestFloatFormulation:
                         want_uk), (k, workers)
                     assert calls == [targets[i] for i in failed]
         assert n_fallbacks > 100    # the fallback path is exercised too
+
+
+class TestSharedLocations:
+    """The singularity flags from sorted location ids and the line test,
+    against the rule they replace, an off-diagonal zero among a system's
+    pairwise d2, and against the rank of the system itself."""
+
+    MODEL = VariogramModel(nugget=0.3, sill=1.0, effective_range=6.0)
+
+    @staticmethod
+    def oracle(pts):
+        # Two neighbours at one cell, or a drift [1, x, y] of rank below 3.
+        m, k = pts.shape[:2]
+        d2 = ((pts[:, :, None] - pts[:, None, :]) ** 2).sum(axis=3)
+        drift = np.concatenate([np.ones((m, k, 1)), pts], axis=2)
+        return ((np.count_nonzero(d2 == 0, axis=(1, 2)) > k)
+                | (np.linalg.matrix_rank(drift) < 3))
+
+    @staticmethod
+    def worlds():
+        # A random world with one sample per cell, the same world with
+        # samples moved onto others' cells, and a lattice row with a
+        # repeated cell, where every system of k >= 3 lies on a line.
+        rng = np.random.default_rng(37)
+        distinct = random_samples(70, 38, span=24)
+        shared = list(distinct)
+        for i, j in rng.choice(70, size=(6, 2), replace=False):
+            shared[i] = (shared[j][0], shared[i][1])
+        row = [((x, 5), float(x % 3)) for x in range(12)] + [((4, 5), 9.0)]
+        grid = [(x, y) for y in range(-2, 27, 2) for x in range(-2, 27, 2)]
+        targets = [r for r, _ in distinct[:20]] + [
+            grid[i] for i in rng.permutation(len(grid))[:110]]
+        yield distinct, targets, False
+        yield shared, targets, True
+        yield row, [(x, y) for y in (4, 5, 7) for x in range(-1, 14)], True
+
+    def test_flags_match_the_pairwise_rule_and_rank(self, monkeypatch):
+        TestBatched.blocks_of_four(monkeypatch)
+        blocks = {"all": 0, "none": 0}
+        for samples, targets, repeats in self.worlds():
+            coords = np.array([r for r, _ in samples])
+            t = np.array(targets)
+            ids = _location_ids(coords)
+            assert (ids.max() + 1 < len(coords)) == repeats
+            for k in (3, 16, 64, len(samples)):
+                dists, near = _neighbours(coords, t, k)
+                off = np.flatnonzero(dists[:, 0] != 0.0)
+                pts = coords[near[off]]
+                want = self.oracle(pts)
+                assert np.array_equal(_singular(pts, ids[near[off]]), want), k
+                a, _ = _uk_systems(pts, t[off], dists[off], self.MODEL)
+                assert np.array_equal(
+                    np.linalg.matrix_rank(a) < pts.shape[1] + 3, want), k
+                flagged = np.zeros(len(t), dtype=bool)
+                flagged[off] = want
+                for workers in (1, 3):
+                    monkeypatch.setattr(baselines, "_usable_cpus",
+                                        lambda w=workers: w)
+                    _, _, ok = _uk_weights(coords, t, self.MODEL, k)
+                    assert np.array_equal(ok, ~flagged), (k, workers)
+                    calls = []
+                    uk_predict_batch(samples, targets, self.MODEL, k,
+                                     on_fallback=calls.append)
+                    assert calls == [targets[i] for i in
+                                     np.flatnonzero(flagged)], (k, workers)
+                # The blocks of 4 targets that blocks_of_four sets.
+                for lo in range(0, len(t), 4):
+                    mine = want[(off >= lo) & (off < lo + 4)]
+                    if mine.size:
+                        blocks["all"] += mine.all()
+                        blocks["none"] += not mine.any()
+        assert blocks["all"] > 10 and blocks["none"] > 10
 
 
 class TestSemivarianceTable:
@@ -848,13 +1029,13 @@ class TestSemivarianceTable:
 
         monkeypatch.setattr(VariogramModel, "semivariance", recorded)
         dists, near = _neighbours(coords, targets, k)
-        a, _, singular = _uk_systems(coords, targets, near, dists, model)
-        monkeypatch.undo()
         pts = coords[near]
+        a, _ = _uk_systems(pts, targets, dists, model)
+        monkeypatch.undo()
         d2 = ((pts[:, :, None] - pts[:, None, :]) ** 2).sum(axis=3)
         want = model.semivariance(np.sqrt(d2))
         assert np.array_equal(a[:, :k, :k], want)
-        assert not singular.any()
+        assert not _singular(pts, _location_ids(coords)[near]).any()
         return d2, shapes
 
     def test_dense_block_reads_the_table(self, monkeypatch):
@@ -922,6 +1103,16 @@ class TestInputChecks:
                 uk_predict_batch(samples, [(1, 1)], model, k)
         assert idw_predict(samples, (1, 1), k_neighbors=np.int64(3)) == \
             idw_predict(samples, (1, 1), k_neighbors=3)
+
+    def test_bool_k_rejected(self):
+        # bool subclasses int, but True is no neighbour count.
+        samples = random_samples(20, seed=36)
+        model = fit_variogram(samples)
+        for k in (True, False, np.True_):
+            with pytest.raises(ValueError, match="k_neighbors"):
+                idw_predict(samples, (1, 1), k_neighbors=k)
+            with pytest.raises(ValueError, match="k_neighbors"):
+                uk_predict_batch(samples, [(1, 1)], model, k)
 
     def test_one_sample_variogram_rejected(self):
         with pytest.raises(ValueError, match="at least 2 samples"):

@@ -4,10 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from geohg import baselines
 from geohg.cli import (_resolve_model_args, _resolve_ssl, build_parser,
                        dispatch)
 from geohg.geodata import load_gridspec, load_labels, load_landcover, load_pois
-from geohg.evaluation import load_report
+from geohg.evaluation import RunSettings, load_report
 from geohg.features import featurize_all, load_features
 from geohg.hetgraph import build_graph, rnr_edge_count
 from geohg.model import load_checkpoint, load_embeddings, predict_all
@@ -246,6 +247,19 @@ class TestBaseline:
             report = load_report(str(tmp_path / f"report_{method}.txt"))
             assert int(report["n_eval"]) == 50
             assert (tmp_path / f"predictions_{method}.csv").exists()
+
+    def test_defaults_are_the_library_defaults(self, monkeypatch):
+        # The flags take their defaults from geohg.baselines, as RunSettings
+        # does, so the CLI and the API cannot drift apart.
+        argv = ["baseline", "--method", "idw", "--grid", "g", "--labels", "y"]
+        args = build_parser().parse_args(argv)
+        settings = RunSettings()
+        assert (args.power, args.idw_k, args.uk_k) == (
+            settings.idw_power, settings.idw_k, settings.uk_k) == (2.0, 16, 64)
+        for name, value in (("IDW_POWER", 3.5), ("IDW_K", 7), ("UK_K", 9)):
+            monkeypatch.setattr(baselines, name, value)
+        args = build_parser().parse_args(argv)
+        assert (args.power, args.idw_k, args.uk_k) == (3.5, 7, 9)
 
 
 class TestSweep:

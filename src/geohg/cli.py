@@ -48,9 +48,12 @@ DEFAULT_THETA_SOC = 0.9
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list {text!r}")
+    return values
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -265,9 +268,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_and_write(args: argparse.Namespace, method: str,
-                   inputs: ExperimentInputs, settings: RunSettings,
-                   masked_ratio: float, seed: int,
+def _run_and_write(method: str, inputs: ExperimentInputs,
+                   settings: RunSettings, masked_ratio: float, seed: int,
                    report_path: str, predictions_path: str,
                    echo: list[str]):
     result = run_experiment(inputs, method, masked_ratio, seed, settings)
@@ -287,7 +289,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                               "masked_ratio": args.masked_ratio,
                               "seed": args.seed, "power": args.power,
                               "idw_k": args.idw_k, "uk_k": args.uk_k})
-    result = _run_and_write(args, args.method, inputs, settings,
+    result = _run_and_write(args.method, inputs, settings,
                             args.masked_ratio, args.seed,
                             _out_path(args, f"report_{args.method}.txt"),
                             _out_path(args, f"predictions_{args.method}.csv"),
@@ -316,7 +318,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                           "lr": config.lr,
                           "label_transform": config.label_transform,
                           "task": args.task})
-    result = _run_and_write(args, args.method, inputs, settings,
+    result = _run_and_write(args.method, inputs, settings,
                             args.masked_ratio, args.seed,
                             _out_path(args, "report.txt"),
                             _out_path(args, "predictions.csv"), echo)
@@ -346,29 +348,32 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    combos = [(te, ts, m)
+              for te in args.theta_env_list
+              for ts in args.theta_soc_list
+              for m in args.masked_ratio_list]
+    tags = [f"env{te:g}_soc{ts:g}_mask{m:g}" for te, ts, m in combos]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"sweep values repeat output tags: {repeated}")
     grid, lc, pois, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     _, _, config = _resolve_model_args(args)
     ssl = _resolve_ssl(args)
     inputs = ExperimentInputs(grid=grid, lc=lc, pois=pois, labels=labels,
                               n_categories=n_categories)
-    combos = [(te, ts, m)
-              for te in args.theta_env_list
-              for ts in args.theta_soc_list
-              for m in args.masked_ratio_list]
 
     results = []
-    for te, ts, m in combos:
+    for (te, ts, m), tag in zip(combos, tags):
         settings = RunSettings(theta_env=te, theta_soc=ts, hgnn=config,
                                ssl=ssl)
-        tag = f"env{te:g}_soc{ts:g}_mask{m:g}"
         echo = _echo("sweep", {"method": args.method, "theta_env": te,
                                "theta_soc": ts, "masked_ratio": m,
                                "seed": args.seed,
                                "n_layers": config.n_layers,
                                "hidden_dim": config.hidden_dim})
         results.append(_run_and_write(
-            args, args.method, inputs, settings, m, args.seed,
+            args.method, inputs, settings, m, args.seed,
             _out_path(args, f"report_{tag}.txt"),
             _out_path(args, f"predictions_{tag}.csv"), echo))
     summary = _out_path(args, "sweep_summary.csv")

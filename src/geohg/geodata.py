@@ -47,8 +47,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_cols < 1 or self.n_rows < 1:
             raise GeoDataError(f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}")
-        if not (self.cell_km > 0):
-            raise GeoDataError(f"cell_km must be positive, got {self.cell_km}")
+        if not (0 < self.cell_km < math.inf):
+            raise GeoDataError(f"cell_km must be positive and finite, got {self.cell_km}")
         if not (math.isfinite(self.origin_lon) and math.isfinite(self.origin_lat)):
             raise GeoDataError("grid origin must be finite")
 
@@ -114,6 +114,8 @@ class LandCoverGrid:
     n_classes: int = DEFAULT_N_LANDCOVER_CLASSES
 
     def __post_init__(self) -> None:
+        if self.pixels_per_cell < 1:
+            raise GeoDataError(f"pixels per cell must be >= 1, got {self.pixels_per_cell}")
         expect = (self.grid.n_rows * self.pixels_per_cell,
                   self.grid.n_cols * self.pixels_per_cell)
         if self.classes.shape != expect:
@@ -234,7 +236,7 @@ def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
     classes = np.vstack(rows) if rows else np.zeros((0, pixel_cols), dtype=np.int64)
     if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
         raise GeoDataError(f"{path}: class code out of range [0, {n_classes})")
-    if pixel_rows % grid.n_rows or pixel_cols % grid.n_cols:
+    if not pixel_rows or pixel_rows % grid.n_rows or pixel_cols % grid.n_cols:
         raise GeoDataError(
             f"{path}: pixel grid {pixel_rows}x{pixel_cols} does not tile "
             f"{grid.n_rows}x{grid.n_cols} regions")

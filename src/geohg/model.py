@@ -240,9 +240,8 @@ def prepare_graph(graph: HeteroGraph, features: FeatureTable) -> GraphTensors:
     rnr = graph.edges_rnr
     if len(rnr):
         u, v = rank[rnr.endpoints[:, 0]], rank[rnr.endpoints[:, 1]]
-        relations["rnr"] = RelationBlock(
-            PaddedGather.build(np.concatenate([u, v]), np.concatenate([v, u]),
-                               n_in=n, n_out=n), regions, regions)
+        relations["rnr"] = RelationBlock(PaddedGather.build(u, v, n),
+                                         regions, regions)
     for fam, r2e, e2r, lo, n_ent in (
             (graph.edges_elr, "elr_r2e", "elr_e2r", n, graph.n_env),
             (graph.edges_slr, "slr_r2e", "slr_e2r", n + graph.n_env,

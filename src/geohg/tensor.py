@@ -6,8 +6,8 @@ the Adam optimizer. Gradients are accumulated by a topological walk over the
 recorded forward graph; this is deliberately not a general autodiff system.
 
 All data is float64. The layer's mean aggregations come in two shapes: an
-unweighted padded neighbour gather, which keeps only each row's neighbours
-and its 1/in-degree, and a weighted dense block. Each fixes its edge order
+unweighted padded gather over undirected edges, one neighbour table that
+serves both passes, and a weighted dense block. Each fixes its edge order
 at build time, so accumulation order (and therefore the exact
 floating-point result) never depends on traversal or dict order.
 """
@@ -252,26 +252,12 @@ def _normalized_edges(src, dst, weights, n_out: int):
     return src, dst, weights / denom[dst], has_in
 
 
-def _padded_table(rows: np.ndarray, cols: np.ndarray, n_rows: int,
-                  pad: int) -> np.ndarray:
-    """(n_rows, K) column table of edges already sorted by row; K is the
-    largest row count, and short rows hold ``pad`` slots."""
-    counts = np.bincount(rows, minlength=n_rows)
-    width = int(counts.max()) if counts.size else 0
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.full((n_rows, width), pad, dtype=np.int64)
-    idx[rows, slot] = cols
-    return idx
-
-
 GATHER_CHUNK = 256
 
 
-def _gather_sum(idx: np.ndarray, x: np.ndarray,
-                weights: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """out[i] = sum_k w[i, k] * x[idx[i, k]], where index len(x) is a zero
-    row and ``weights(rows)`` gives w on a slice of rows, (rows, K) or
-    (rows, 1) for one weight per row.
+def _gather_sum(idx: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """out[i] = sum_k w[i] * x[idx[i, k]], where index len(x) is a zero row
+    and ``w`` holds one weight per row of ``idx``, shape (rows, 1).
 
     Rows go GATHER_CHUNK at a time, so the (rows, K, d) gather stays one
     chunk tall; each row sums its K slots in the same order either way.
@@ -280,64 +266,64 @@ def _gather_sum(idx: np.ndarray, x: np.ndarray,
     out = np.empty((idx.shape[0], x.shape[1]))
     for lo in range(0, idx.shape[0], GATHER_CHUNK):
         rows = slice(lo, lo + GATHER_CHUNK)
-        out[rows] = np.einsum("nk,nkd->nd", weights(rows),
+        out[rows] = np.einsum("nk,nkd->nd", w[rows],
                               np.take(padded, idx[rows], axis=0))
     return out
 
 
 @dataclass(frozen=True)
 class PaddedGather:
-    """Unweighted mean over a fixed-degree neighbour table (ELLPACK layout),
-    for small uniform in-degrees like the 8-neighbour region grid.
+    """Unweighted mean over an undirected edge list, held as one
+    fixed-degree neighbour table (ELLPACK layout), for small uniform degrees
+    like the 8-neighbour region grid.
 
-    Row i lists its sources sorted by index, which freezes the summation
-    order; ``idx_t`` groups the same edges by source for the backward. No
-    per-edge weight is stored: every slot of row i weighs 1/in-degree(i),
-    so the forward scales row i by ``inv_deg[i]`` and the backward weighs a
-    slot by the ``inv_deg`` of the destination it names.
+    Row i lists its neighbours sorted by index, which freezes the summation
+    order, and every slot of row i weighs 1/degree(i). The relation is
+    symmetric, so the table that gathers the forward also serves the
+    backward: slot j of row i then carries ``inv_deg[j] * g[j]``. A row
+    subset (``rows``) records the kept rows and builds no table.
     """
 
-    idx: np.ndarray          # (n_out, K) source rows; pad slots hold n_in
-    idx_t: np.ndarray        # (n_in, K_t) destination rows; pad slots n_out
-    inv_deg: np.ndarray      # (n_out,) 1 / in-degree, 0 with no in-edge
+    idx: np.ndarray          # (n, K) neighbour rows; pad slots hold n
+    inv_deg: np.ndarray      # (n,) 1 / degree, 0 for an isolated row
+    keep: np.ndarray | slice  # the sorted output rows; slice(None), all
 
     @classmethod
-    def build(cls, src, dst, n_in: int, n_out: int) -> "PaddedGather":
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+    def build(cls, u, v, n: int) -> "PaddedGather":
+        """The mean over the undirected edges (u[e], v[e]) of n rows; each
+        edge is listed once, and both of its ends see the other."""
+        src = np.concatenate([u, v]).astype(np.int64)
+        dst = np.concatenate([v, u]).astype(np.int64)
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
-        deg = np.bincount(dst, minlength=n_out)
-        inv_deg = np.divide(1.0, deg, out=np.zeros(n_out), where=deg > 0)
-        by_src = np.lexsort((dst, src))
-        return cls(_padded_table(dst, src, n_out, pad=n_in),
-                   _padded_table(src[by_src], dst[by_src], n_in, pad=n_out),
-                   inv_deg)
+        deg = np.bincount(dst, minlength=n)
+        width = int(deg.max()) if n else 0
+        slot = np.arange(dst.size) - np.repeat(np.cumsum(deg) - deg, deg)
+        idx = np.full((n, width), n, dtype=np.int64)
+        idx[dst, slot] = src
+        return cls(idx, np.divide(1.0, deg, out=np.zeros(n), where=deg > 0),
+                   slice(None))
 
     @property
     def has_in_edge(self) -> np.ndarray:
-        """(n_out,) 1.0 where a row has an in-edge."""
-        return (self.inv_deg > 0).astype(np.float64)
+        """1.0 on each output row with a neighbour."""
+        return (self.inv_deg[self.keep] > 0).astype(np.float64)
 
     def rows(self, keep: np.ndarray) -> "PaddedGather":
-        """The mean into the sorted output rows ``keep`` alone, which become
-        rows 0..len(keep)-1. The backward table is rebuilt from the kept
-        edges, each source's destinations still in ascending order."""
-        idx = self.idx[keep]
-        n_in = self.idx_t.shape[0]
-        dst, slot = np.nonzero(idx != n_in)
-        src = idx[dst, slot]
-        by_src = np.lexsort((dst, src))
-        idx_t = _padded_table(src[by_src], dst[by_src], n_in, pad=keep.size)
-        return PaddedGather(idx, idx_t, self.inv_deg[keep])
+        """The mean into the sorted rows ``keep`` of the full gather alone,
+        which become output rows 0..len(keep)-1; every row stays a source."""
+        return PaddedGather(self.idx, self.inv_deg, keep)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _gather_sum(self.idx, x, lambda rows: self.inv_deg[rows, None])
+        return _gather_sum(self.idx[self.keep], x,
+                           self.inv_deg[self.keep, None])
 
     def apply_t(self, g: np.ndarray) -> np.ndarray:
-        inv_deg = np.append(self.inv_deg, 0.0)     # pad slots weigh 0
-        return _gather_sum(self.idx_t, g,
-                           lambda rows: inv_deg[self.idx_t[rows]])
+        # A row outside keep adds +0.0 to sums that start from +0.0, so
+        # the bits are those of a table that lists the kept rows alone.
+        y = np.zeros((self.idx.shape[0], g.shape[1]))
+        y[self.keep] = self.inv_deg[self.keep, None] * g
+        return _gather_sum(self.idx, y, np.ones((self.idx.shape[0], 1)))
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,33 @@ class TestSweep:
         assert len(summary) == 3
 
 
+    @pytest.mark.parametrize("flag,values", [
+        ("--theta-env", ""), ("--theta-soc", " , "), ("--masked-ratio", ",")])
+    def test_empty_value_list_exits_2(self, world_dir, tmp_path, capsys,
+                                      flag, values):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "sweep", *world_flags(world_dir),
+                "--labels", str(world_dir / "labels.csv"), "--method", "idw",
+                flag, values)
+        assert exc.value.code == 2
+        assert "empty float list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,tag", [
+        (["--theta-env", "0.6,0.6"], "env0.6_soc0.9_mask0.75"),
+        (["--masked-ratio", "0.5,0.5000001"], "env0.6_soc0.9_mask0.5")])
+    def test_values_sharing_an_output_tag_exit_2(self, world_dir, tmp_path,
+                                                 capsys, flags, tag):
+        # 0.5 and 0.5000001 agree to 6 significant digits, so ":g" names
+        # both runs' files alike.
+        code = run(tmp_path, "sweep", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--method", "idw", *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [sweep]:" in err and tag in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestErrors:
     def test_missing_input_exits_2_with_stage_tag(self, tmp_path, capsys):
         code = run(tmp_path, "featurize", "--grid", str(tmp_path / "no.cfg"),

@@ -134,6 +134,17 @@ class TestLandCover:
         with pytest.raises(GeoDataError):
             load_landcover(str(path), grid)
 
+    def test_zero_pixels_per_cell_rejected(self, tmp_path):
+        # 0 rows of 0 pixels would divide the grid into 0 pixels per cell.
+        path = tmp_path / "lc.txt"
+        path.write_text("LANDCOVER 0 0 11\n")
+        with pytest.raises(GeoDataError, match="does not tile") as err:
+            load_landcover(str(path), make_grid(4, 4))
+        assert str(err.value).startswith(f"{path}: ")
+        with pytest.raises(GeoDataError, match="pixels per cell"):
+            LandCoverGrid(grid=make_grid(4, 4), pixels_per_cell=0,
+                          classes=np.zeros((0, 0), dtype=np.int64))
+
     def test_round_trip(self, tmp_path):
         grid = make_grid(3, 2)
         rng = np.random.default_rng(0)
@@ -272,6 +283,16 @@ class TestGridSpecIo:
         path = tmp_path / "grid.cfg"
         path.write_text("origin_lon = 0.0\norigin_lat = 0.0\nn_cols = 2\n")
         with pytest.raises(GeoDataError, match="missing"):
+            load_gridspec(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_non_positive_or_non_finite_cell_km_rejected(self, tmp_path,
+                                                          value):
+        path = tmp_path / "grid.cfg"
+        path.write_text("origin_lon = 0.0\norigin_lat = 0.0\nn_cols = 2\n"
+                        f"n_rows = 2\ncell_km = {value}\n")
+        with pytest.raises(GeoDataError, match="cell_km must be positive "
+                                               "and finite"):
             load_gridspec(str(path))
 
     def test_repeated_load_identical(self, tmp_path):

@@ -9,21 +9,35 @@ from geohg.tensor import (DenseMean, NumericError, PaddedGather,
                           relational_layer, smallest_k)
 
 
-def padded_build(src, dst, weights, n_in, n_out):
-    """PaddedGather is an unweighted mean, so it takes unit weights only."""
-    assert np.all(np.asarray(weights) == 1.0)
-    return PaddedGather.build(src, dst, n_in=n_in, n_out=n_out)
+def mirrored(u, v):
+    """Both directions of the undirected edges (u[e], v[e])."""
+    u, v = np.asarray(u), np.asarray(v)
+    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
-# Both aggregation shapes must compute the same mean on unit weights.
-BUILDERS = (padded_build, DenseMean.build)
+def undirected_means(u, v, n):
+    """The mean over the undirected edges (u, v) in both aggregation shapes:
+    the padded gather, and the dense block of both directions on unit
+    weights. They must compute the same mean."""
+    src, dst = mirrored(u, v)
+    return (PaddedGather.build(u, v, n),
+            DenseMean.build(src, dst, np.ones(src.size), n_in=n, n_out=n))
 
 
-def unit_and_weighted(w):
-    """(build, weights) pairs: each shape on unit weights, and the dense
-    block, the one weighted mean, on ``w``."""
-    ones = np.ones(len(w))
-    return [(build, ones) for build in BUILDERS] + [(DenseMean.build, w)]
+def symmetric_mean_matrix(u, v, n):
+    """Oracle: the dense row-normalized symmetric adjacency D^-1 A."""
+    a = np.zeros((n, n))
+    np.add.at(a, mirrored(u, v), 1.0)
+    deg = a.sum(axis=1, keepdims=True)
+    return np.divide(a, deg, out=np.zeros_like(a), where=deg != 0)
+
+
+def random_undirected(rng, n, m):
+    """m distinct edges among rows 0..n-2, no self loops; row n-1 is
+    isolated."""
+    iu, iv = np.triu_indices(n - 1, k=1)
+    pick = rng.choice(iu.size, size=m, replace=False)
+    return iu[pick], iv[pick]
 
 
 def finite_difference(f, params, step=1e-5):
@@ -190,14 +204,18 @@ class TestBackward:
 
 
 class TestSegmentMean:
-    """Weighted means per destination, in both aggregation shapes."""
+    """The dense block's weighted directed means, and the padded gather's
+    mean over undirected edges, which the dense block of both directions
+    must match."""
 
     def test_plain_mean_per_destination(self):
         h = np.array([[1.0], [3.0], [10.0]])
-        for build in BUILDERS:
-            agg = build(src=[0, 1, 2], dst=[0, 0, 1], weights=[1.0, 1.0, 1.0],
-                        n_in=3, n_out=3)
-            assert np.array_equal(agg.apply(h), [[2.0], [10.0], [0.0]])
+        agg = DenseMean.build(src=[0, 1, 2], dst=[0, 0, 1],
+                              weights=[1.0, 1.0, 1.0], n_in=3, n_out=3)
+        assert np.array_equal(agg.apply(h), [[2.0], [10.0], [0.0]])
+        h = np.array([[1.0], [3.0], [10.0], [7.0]])
+        for agg in undirected_means(u=[0, 0], v=[1, 2], n=4):
+            assert np.array_equal(agg.apply(h), [[6.5], [1.0], [1.0], [0.0]])
 
     def test_weighted_mean(self):
         h = np.array([[2.0], [6.0]])
@@ -216,16 +234,39 @@ class TestSegmentMean:
         weights = rng.uniform(0.1, 2.0, size=m)
         h = rng.normal(size=(n_in, d))
         g = rng.normal(size=(n_out, d))
-        for build, w in unit_and_weighted(weights):
+        for w in (np.ones(m), weights):
             dense = np.zeros((n_out, n_in))
             for s_, t, wi in zip(src, dst, w):
                 dense[t, s_] += wi
             row_sums = dense.sum(axis=1, keepdims=True)
             dense = np.divide(dense, row_sums, out=np.zeros_like(dense),
                               where=row_sums != 0)
-            agg = build(src, dst, w, n_in=n_in, n_out=n_out)
+            agg = DenseMean.build(src, dst, w, n_in=n_in, n_out=n_out)
             assert np.allclose(agg.apply(h), dense @ h, atol=1e-12)
             assert np.allclose(agg.apply_t(g), dense.T @ g, atol=1e-12)
+
+    def test_padded_apply_matches_symmetric_adjacency(self):
+        rng = np.random.default_rng(8)
+        n = 9
+        u, v = random_undirected(rng, n, 14)
+        x = rng.normal(size=(n, 3))
+        agg = PaddedGather.build(u, v, n)
+        assert np.allclose(agg.apply(x), symmetric_mean_matrix(u, v, n) @ x,
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(agg.apply(x)[n - 1], np.zeros(3))
+
+    def test_padded_apply_t_matches_symmetric_adjacency_transposed(self):
+        # D^-1 A is not symmetric on uneven degrees, so this checks that
+        # each slot carries its own row's 1/degree.
+        rng = np.random.default_rng(9)
+        n = 9
+        u, v = random_undirected(rng, n, 14)
+        g = rng.normal(size=(n, 3))
+        agg = PaddedGather.build(u, v, n)
+        a = symmetric_mean_matrix(u, v, n)
+        assert not np.allclose(a, a.T)
+        assert np.allclose(agg.apply_t(g), a.T @ g, rtol=0, atol=1e-12)
+        assert np.array_equal(agg.apply_t(g)[n - 1], np.zeros(3))
 
     def test_gradient_matches_finite_differences(self):
         # A one-relation layer with identity weight is the bare aggregation.
@@ -236,9 +277,11 @@ class TestSegmentMean:
         weights = rng.uniform(0.5, 1.5, size=6)
         h = rng.normal(size=(n, d))
         target = rng.normal(size=(n, d))
-        for build, w in unit_and_weighted(weights):
-            block = RelationBlock(build(src, dst, w, n_in=n, n_out=n),
-                                  slice(0, n), slice(0, n))
+        aggs = [DenseMean.build(src, dst, w, n_in=n, n_out=n)
+                for w in (np.ones(6), weights)]
+        aggs += undirected_means(u=[0, 1, 1, 2], v=[1, 2, 3, 3], n=n)
+        for agg in aggs:
+            block = RelationBlock(agg, slice(0, n), slice(0, n))
 
             def layer(x):
                 return relational_layer(
@@ -258,15 +301,16 @@ class TestSegmentMean:
 
     def test_duplicate_edges_accumulate(self):
         h = np.array([[1.0], [5.0]])
-        for build, w in unit_and_weighted(np.array([1.0, 1.0, 2.0])):
-            agg = build(src=[0, 0, 1], dst=[0, 0, 0], weights=w,
-                        n_in=2, n_out=1)
+        for w in (np.ones(3), np.array([1.0, 1.0, 2.0])):
+            agg = DenseMean.build(src=[0, 0, 1], dst=[0, 0, 0], weights=w,
+                                  n_in=2, n_out=1)
             want = (w[0] + w[1] + 5 * w[2]) / w.sum()
             assert agg.apply(h)[0, 0] == pytest.approx(want, abs=1e-15)
 
     def test_empty_plan_gives_zeros(self):
-        for build in BUILDERS:
-            agg = build(np.zeros(0), np.zeros(0), np.zeros(0), n_in=3, n_out=3)
+        for agg in (DenseMean.build(np.zeros(0), np.zeros(0), np.zeros(0),
+                                    n_in=3, n_out=3),
+                    PaddedGather.build(np.zeros(0), np.zeros(0), 3)):
             block = RelationBlock(agg, slice(0, 3), slice(0, 3))
             h = Tensor(np.ones((3, 2)), requires_grad=True)
             out = relational_layer(
@@ -277,10 +321,11 @@ class TestSegmentMean:
             assert np.array_equal(h.grad, np.zeros((3, 2)))
 
     def test_has_in_edge_mask(self):
-        for build in BUILDERS:
-            agg = build(src=[0, 1], dst=[2, 2], weights=[1.0, 1.0], n_in=2,
-                        n_out=4)
-            assert np.array_equal(agg.has_in_edge, [0.0, 0.0, 1.0, 0.0])
+        agg = DenseMean.build(src=[0, 1], dst=[2, 2], weights=[1.0, 1.0],
+                              n_in=2, n_out=4)
+        assert np.array_equal(agg.has_in_edge, [0.0, 0.0, 1.0, 0.0])
+        for agg in undirected_means(u=[2], v=[1], n=4):
+            assert np.array_equal(agg.has_in_edge, [0.0, 1.0, 1.0, 0.0])
 
     def test_edge_input_order_does_not_change_result(self):
         rng = np.random.default_rng(7)
@@ -290,18 +335,24 @@ class TestSegmentMean:
         h = rng.normal(size=(6, 4))
         g = rng.normal(size=(6, 4))
         perm = rng.permutation(15)
-        for build, w in unit_and_weighted(weights):
-            a = build(src, dst, w, n_in=6, n_out=6)
-            b = build(src[perm], dst[perm], w[perm], n_in=6, n_out=6)
+        flip = rng.random(15) < 0.5     # an undirected edge's ends swap
+        pairs = []
+        for w in (np.ones(15), weights):
+            pairs.append((DenseMean.build(src, dst, w, n_in=6, n_out=6),
+                          DenseMean.build(src[perm], dst[perm], w[perm],
+                                          n_in=6, n_out=6)))
+        u, v = src[perm], dst[perm]
+        pairs.append((PaddedGather.build(src, dst, 6),
+                      PaddedGather.build(np.where(flip, v, u),
+                                         np.where(flip, u, v), 6)))
+        for a, b in pairs:
             # bit-identical, frozen order
             assert np.array_equal(a.apply(h), b.apply(h))
             assert np.array_equal(a.apply_t(g), b.apply_t(g))
 
     def test_padded_table_width_is_max_in_degree(self):
-        # A 1x4 path: in-degrees 1, 2, 2, 1, so K = 2 and the end rows pad.
-        src, dst = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
-        agg = PaddedGather.build(src, dst, n_in=4, n_out=4)
-        assert agg.idx.shape == (4, 2) and agg.idx_t.shape == (4, 2)
+        # A 1x4 path: degrees 1, 2, 2, 1, so K = 2 and the end rows pad.
+        agg = PaddedGather.build(u=[0, 1, 2], v=[1, 2, 3], n=4)
         assert np.array_equal(agg.idx, [[1, 4], [0, 2], [1, 3], [2, 4]])
         assert np.array_equal(agg.inv_deg, [1.0, 0.5, 0.5, 1.0])
 
@@ -347,15 +398,15 @@ def unchunked_gather_sum(idx, w, x):
     return np.einsum("nk,nkd->nd", w, padded[idx])
 
 
-def slot_weights(agg, dst, n_in, n_out):
-    """The (n_out, K) and (n_in, K_t) per-slot weight tables of a weighted
-    gather on unit weights: 1/deg of the slot's destination row, 0 in a
-    pad slot. The unweighted gather must match them bit for bit."""
-    deg = np.bincount(dst, minlength=n_out).astype(np.float64)
+def slot_weights(agg, u, v, n):
+    """The (n, K) per-slot weight tables of the forward and of the backward
+    through the table, on unit weights: the 1/degree of the slot's own row,
+    then of the row the slot names, and 0 in a pad slot. The gather, which
+    scales rows instead of slots, must match them bit for bit."""
+    deg = np.bincount(np.concatenate([u, v]), minlength=n).astype(np.float64)
     with np.errstate(divide="ignore"):
         inv = np.append(1.0 / deg, 0.0)
-    w = np.where(agg.idx != n_in, inv[:n_out, None], 0.0)
-    return w, inv[agg.idx_t]
+    return np.where(agg.idx != n, inv[:n, None], 0.0), inv[agg.idx]
 
 
 def with_signed_zeros(rng, shape):
@@ -370,18 +421,18 @@ class TestChunkedGather:
                                    2 * T.GATHER_CHUNK + 1])
     def test_bitwise_equal_to_unchunked(self, n):
         rng = np.random.default_rng(n)
-        m = 5 * n
-        src = rng.integers(0, n, size=m)
-        dst = rng.integers(0, n, size=m)
-        agg = PaddedGather.build(src, dst, n_in=n, n_out=n)
-        w, w_t = slot_weights(agg, dst, n, n)
+        m = 3 * n
+        u = rng.integers(0, n, size=m)
+        v = rng.integers(0, n, size=m)
+        agg = PaddedGather.build(u, v, n)
+        w, w_t = slot_weights(agg, u, v, n)
         x = with_signed_zeros(rng, (n, 6))
         g = with_signed_zeros(rng, (n, 6))
         assert np.array_equal(agg.apply(x).view(np.uint64),
                               unchunked_gather_sum(agg.idx, w, x)
                               .view(np.uint64))
         assert np.array_equal(agg.apply_t(g).view(np.uint64),
-                              unchunked_gather_sum(agg.idx_t, w_t, g)
+                              unchunked_gather_sum(agg.idx, w_t, g)
                               .view(np.uint64))
 
 
@@ -392,11 +443,11 @@ class TestRowRestriction:
         # gradient on the kept rows is the full apply_t of that gradient
         # scattered into zeros.
         rng = np.random.default_rng(n + 1)
-        m = 5 * n
-        src = rng.integers(0, n, size=m)
-        dst = rng.integers(0, n - 1, size=m)        # row n-1 has no in-edge
-        agg = PaddedGather.build(src, dst, n_in=n, n_out=n)
-        w, w_t = slot_weights(agg, dst, n, n)
+        m = 3 * n
+        u = rng.integers(0, n - 1, size=m)
+        v = rng.integers(0, n - 1, size=m)          # row n-1 is isolated
+        agg = PaddedGather.build(u, v, n)
+        w, w_t = slot_weights(agg, u, v, n)
         x = with_signed_zeros(rng, (n, 6))
         for keep in (np.array([n - 1]), np.arange(n),
                      np.sort(rng.choice(n, size=n // 3, replace=False))):
@@ -413,7 +464,7 @@ class TestRowRestriction:
             assert np.array_equal(got, agg.apply_t(g_full))
             assert np.array_equal(
                 got.view(np.uint64),
-                unchunked_gather_sum(agg.idx_t, w_t, g_full).view(np.uint64))
+                unchunked_gather_sum(agg.idx, w_t, g_full).view(np.uint64))
             assert np.array_equal(sub.has_in_edge, agg.has_in_edge[keep])
 
     def test_dense_rows_slice_the_block(self):

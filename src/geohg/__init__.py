@@ -3,7 +3,7 @@ region graphs, with classical interpolation baselines, a masked-ratio
 evaluation harness, and a seeded synthetic-world generator."""
 
 from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                      PoiRecord, Region, load_categories, load_gridspec,
+                      PoiTable, Region, load_categories, load_gridspec,
                       load_labels, load_landcover, load_pois, region_of,
                       save_gridspec, save_labels, save_landcover, save_pois)
 from .features import (FeatureTable, assign_pois, featurize_all,
@@ -33,7 +33,7 @@ __all__ = [
     "EdgeFamily", "EvalSplit", "ExperimentInputs",
     "ExperimentResult", "FeatureTable", "GeoDataError", "GridSpec",
     "HeadState", "HeteroGraph", "HgnnConfig", "LabelSet", "LandCoverGrid",
-    "MetricReport", "ModelState", "NumericError", "PoiRecord", "Region",
+    "MetricReport", "ModelState", "NumericError", "PoiTable", "Region",
     "RunSettings", "Sample", "SslConfig", "SynthConfig", "Tensor",
     "VariogramModel", "adam_step", "assign_pois",
     "backbone_checksum", "build_elr", "build_graph", "build_rnr",

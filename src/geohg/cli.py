@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from . import baselines
 from .geodata import (GeoDataError, GridSpec, load_categories, load_gridspec,
                       load_labels, load_landcover, load_pois, save_gridspec,
-                      save_labels, save_landcover, save_pois)
+                      open_commented, save_labels, save_landcover, save_pois)
 from .features import featurize_all, load_features, save_features
-from .hetgraph import build_graph, save_graph
+from .hetgraph import build_graph, check_thresholds, save_graph
 from .model import (HgnnConfig, SslConfig, finetune_head, load_checkpoint,
                     load_embeddings, predict_all, pretrain_contrastive,
                     save_checkpoint, save_training_log,
@@ -217,9 +217,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     save_checkpoint(state, _out_path(args, "pretrain_checkpoint.json"))
     write_embeddings(feats.regions, embeddings,
                      _out_path(args, "embeddings.csv"), echo)
-    with open(_out_path(args, "pretrain_log.csv"), "w", encoding="utf-8") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
+    with open_commented(_out_path(args, "pretrain_log.csv"), echo) as fh:
         fh.write("epoch,loss\n")
         for epoch, loss in log:
             fh.write(f"{epoch},{loss!r}\n")
@@ -258,9 +256,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     echo = _echo("predict", {"checkpoint": args.checkpoint,
                              "grid": args.grid, "theta_env": theta_env,
                              "theta_soc": theta_soc})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
+    with open_commented(args.out, echo) as fh:
         fh.write("x_r,y_r,y_pred\n")
         for (x, y), value in zip(feats.regions, values):
             fh.write(f"{x},{y},{float(value)!r}\n")
@@ -281,7 +277,7 @@ def _run_and_write(method: str, inputs: ExperimentInputs,
 def cmd_baseline(args: argparse.Namespace) -> int:
     grid = load_gridspec(args.grid)
     labels = load_labels(args.labels, grid)
-    inputs = ExperimentInputs(grid=grid, lc=None, pois=(), labels=labels)
+    inputs = ExperimentInputs(grid=grid, lc=None, pois=None, labels=labels)
     settings = RunSettings(idw_power=args.power, idw_k=args.idw_k,
                            uk_k=args.uk_k)
     echo = _echo("baseline", {"method": args.method, "grid": args.grid,
@@ -356,8 +352,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
     if repeated:
         raise ValueError(f"sweep values repeat output tags: {repeated}")
+    for te, ts, _ in combos:
+        check_thresholds(te, ts)
     grid, lc, pois, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
+    for m in args.masked_ratio_list:   # make_split's rules, before any run writes
+        make_split(labels, m, args.seed)
     _, _, config = _resolve_model_args(args)
     ssl = _resolve_ssl(args)
     inputs = ExperimentInputs(grid=grid, lc=lc, pois=pois, labels=labels,

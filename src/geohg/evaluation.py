@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                      PoiRecord, Region)
+                      PoiTable, Region, open_commented)
 from .features import featurize_all
 from .hetgraph import build_graph
 from . import baselines
@@ -142,7 +142,7 @@ def score(y_true: np.ndarray, y_pred: np.ndarray, runtime: float,
 class ExperimentInputs:
     grid: GridSpec
     lc: Optional[LandCoverGrid]       # baselines run without raster/POI views
-    pois: Sequence[PoiRecord]
+    pois: Optional[PoiTable]
     labels: LabelSet
     n_categories: Optional[int] = None
 
@@ -187,7 +187,7 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
     log: tuple[LogRow, ...] = ()
 
     if method in ("geohg", "geohg-ssl"):
-        if inputs.lc is None:
+        if inputs.lc is None or inputs.pois is None:
             raise ValueError(f"method {method!r} needs land-cover and POI inputs")
         features = featurize_all(inputs.grid, inputs.lc, inputs.pois,
                                  n_categories=inputs.n_categories)
@@ -272,9 +272,7 @@ def similarity_map(e_pretrain: np.ndarray, anchor_row: int) -> np.ndarray:
 
 def write_predictions(rows: Sequence[PredictionRow], path: str,
                       header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,y_true,y_pred,is_masked\n")
         for (x, y), y_true, y_pred, masked in rows:
             fh.write(f"{x},{y},{y_true!r},{y_pred!r},{int(masked)}\n")
@@ -283,9 +281,7 @@ def write_predictions(rows: Sequence[PredictionRow], path: str,
 def write_report(report: MetricReport, path: str,
                  header_comments: Sequence[str] = ()) -> None:
     """Key-value report; runtime stays off disk to keep reruns byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write(f"mae = {report.mae!r}\n")
         fh.write(f"rmse = {report.rmse!r}\n")
         fh.write(f"r2 = {report.r2!r}\n")
@@ -296,9 +292,7 @@ def write_report(report: MetricReport, path: str,
 
 def write_similarity(regions: Sequence[Region], sims: np.ndarray, path: str,
                      header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,similarity\n")
         for (x, y), s in zip(regions, sims):
             fh.write(f"{x},{y},{float(s)!r}\n")

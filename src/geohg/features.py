@@ -8,8 +8,9 @@ A :class:`FeatureTable` holds one row ``[e_pos | e_env | e_soc]`` per region:
 
 A region with no POIs has ``e_soc = 0``. Proportions use natural counts, so
 ``e_env`` always sums to 1 and ``e_soc / f`` sums to 1 when ``poi_count > 0``.
-:func:`featurize_all` builds the whole table with array operations; a POI is
-assigned to its cell by the same floor as :func:`geodata.region_of`.
+:func:`featurize_all` builds the whole table with array operations, reading the
+columns of a :class:`geodata.PoiTable` directly; a POI is assigned to its cell by
+the same floor as :func:`geodata.region_of`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord, Region
+from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable, Region,
+                      open_commented)
 
 
 @dataclass(frozen=True)
@@ -58,37 +60,33 @@ class FeatureTable:
         return self.matrix[:, 2 + self.n_env:]
 
 
-def assign_pois(pois: Sequence[PoiRecord], grid: GridSpec,
+def assign_pois(pois: PoiTable, grid: GridSpec,
                 n_categories: int) -> tuple[np.ndarray, int]:
     """Bucket POIs into per-region category counts.
 
     Returns ``(counts, n_outside)`` where counts has shape (n_regions, K) in
     canonical region order and n_outside is the number of POIs dropped for
     falling outside the grid. counts.sum() + n_outside == len(pois). Raises
-    GeoDataError on a non-finite coordinate or a category outside [0, K).
+    GeoDataError on a category of K or more.
     """
-    lon = np.array([p.x for p in pois], dtype=np.float64)
-    lat = np.array([p.y for p in pois], dtype=np.float64)
-    cat = np.array([p.c for p in pois], dtype=np.int64)
-    if not (np.all(np.isfinite(lon)) and np.all(np.isfinite(lat))):
-        raise GeoDataError("POI coordinates must be finite")
-    bad = (cat < 0) | (cat >= n_categories)
+    cat = pois.category
+    bad = cat >= n_categories
     if np.any(bad):
         raise GeoDataError(f"POI category {cat[bad][0]} out of range "
                            f"[0, {n_categories})")
     km_lon, km_lat = grid.km_per_degree()
     with np.errstate(over="ignore"):    # an overflowed offset is outside
-        x = np.floor((lon - grid.origin_lon) * km_lon / grid.cell_km)
-        y = np.floor((lat - grid.origin_lat) * km_lat / grid.cell_km)
+        x = np.floor((pois.lon - grid.origin_lon) * km_lon / grid.cell_km)
+        y = np.floor((pois.lat - grid.origin_lat) * km_lat / grid.cell_km)
     inside = (x >= 0) & (x < grid.n_cols) & (y >= 0) & (y < grid.n_rows)
     index = y[inside].astype(np.int64) * grid.n_cols + x[inside].astype(np.int64)
     counts = np.bincount(index * n_categories + cat[inside],
                          minlength=grid.n_regions * n_categories)
     counts = counts.reshape(grid.n_regions, n_categories).astype(np.float64)
-    return counts, int(lon.size - index.size)
+    return counts, len(pois) - index.size
 
 
-def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: Sequence[PoiRecord],
+def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: PoiTable,
                   n_categories: Optional[int] = None,
                   warn: bool = True) -> FeatureTable:
     """The feature table of every region, in canonical row-major order.
@@ -99,7 +97,7 @@ def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: Sequence[PoiRecord],
     if lc.grid != grid:
         raise GeoDataError("land-cover grid does not match region grid")
     if n_categories is None:
-        n_categories = max((p.c for p in pois), default=-1) + 1
+        n_categories = int(pois.category.max(initial=-1)) + 1
     counts, n_outside = assign_pois(pois, grid, n_categories)
     if n_outside and warn:
         warnings.warn(f"dropped {n_outside} POIs outside the grid", stacklevel=2)
@@ -132,9 +130,7 @@ def save_features(table: FeatureTable, path: str,
             + [f"env_{j}" for j in range(table.n_env)]
             + [f"soc_{k}" for k in range(table.soc.shape[1])]
             + ["poi_count"])
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write(",".join(cols) + "\n")
         for (x, y), row, count in zip(table.regions, table.matrix.tolist(),
                                       table.poi_counts.tolist()):

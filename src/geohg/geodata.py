@@ -1,7 +1,12 @@
 """Raw geodata ingestion: the region grid, land-cover class grid, POI table and sparse labels.
 
+POIs are held as one :class:`PoiTable` of lon, lat and category columns, from the
+generator or :func:`load_pois` to the featurizer. Every output file of the package starts
+with one ``# `` line per header comment (:func:`open_commented`); readers skip them.
+
 File formats (all plain text, see README):
-  * grid spec      -- ``key = value`` lines (origin_lon, origin_lat, n_cols, n_rows, cell_km)
+  * grid spec      -- ``key = value`` lines (origin_lon, origin_lat, n_cols, n_rows, cell_km);
+                      an unknown or repeated key is an error
   * land cover     -- header ``LANDCOVER <pixel_rows> <pixel_cols> <n_classes>`` then one
                       whitespace-separated line of integer class codes per pixel row
   * POIs           -- CSV ``lon,lat,category`` with header; category is an integer index or a
@@ -16,8 +21,9 @@ row. Points exactly on a cell boundary belong to the lower-left cell (floor assi
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -133,13 +139,31 @@ class LandCoverGrid:
         return self.classes[y * p:(y + 1) * p, x * p:(x + 1) * p]
 
 
-@dataclass(frozen=True)
-class PoiRecord:
-    """A point of interest: lon/lat coordinates and a societal category index."""
+@dataclass(frozen=True, eq=False)
+class PoiTable:
+    """Points of interest as read-only columns: point i lies at (lon[i], lat[i])
+    and has the societal category index category[i]."""
 
-    x: float
-    y: float
-    c: int
+    lon: np.ndarray           # (n,) float64
+    lat: np.ndarray           # (n,) float64
+    category: np.ndarray      # (n,) int64, >= 0
+
+    def __post_init__(self) -> None:
+        if np.size(self.category) and np.asarray(self.category).dtype.kind not in "iu":
+            raise GeoDataError("POI categories must be integers")
+        for name, dtype in (("lon", float), ("lat", float), ("category", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)    # a private copy
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if self.lon.ndim != 1 or not self.lon.shape == self.lat.shape == self.category.shape:
+            raise GeoDataError("POI columns must be 1-D and of one length")
+        if not (np.isfinite(self.lon).all() and np.isfinite(self.lat).all()):
+            raise GeoDataError("POI coordinates must be finite")
+        if (self.category < 0).any():
+            raise GeoDataError("POI categories must be non-negative")
+
+    def __len__(self) -> int:
+        return self.category.size
 
 
 @dataclass(frozen=True)
@@ -182,7 +206,12 @@ def load_gridspec(path: str) -> GridSpec:
             if len(parts) != 2:
                 raise GeoDataError(f"{path}: cannot parse grid spec line {raw!r}")
             key, val = parts
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in GridSpec.__dataclass_fields__:
+            raise GeoDataError(f"{path}: unknown grid spec key {key!r}")
+        if key in values:
+            raise GeoDataError(f"{path}: repeated grid spec key {key!r}")
+        values[key] = val.strip()
     try:
         return GridSpec(origin_lon=float(values["origin_lon"]),
                         origin_lat=float(values["origin_lat"]),
@@ -197,9 +226,7 @@ def load_gridspec(path: str) -> GridSpec:
 
 def save_gridspec(grid: GridSpec, path: str,
                   header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write(f"origin_lon = {grid.origin_lon!r}\n")
         fh.write(f"origin_lat = {grid.origin_lat!r}\n")
         fh.write(f"n_cols = {grid.n_cols}\n")
@@ -251,9 +278,7 @@ def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
 def save_landcover(lc: LandCoverGrid, path: str,
                    header_comments: Sequence[str] = ()) -> None:
     rows, cols = lc.classes.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write(f"LANDCOVER {rows} {cols} {lc.n_classes}\n")
         for row in lc.classes:
             fh.write(" ".join(map(str, row.tolist())))
@@ -269,15 +294,12 @@ def load_categories(path: str) -> list[str]:
 
 
 def load_pois(path: str, categories: Optional[Sequence[str]] = None,
-              n_categories: Optional[int] = None) -> list[PoiRecord]:
+              n_categories: Optional[int] = None) -> PoiTable:
     """Parse a POI CSV. Categories may be integer indices or manifest names."""
-    if categories is not None:
-        index = {name: i for i, name in enumerate(categories)}
-        if n_categories is None:
-            n_categories = len(categories)
-    else:
-        index = {}
-    records: list[PoiRecord] = []
+    index = {name: i for i, name in enumerate(categories or ())}
+    if n_categories is None and categories is not None:
+        n_categories = len(categories)
+    lons, lats, cats = [], [], []
     for i, parts in _csv_rows(path, "lon,lat,category"):
         try:
             lon, lat = float(parts[0]), float(parts[1])
@@ -286,27 +308,25 @@ def load_pois(path: str, categories: Optional[Sequence[str]] = None,
         if not (math.isfinite(lon) and math.isfinite(lat)):
             raise GeoDataError(f"{path}: line {i}: non-finite coordinate")
         raw_cat = parts[2].strip()
-        if raw_cat in index:
-            cat = index[raw_cat]
-        else:
-            try:
-                cat = int(raw_cat)
-            except ValueError:
-                raise GeoDataError(f"{path}: line {i}: unknown category {raw_cat!r}") from None
+        try:
+            cat = index[raw_cat] if raw_cat in index else int(raw_cat)
+        except ValueError:
+            raise GeoDataError(f"{path}: line {i}: unknown category {raw_cat!r}") from None
         if cat < 0 or (n_categories is not None and cat >= n_categories):
             raise GeoDataError(f"{path}: line {i}: category index {cat} out of range")
-        records.append(PoiRecord(x=lon, y=lat, c=cat))
-    return records
+        lons.append(lon)
+        lats.append(lat)
+        cats.append(cat)
+    return PoiTable(lon=lons, lat=lats, category=cats)
 
 
-def save_pois(pois: Sequence[PoiRecord], path: str,
+def save_pois(pois: PoiTable, path: str,
               header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("lon,lat,category\n")
-        for p in pois:
-            fh.write(f"{p.x!r},{p.y!r},{p.c}\n")
+        for lon, lat, cat in zip(pois.lon.tolist(), pois.lat.tolist(),
+                                 pois.category.tolist()):
+            fh.write(f"{lon!r},{lat!r},{cat}\n")
 
 
 def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") -> LabelSet:
@@ -331,12 +351,18 @@ def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") ->
 
 def save_labels(labels: LabelSet, path: str,
                 header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,value\n")
         for (x, y), value in labels.entries:
             fh.write(f"{x},{y},{value!r}\n")
+
+
+@contextmanager
+def open_commented(path: str, header_comments: Sequence[str] = ()) -> Iterator[TextIO]:
+    """Open ``path`` for writing and write one ``# `` line per header comment."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in header_comments)
+        yield fh
 
 
 def _data_lines(path: str) -> Iterator[str]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geodata import GeoDataError, GridSpec
+from .geodata import GeoDataError, GridSpec, open_commented
 from .features import FeatureTable
 
 RNR_OFFSETS = ((1, 0), (-1, 1), (0, 1), (1, 1))   # east + the three upward neighbors
@@ -129,19 +129,26 @@ def _threshold_edges(values: np.ndarray, theta: float, offset: int) -> EdgeFamil
     return EdgeFamily(endpoints, values[region, entity].astype(np.float64))
 
 
-def build_elr(features: FeatureTable, theta_env: float) -> EdgeFamily:
-    """Region-to-env-entity edges where the land-cover proportion reaches theta_env."""
+def check_thresholds(theta_env: float = 0.0, theta_soc: float = 0.0) -> None:
+    """Raise GeoDataError unless theta_env is in [0, 1] and theta_soc is
+    finite and non-negative."""
     if not 0.0 <= theta_env <= 1.0:
         raise GeoDataError(f"theta_env must be in [0, 1], got {theta_env}")
+    if not (math.isfinite(theta_soc) and theta_soc >= 0):
+        raise GeoDataError(f"theta_soc must be finite and non-negative, "
+                           f"got {theta_soc}")
+
+
+def build_elr(features: FeatureTable, theta_env: float) -> EdgeFamily:
+    """Region-to-env-entity edges where the land-cover proportion reaches theta_env."""
+    check_thresholds(theta_env=theta_env)
     return _threshold_edges(features.env, theta_env,
                             offset=len(features.regions))
 
 
 def build_slr(features: FeatureTable, theta_soc: float) -> EdgeFamily:
     """Region-to-soc-entity edges where the impact-weighted value reaches theta_soc."""
-    if not (math.isfinite(theta_soc) and theta_soc >= 0):
-        raise GeoDataError(f"theta_soc must be finite and non-negative, "
-                           f"got {theta_soc}")
+    check_thresholds(theta_soc=theta_soc)
     return _threshold_edges(features.soc, theta_soc,
                             offset=len(features.regions) + features.n_env)
 
@@ -176,9 +183,7 @@ def save_graph(graph: HeteroGraph, path: str,
     src dst weight`` line per edge. Nothing reads the file back; every
     command rebuilds the graph from features."""
     theta_env, theta_soc = graph.thresholds
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write(f"HETGRAPH {graph.n_regions} {graph.n_env} {graph.n_soc} "
                  f"{theta_env!r} {theta_soc!r}\n")
         for name, fam in (("RNR", graph.edges_rnr), ("ELR", graph.edges_elr),

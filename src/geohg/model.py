@@ -53,7 +53,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import (DenseMean, NumericError, PaddedGather, RelationBlock,
                      Tensor)
-from .geodata import GeoDataError, LabelSet, Region
+from .geodata import GeoDataError, LabelSet, Region, open_commented
 from .features import FeatureTable
 from .hetgraph import HeteroGraph
 
@@ -846,9 +846,7 @@ def write_embeddings(regions: Sequence[Region], embeddings: np.ndarray,
     if len(regions) != embeddings.shape[0]:
         raise GeoDataError("one region per embedding row required")
     d = embeddings.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r," + ",".join(f"e_{i}" for i in range(d)) + "\n")
         for (x, y), row in zip(regions, embeddings):
             fh.write(f"{x},{y}," + ",".join(repr(float(v)) for v in row) + "\n")
@@ -856,10 +854,11 @@ def write_embeddings(regions: Sequence[Region], embeddings: np.ndarray,
 
 def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
     """Read write_embeddings' CSV; malformed or non-finite rows raise
-    GeoDataError naming the file."""
+    GeoDataError naming the file, and a repeated region names its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip().split(",") for line in fh
-                 if line.strip() and not line.strip().startswith("#")]
+        numbered = [(i, line.strip().split(",")) for i, line in enumerate(fh, 1)
+                    if line.strip() and not line.strip().startswith("#")]
+    linenos, lines = [i for i, _ in numbered], [parts for _, parts in numbered]
     d = len(lines[0]) - 2 if lines else 0
     if d < 1 or lines[0] != ["x_r", "y_r"] + [f"e_{i}" for i in range(d)]:
         raise GeoDataError(f"{path}: not an embeddings CSV "
@@ -876,6 +875,11 @@ def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
         embeddings = np.array([[float(v) for v in p[2:]] for p in rows])
     except ValueError as exc:
         raise GeoDataError(f"{path}: {exc}") from exc
+    first: dict[Region, int] = {}
+    for lineno, region in zip(linenos[1:], regions):
+        if first.setdefault(region, lineno) != lineno:
+            raise GeoDataError(f"{path}: line {lineno}: region {region} "
+                               f"repeats line {first[region]}")
     if not np.all(np.isfinite(embeddings)):
         raise GeoDataError(f"{path}: non-finite embedding values")
     return regions, embeddings
@@ -883,9 +887,7 @@ def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
 
 def save_training_log(log: Sequence[LogRow], path: str,
                       header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, header_comments) as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, train_loss, val_loss in log:
             fh.write(f"{epoch},{train_loss!r},{val_loss!r}\n")

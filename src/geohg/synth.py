@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid, PoiRecord)
+from .geodata import GeoDataError, GridSpec, LabelSet, LandCoverGrid, PoiTable
 from .features import featurize_all
 
 # Region rows per block of the Voronoi step's region-by-patch distances.
@@ -224,7 +224,7 @@ def _poisson_scan(rng: np.random.Generator, rates: np.ndarray
 
 
 def _place_pois(rng: np.random.Generator, grid: GridSpec,
-                rates: np.ndarray) -> list[PoiRecord]:
+                rates: np.ndarray) -> PoiTable:
     """Poisson POI counts per (region, category) from the (n_regions, K)
     rates, in row-major region then category order, each count followed by
     its points' (x, y) offsets within the cell; a rate of 0 draws nothing."""
@@ -237,8 +237,7 @@ def _place_pois(rng: np.random.Generator, grid: GridSpec,
     km_lon, km_lat = grid.km_per_degree()
     lon = grid.origin_lon + (x + offsets[0::2]) * grid.cell_km / km_lon
     lat = grid.origin_lat + (y + offsets[1::2]) * grid.cell_km / km_lat
-    return [PoiRecord(x=lo, y=la, c=c)
-            for lo, la, c in zip(lon.tolist(), lat.tolist(), category.tolist())]
+    return PoiTable(lon=lon, lat=lat, category=category)
 
 
 def _barrier_sides(xs: np.ndarray, ys: np.ndarray,
@@ -275,8 +274,7 @@ def _smooth_field(rng: np.random.Generator, centers: np.ndarray,
     return amplitude * total / math.sqrt(n_waves)
 
 
-def generate(config: SynthConfig) -> tuple[LandCoverGrid, list[PoiRecord],
-                                           LabelSet, dict]:
+def generate(config: SynthConfig) -> tuple[LandCoverGrid, PoiTable, LabelSet, dict]:
     """Generate (land cover, POIs, full-coverage labels, ground-truth ledger)."""
     res = config.resolved()
     rng = np.random.default_rng(config.seed)

@@ -305,6 +305,24 @@ class TestSweep:
         assert "error [sweep]:" in err and tag in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--masked-ratio", "0.5,1.5"], "masked ratio must be in (0, 1)"),
+        (["--masked-ratio", "0.5,0.999"], "too few labels"),
+        (["--theta-env", "0.5,2"], "theta_env must be in [0, 1]"),
+        (["--theta-soc", "0.9,-1"], "theta_soc must be finite and non-negative"),
+        (["--theta-soc", "0.9,inf"], "theta_soc must be finite and non-negative")])
+    def test_a_bad_later_value_exits_2_before_any_run(self, world_dir, tmp_path,
+                                                      capsys, flags, message):
+        # The first value of each list is good, so a check made only when
+        # its run starts would leave that run's files behind.
+        code = run(tmp_path, "sweep", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--method", "geohg", *FAST_MODEL, *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [sweep]:" in err and message in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestErrors:
     def test_missing_input_exits_2_with_stage_tag(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from geohg.features import (FeatureTable, assign_pois, featurize_all,
                             load_features, save_features)
-from geohg.geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiRecord,
+from geohg.geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable,
                            region_of)
 from geohg.hetgraph import build_graph
 
@@ -28,8 +28,21 @@ def make_lc(grid, classes=None, ppc=2, n_classes=11, seed=0):
 
 
 def poi_at(grid, region, category):
+    """A (lon, lat, category) point at the region's cell center."""
     lon, lat = grid.cell_center_lonlat(region)
-    return PoiRecord(x=lon, y=lat, c=category)
+    return (lon, lat, category)
+
+
+def poi_table(points):
+    """The PoiTable of a list of (lon, lat, category) points."""
+    return PoiTable(lon=[p[0] for p in points], lat=[p[1] for p in points],
+                    category=[p[2] for p in points])
+
+
+def points_of(pois):
+    """The (lon, lat, category) points of a PoiTable."""
+    return list(zip(pois.lon.tolist(), pois.lat.tolist(),
+                    pois.category.tolist()))
 
 
 def row(table, grid, region):
@@ -39,14 +52,15 @@ def row(table, grid, region):
 def reference_features(grid, lc, pois, n_categories):
     """Per-region oracle for featurize_all: (matrix, POI counts).
 
-    Each POI goes through region_of and each region's land cover through
-    lc.region_pixels; e_soc is ln(total + 1) * counts / total.
+    Each (lon, lat, category) point goes through region_of and each
+    region's land cover through lc.region_pixels; e_soc is
+    ln(total + 1) * counts / total.
     """
     counts = np.zeros((grid.n_regions, n_categories))
-    for p in pois:
-        region = region_of(p.x, p.y, grid)
+    for lon, lat, c in pois:
+        region = region_of(lon, lat, grid)
         if region is not None:
-            counts[grid.region_index(region), p.c] += 1
+            counts[grid.region_index(region), c] += 1
     rows, totals = [], []
     for region in grid.regions():
         pixels = lc.region_pixels(region)
@@ -62,20 +76,20 @@ def reference_features(grid, lc, pois, n_categories):
 
 
 def edge_pois(grid, n_categories, rng):
-    """POIs exactly on cell boundaries (as lon/lat values), on the grid's
-    outer edges, and just outside it on every side."""
+    """(lon, lat, category) points exactly on cell boundaries (as lon/lat
+    values), on the grid's outer edges, and just outside it on every side."""
     km_lon, km_lat = grid.km_per_degree()
     pois = []
     for x in range(grid.n_cols + 1):
         for y in range(grid.n_rows + 1):
             lon = grid.origin_lon + x * grid.cell_km / km_lon
             lat = grid.origin_lat + y * grid.cell_km / km_lat
-            pois.append(PoiRecord(lon, lat, int(rng.integers(0, n_categories))))
+            pois.append((lon, lat, int(rng.integers(0, n_categories))))
     for dx, dy in ((-1e-9, 0.5), (0.5, -1e-9), (grid.n_cols + 1e-9, 0.5),
                    (0.5, grid.n_rows + 1e-9), (-3.0, -3.0)):
-        pois.append(PoiRecord(grid.origin_lon + dx * grid.cell_km / km_lon,
-                              grid.origin_lat + dy * grid.cell_km / km_lat,
-                              int(rng.integers(0, n_categories))))
+        pois.append((grid.origin_lon + dx * grid.cell_km / km_lon,
+                     grid.origin_lat + dy * grid.cell_km / km_lat,
+                     int(rng.integers(0, n_categories))))
     return pois
 
 
@@ -84,12 +98,12 @@ class TestComputePos:
 
     def test_origin_region(self):
         grid = make_grid()
-        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
         assert np.array_equal(row(table, grid, (0, 0))[:2], [0.0, 0.0])
 
     def test_identity_at_unit_scale(self):
         grid = make_grid(8, 8)
-        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
         assert np.array_equal(row(table, grid, (3, 7))[:2], [3.0, 7.0])
         assert np.array_equal(table.matrix[:, :2],
                               np.array(table.regions, dtype=np.float64))
@@ -98,7 +112,7 @@ class TestComputePos:
         # Oracle: floor of (cell-center km offset / cell size) recovers the
         # same grid-unit coordinates for any cell size.
         grid = make_grid(8, 8, lon=5.0, lat=45.0, cell_km=2.0)
-        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
         km_lon, km_lat = grid.km_per_degree()
         for region in [(3, 7), (0, 0), (7, 3)]:
             lon, lat = grid.cell_center_lonlat(region)
@@ -110,7 +124,7 @@ class TestComputePos:
     def test_invalid_region_rejected(self):
         # A table naming a region outside the grid cannot become a graph.
         grid = make_grid(4, 4)
-        table = featurize_all(grid, make_lc(grid), [], n_categories=0)
+        table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
         bad = FeatureTable(regions=table.regions[:-1] + ((4, 0),),
                            matrix=table.matrix, poi_counts=table.poi_counts,
                            n_env=table.n_env)
@@ -123,7 +137,7 @@ class TestComputeEnv:
 
     @staticmethod
     def env(lc):
-        return featurize_all(lc.grid, lc, [], n_categories=0).env
+        return featurize_all(lc.grid, lc, poi_table([]), n_categories=0).env
 
     def test_uniform_class_is_one_hot(self):
         grid = make_grid(1, 1)
@@ -166,7 +180,7 @@ class TestComputeSoc:
 
     @staticmethod
     def soc(grid, pois, region, n_categories=5):
-        table = featurize_all(grid, make_lc(grid), pois,
+        table = featurize_all(grid, make_lc(grid), poi_table(pois),
                               n_categories=n_categories)
         i = grid.region_index(region)
         return table.soc[i], int(table.poi_counts[i])
@@ -192,13 +206,13 @@ class TestComputeSoc:
         km_lon, km_lat = grid.km_per_degree()
         for target in grid.regions():
             soc, count = self.soc(grid, pois, target)
-            inside = [p for p in pois
-                      if math.floor((p.x - grid.origin_lon) * km_lon) == target[0]
-                      and math.floor((p.y - grid.origin_lat) * km_lat) == target[1]]
+            inside = [c for lon, lat, c in pois
+                      if math.floor((lon - grid.origin_lon) * km_lon) == target[0]
+                      and math.floor((lat - grid.origin_lat) * km_lat) == target[1]]
             assert count == len(inside)
             want = np.zeros(soc.size)
-            for p in inside:
-                want[p.c] += 1
+            for c in inside:
+                want[c] += 1
             if inside:
                 want = math.log(len(inside) + 1) * want / len(inside)
             assert np.allclose(soc, want, atol=1e-15)
@@ -223,12 +237,12 @@ class TestAssignPois:
     def test_conservation_count(self):
         grid = make_grid(3, 3, lon=2.0, lat=41.0, cell_km=0.5)
         pois = ([poi_at(grid, (0, 0), 0), poi_at(grid, (2, 2), 1),
-                 PoiRecord(x=99.0, y=99.0, c=0)]
+                 (99.0, 99.0, 0)]
                 + edge_pois(grid, 2, np.random.default_rng(1)))
-        counts, n_outside = assign_pois(pois, grid, n_categories=2)
+        counts, n_outside = assign_pois(poi_table(pois), grid, n_categories=2)
         assert counts.sum() + n_outside == len(pois)
-        assert n_outside == sum(region_of(p.x, p.y, grid) is None
-                                for p in pois)
+        assert n_outside == sum(region_of(lon, lat, grid) is None
+                                for lon, lat, _ in pois)
 
     def test_boundary_points_follow_region_of(self):
         # Points on cell boundaries, on the outer edges and just outside:
@@ -236,12 +250,12 @@ class TestAssignPois:
         for grid in (make_grid(4, 3), make_grid(5, 2, lon=-73.99, lat=40.7,
                                                 cell_km=0.25)):
             pois = edge_pois(grid, 3, np.random.default_rng(2))
-            counts, _ = assign_pois(pois, grid, n_categories=3)
+            counts, _ = assign_pois(poi_table(pois), grid, n_categories=3)
             want = np.zeros_like(counts)
-            for p in pois:
-                region = region_of(p.x, p.y, grid)
+            for lon, lat, c in pois:
+                region = region_of(lon, lat, grid)
                 if region is not None:
-                    want[grid.region_index(region), p.c] += 1
+                    want[grid.region_index(region), c] += 1
             assert np.array_equal(counts, want)
 
     def test_overflowing_offset_is_outside_in_both(self):
@@ -250,12 +264,12 @@ class TestAssignPois:
         # neither raises nor warns.
         grid = make_grid()
         pois = [poi_at(grid, (1, 2), 0)] + [
-            PoiRecord(*((big, 0.5) if axis == 0 else (0.5, big)), 0)
+            (*((big, 0.5) if axis == 0 else (0.5, big)), 0)
             for big in (1e307, -1e307) for axis in (0, 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            where = [region_of(p.x, p.y, grid) for p in pois]
-            counts, n_outside = assign_pois(pois, grid, n_categories=1)
+            where = [region_of(lon, lat, grid) for lon, lat, _ in pois]
+            counts, n_outside = assign_pois(poi_table(pois), grid, n_categories=1)
         assert where == [(1, 2)] + [None] * 4
         assert n_outside == 4
         assert counts[grid.region_index((1, 2)), 0] == counts.sum() == 1
@@ -263,18 +277,21 @@ class TestAssignPois:
     def test_category_out_of_range(self):
         grid = make_grid()
         inside = grid.cell_center_lonlat((0, 0))
-        for lonlat, c in ((inside, 7), (inside, 3), (inside, -1),
-                          ((0.001, 0.001), -1), ((99.0, 99.0), 3)):
+        for lonlat, c in ((inside, 7), (inside, 3), ((99.0, 99.0), 3)):
             with pytest.raises(GeoDataError, match="out of range"):
-                assign_pois([PoiRecord(*lonlat, c)], grid, n_categories=3)
+                assign_pois(poi_table([(*lonlat, c)]), grid, n_categories=3)
+        # A negative category cannot reach assign_pois: the table rejects it.
+        for lonlat in (inside, (0.001, 0.001)):
+            with pytest.raises(GeoDataError, match="non-negative"):
+                assign_pois(poi_table([(*lonlat, -1)]), grid, n_categories=3)
 
     @pytest.mark.parametrize("lon, lat", [(math.nan, 0.5), (0.5, math.inf),
                                           (-math.inf, 0.5)])
     def test_non_finite_coordinate_rejected(self, lon, lat):
         grid = make_grid()
-        pois = [poi_at(grid, (1, 1), 0), PoiRecord(lon, lat, 0)]
+        pois = [poi_at(grid, (1, 1), 0), (lon, lat, 0)]
         with pytest.raises(GeoDataError, match="finite"):
-            assign_pois(pois, grid, n_categories=1)
+            assign_pois(poi_table(pois), grid, n_categories=1)
 
 
 class TestFeaturizeAll:
@@ -282,7 +299,7 @@ class TestFeaturizeAll:
         grid = make_grid(1, 1)
         lc = make_lc(grid, classes=np.full((2, 2), 3))
         pois = [poi_at(grid, (0, 0), 1)]
-        table = featurize_all(grid, lc, pois, n_categories=4)
+        table = featurize_all(grid, lc, poi_table(pois), n_categories=4)
         assert table.regions == ((0, 0),) and table.n_env == 11
         want = np.zeros(2 + 11 + 4)
         want[2 + 3] = 1.0
@@ -296,7 +313,7 @@ class TestFeaturizeAll:
         rng = np.random.default_rng(6)
         pois = [poi_at(grid, (int(rng.integers(0, 4)), int(rng.integers(0, 4))),
                        int(rng.integers(0, 6))) for _ in range(40)]
-        table = featurize_all(grid, lc, pois, n_categories=6)
+        table = featurize_all(grid, lc, poi_table(pois), n_categories=6)
         assert table.regions == tuple(grid.regions())
         assert np.all(np.abs(table.env.sum(axis=1) - 1.0) < 1e-9)
         for soc, count in zip(table.soc, table.poi_counts):
@@ -311,8 +328,8 @@ class TestFeaturizeAll:
         rng = np.random.default_rng(12)
         pois = [poi_at(grid, (int(rng.integers(0, 3)), int(rng.integers(0, 3))),
                        int(rng.integers(0, 4))) for _ in range(25)]
-        a = featurize_all(grid, lc, pois, n_categories=4)
-        b = featurize_all(grid, lc, list(reversed(pois)), n_categories=4)
+        a = featurize_all(grid, lc, poi_table(pois), n_categories=4)
+        b = featurize_all(grid, lc, poi_table(pois[::-1]), n_categories=4)
         assert a.regions == b.regions
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.poi_counts, b.poi_counts)
@@ -320,15 +337,15 @@ class TestFeaturizeAll:
     def test_outside_pois_warn_and_drop(self):
         grid = make_grid(2, 2)
         lc = make_lc(grid, seed=1)
-        pois = [poi_at(grid, (0, 0), 0), PoiRecord(x=50.0, y=50.0, c=1)]
+        pois = [poi_at(grid, (0, 0), 0), (50.0, 50.0, 1)]
         with pytest.warns(UserWarning, match="dropped 1"):
-            table = featurize_all(grid, lc, pois, n_categories=2)
+            table = featurize_all(grid, lc, poi_table(pois), n_categories=2)
         assert table.poi_counts.sum() == 1
 
     def test_feature_matrix_shape(self):
         grid = make_grid(2, 3)
         lc = make_lc(grid, seed=2)
-        table = featurize_all(grid, lc, [], n_categories=5)
+        table = featurize_all(grid, lc, poi_table([]), n_categories=5)
         assert table.matrix.shape == (6, 2 + 11 + 5)
         assert table.env.shape == (6, 11) and table.soc.shape == (6, 5)
         assert table.poi_counts.shape == (6,)
@@ -343,25 +360,26 @@ class TestFeaturizeAll:
         cfg, lc, pois, _, _ = synth_raw(*size, seed=seed, origin_lon=origin[0],
                                         origin_lat=origin[1])
         grid = lc.grid
-        pois = pois + edge_pois(grid, cfg.n_categories,
-                                np.random.default_rng(seed))
-        table = featurize_all(grid, lc, pois, n_categories=cfg.n_categories,
-                              warn=False)
-        matrix, counts = reference_features(grid, lc, pois, cfg.n_categories)
+        points = points_of(pois) + edge_pois(grid, cfg.n_categories,
+                                             np.random.default_rng(seed))
+        table = featurize_all(grid, lc, poi_table(points),
+                              n_categories=cfg.n_categories, warn=False)
+        matrix, counts = reference_features(grid, lc, points, cfg.n_categories)
         assert table.regions == tuple(grid.regions())
         assert table.matrix.tobytes() == matrix.tobytes()   # bit for bit
         assert np.array_equal(table.poi_counts, counts)
 
     def test_categories_default_to_largest_plus_one(self):
         grid = make_grid(2, 2)
-        table = featurize_all(grid, make_lc(grid), [poi_at(grid, (1, 1), 2)])
+        table = featurize_all(grid, make_lc(grid),
+                              poi_table([poi_at(grid, (1, 1), 2)]))
         assert table.soc.shape == (4, 3)
-        assert featurize_all(grid, make_lc(grid), []).soc.shape == (4, 0)
+        assert featurize_all(grid, make_lc(grid), poi_table([])).soc.shape == (4, 0)
 
     def test_landcover_of_another_grid_rejected(self):
         grid = make_grid(2, 2)
         with pytest.raises(GeoDataError, match="does not match"):
-            featurize_all(grid, make_lc(make_grid(2, 3)), [])
+            featurize_all(grid, make_lc(make_grid(2, 3)), poi_table([]))
 
 
 class TestFeaturesIo:
@@ -371,7 +389,7 @@ class TestFeaturesIo:
         rng = np.random.default_rng(9)
         pois = [poi_at(grid, (int(rng.integers(0, 3)), int(rng.integers(0, 2))),
                        int(rng.integers(0, 4))) for _ in range(15)]
-        table = featurize_all(grid, lc, pois, n_categories=4)
+        table = featurize_all(grid, lc, poi_table(pois), n_categories=4)
         path = tmp_path / "features.csv"
         save_features(table, str(path), header_comments=["seed = 9"])
         again = load_features(str(path))
@@ -390,7 +408,7 @@ class TestFeaturesIo:
                      n_classes=3)
         pois = [poi_at(grid, (0, 0), 0), poi_at(grid, (0, 0), 1)]
         path = tmp_path / "features.csv"
-        save_features(featurize_all(grid, lc, pois, n_categories=2),
+        save_features(featurize_all(grid, lc, poi_table(pois), n_categories=2),
                       str(path), header_comments=["k = v"])
         assert path.read_text(encoding="utf-8") == (
             "# k = v\n"
@@ -403,7 +421,8 @@ class TestFeaturesIo:
         # Four rows written by save_features: a comment, the header, rows.
         grid = make_grid(2, 2)
         feats = featurize_all(grid, make_lc(grid, seed=3),
-                              [poi_at(grid, (1, 0), 1)], n_categories=2)
+                              poi_table([poi_at(grid, (1, 0), 1)]),
+                              n_categories=2)
         path = tmp_path / "features.csv"
         save_features(feats, str(path), header_comments=["seed = 3"])
         lines = path.read_text(encoding="utf-8").splitlines()

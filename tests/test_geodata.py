@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geohg.geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                           PoiRecord, load_gridspec, load_labels,
+                           PoiTable, load_gridspec, load_labels,
                            load_landcover, load_pois, region_of,
                            save_gridspec, save_labels, save_landcover,
                            save_pois)
@@ -165,23 +165,82 @@ class TestLandCover:
         assert np.array_equal(block, classes[0:2, 2:4])
 
 
+class TestPoiTable:
+    def test_columns_have_fixed_dtypes_and_length(self):
+        pois = PoiTable(lon=[1, 2.5], lat=np.array([3.0, 4.0], dtype=np.float32),
+                        category=np.array([0, 7], dtype=np.int32))
+        assert len(pois) == 2
+        assert pois.lon.dtype == np.float64 and pois.lat.dtype == np.float64
+        assert pois.category.dtype == np.int64
+        assert pois.lon.tolist() == [1.0, 2.5]
+        assert pois.category.tolist() == [0, 7]
+        empty = PoiTable(lon=[], lat=[], category=[])
+        assert len(empty) == 0 and empty.category.dtype == np.int64
+
+    @pytest.mark.parametrize("lon,lat,category", [
+        ([0.0, 1.0], [0.0], [0, 1]),
+        ([0.0], [0.0, 1.0], [0]),
+        ([0.0, 1.0], [0.0, 1.0], [0]),
+        ([[0.0]], [[0.0]], [[0]])])
+    def test_rejects_columns_of_unequal_length_or_not_1d(self, lon, lat,
+                                                         category):
+        with pytest.raises(GeoDataError, match="1-D and of one length"):
+            PoiTable(lon=lon, lat=lat, category=category)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["lon", "lat"])
+    def test_rejects_non_finite_coordinate(self, bad, column):
+        cols = {"lon": [0.5, 1.5], "lat": [0.5, 1.5], "category": [0, 1]}
+        cols[column] = [0.5, bad]
+        with pytest.raises(GeoDataError, match="finite"):
+            PoiTable(**cols)
+
+    def test_rejects_negative_category(self):
+        with pytest.raises(GeoDataError, match="non-negative"):
+            PoiTable(lon=[0.0, 1.0], lat=[0.0, 1.0], category=[0, -1])
+
+    @pytest.mark.parametrize("category", [[0.0, 1.5], [True, False], ["0", "1"]])
+    def test_rejects_non_integer_category(self, category):
+        # A float column would otherwise be truncated towards zero.
+        with pytest.raises(GeoDataError, match="integers"):
+            PoiTable(lon=[0.0, 1.0], lat=[0.0, 1.0], category=category)
+
+    def test_columns_are_read_only_copies(self):
+        lon, lat = np.array([0.5, 1.5]), np.array([2.5, 3.5])
+        category = np.array([1, 2])
+        pois = PoiTable(lon=lon, lat=lat, category=category)
+        for name in ("lon", "lat", "category"):
+            column = getattr(pois, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        lon[0], category[0] = 9.0, 9
+        assert pois.lon[0] == 0.5 and pois.category[0] == 1
+        assert lon.flags.writeable   # the caller's arrays stay writable
+
+
 class TestPois:
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "pois.csv"
         path.write_text("lon,lat,category\n")
-        assert load_pois(str(path)) == []
+        pois = load_pois(str(path))
+        assert len(pois) == 0
+        assert pois.lon.dtype == pois.lat.dtype == np.float64
+        assert pois.category.dtype == np.int64
 
     def test_single_row_parse(self, tmp_path):
         path = tmp_path / "pois.csv"
         path.write_text("lon,lat,category\n116.3,39.9,2\n")
-        records = load_pois(str(path))
-        assert records == [PoiRecord(x=116.3, y=39.9, c=2)]
+        pois = load_pois(str(path))
+        assert pois.lon.tolist() == [116.3]
+        assert pois.lat.tolist() == [39.9]
+        assert pois.category.tolist() == [2]
 
     def test_category_names_resolved_via_manifest(self, tmp_path):
         path = tmp_path / "pois.csv"
         path.write_text("lon,lat,category\n1.0,2.0,food\n1.5,2.5,mall\n")
-        records = load_pois(str(path), categories=["food", "mall"])
-        assert [r.c for r in records] == [0, 1]
+        pois = load_pois(str(path), categories=["food", "mall"])
+        assert pois.category.tolist() == [0, 1]
 
     def test_unknown_category_rejected(self, tmp_path):
         path = tmp_path / "pois.csv"
@@ -202,19 +261,32 @@ class TestPois:
             load_pois(str(path))
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("row,match", [
+        ("1.0,nan,0", "line 5: non-finite coordinate"),
+        ("1.0,2.0,-1", "line 5: category index -1 out of range"),
+        ("1.0,2.0,6", "line 5: category index 6 out of range")])
+    def test_errors_name_the_one_based_file_line(self, tmp_path, row, match):
+        path = tmp_path / "pois.csv"
+        path.write_text(f"# c\nlon,lat,category\n0.5,0.5,1\n\n{row}\n")
+        with pytest.raises(GeoDataError, match=match) as err:
+            load_pois(str(path), n_categories=6)
+        assert str(path) in str(err.value)
+
     def test_count_and_categories_preserved_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        pois = [PoiRecord(x=float(rng.uniform(0, 10)),
-                          y=float(rng.uniform(0, 10)),
-                          c=int(rng.integers(0, 6))) for _ in range(1000)]
+        pois = PoiTable(lon=rng.uniform(0, 10, 1000),
+                        lat=rng.uniform(0, 10, 1000),
+                        category=rng.integers(0, 6, 1000))
         path = tmp_path / "pois.csv"
         save_pois(pois, str(path), header_comments=["n = 1000"])
         again = load_pois(str(path), n_categories=6)
         assert len(again) == 1000
-        want = np.bincount([p.c for p in pois], minlength=6)
-        got = np.bincount([p.c for p in again], minlength=6)
+        want = np.bincount(pois.category, minlength=6)
+        got = np.bincount(again.category, minlength=6)
         assert np.array_equal(want, got)
-        assert again == pois  # bit-exact coordinates via repr round-trip
+        # bit-exact columns via the repr round-trip
+        for name in ("lon", "lat", "category"):
+            assert getattr(again, name).tobytes() == getattr(pois, name).tobytes()
 
 
 class TestLabels:
@@ -294,6 +366,24 @@ class TestGridSpecIo:
         with pytest.raises(GeoDataError, match="cell_km must be positive "
                                                "and finite"):
             load_gridspec(str(path))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        # A misspelt key would otherwise leave its default in place.
+        path = tmp_path / "grid.cfg"
+        path.write_text("origin_lon = 0.0\norigin_lat = 0.0\nn_cols = 2\n"
+                        "n_rows = 2\ncellkm = 2.5\n")
+        with pytest.raises(GeoDataError, match="unknown grid spec key 'cellkm'") as err:
+            load_gridspec(str(path))
+        assert str(path) in str(err.value)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # A second value would otherwise override the first.
+        path = tmp_path / "grid.cfg"
+        path.write_text("origin_lon = 0.0\norigin_lat = 0.0\nn_cols = 2\n"
+                        "n_rows = 2\nn_cols 8\n")
+        with pytest.raises(GeoDataError, match="repeated grid spec key 'n_cols'") as err:
+            load_gridspec(str(path))
+        assert str(path) in str(err.value)
 
     def test_repeated_load_identical(self, tmp_path):
         grid = make_grid()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geohg.features import featurize_all
-from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiRecord
+from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiTable
 from geohg.hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                             build_rnr, build_slr, rnr_edge_count, save_graph)
 
@@ -135,12 +135,13 @@ class TestBuildGraph:
         classes = rng.integers(0, 11, size=(n_rows * 3, n_cols * 3))
         lc = LandCoverGrid(grid=grid, pixels_per_cell=3, classes=classes)
         km_lon, km_lat = grid.km_per_degree()
-        pois = []
+        lons, lats, cats = [], [], []
         for _ in range(60):
-            lon = grid.origin_lon + rng.uniform(0, n_cols) / km_lon
-            lat = grid.origin_lat + rng.uniform(0, n_rows) / km_lat
-            pois.append(PoiRecord(x=lon, y=lat, c=int(rng.integers(0, 6))))
-        feats = featurize_all(grid, lc, pois, n_categories=6)
+            lons.append(grid.origin_lon + rng.uniform(0, n_cols) / km_lon)
+            lats.append(grid.origin_lat + rng.uniform(0, n_rows) / km_lat)
+            cats.append(int(rng.integers(0, 6)))
+        feats = featurize_all(grid, lc, PoiTable(lon=lons, lat=lats, category=cats),
+                              n_categories=6)
         return grid, feats
 
     def test_rows_out_of_row_major_order_rejected(self):

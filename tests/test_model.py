@@ -1207,6 +1207,17 @@ class TestCheckpointsAndIo:
                 load_embeddings(str(path))
             assert str(path) in str(info.value)
 
+    def test_embeddings_repeated_region_rejected(self, tmp_path):
+        # finetune_head would take the region's last row and `similarity`
+        # its first, so a repeat has no one meaning.
+        path = tmp_path / "emb.csv"
+        path.write_text("# d = 2\nx_r,y_r,e_0,e_1\n0,0,1.0,2.0\n1,0,0.5,0.5\n"
+                        "\n0,0,3.0,4.0\n")
+        with pytest.raises(GeoDataError,
+                           match=r"line 6: region \(0, 0\) repeats line 3") as info:
+            load_embeddings(str(path))
+        assert str(path) in str(info.value)
+
     def test_embeddings_header_must_be_exact(self, tmp_path):
         for header in ("x_r,y_r,value", "x_r,y_r", "x_r,y_r,e_1",
                        "x_r,y_r,e_0,e_2", "x_r,y_r,e_0,value"):

@@ -5,7 +5,7 @@ import pytest
 
 from geohg import synth
 from geohg.features import featurize_all
-from geohg.geodata import (GeoDataError, GridSpec, LabelSet, PoiRecord,
+from geohg.geodata import (GeoDataError, GridSpec, LabelSet, PoiTable,
                            region_of, save_labels, save_landcover, save_pois)
 from geohg.synth import (VORONOI_BLOCK, SynthConfig, barrier_side, generate,
                          poisson_sample)
@@ -32,7 +32,7 @@ def loop_generate(config):
         classes[y * p:(y + 1) * p, x * p:(x + 1) * p] = rng.choice(
             config.n_classes, size=(p, p), p=res.class_mix[archetype[idx]])
     km_lon, km_lat = grid.km_per_degree()
-    pois = []
+    lons, lats, cats = [], [], []
     for idx, (x, y) in enumerate(grid.regions()):
         for k in range(config.n_categories):
             lam = res.poi_rates[archetype[idx], k]
@@ -46,10 +46,9 @@ def loop_generate(config):
                     cum += prob
             for _ in range(count):
                 u, w_ = rng.random(), rng.random()
-                pois.append(PoiRecord(
-                    x=config.origin_lon + (x + u) * config.cell_km / km_lon,
-                    y=config.origin_lat + (y + w_) * config.cell_km / km_lat,
-                    c=k))
+                lons.append(config.origin_lon + (x + u) * config.cell_km / km_lon)
+                lats.append(config.origin_lat + (y + w_) * config.cell_km / km_lat)
+                cats.append(k)
     smooth = synth._smooth_field(rng, centers, config.smooth_amplitude,
                                  config.smooth_waves,
                                  float(max(config.n_cols, config.n_rows)))
@@ -59,6 +58,7 @@ def loop_generate(config):
             for cx, cy in centers]
     noise = (rng.standard_normal(n) * config.noise_sigma
              if config.noise_sigma > 0 else np.zeros(n))
+    pois = PoiTable(lon=lons, lat=lats, category=cats)
     return classes, pois, archetype, smooth, side, noise
 
 
@@ -260,8 +260,8 @@ class TestGenerate:
         grid = GridSpec(cfg.origin_lon, cfg.origin_lat, cfg.n_cols, cfg.n_rows,
                         cfg.cell_km)
         counts = np.zeros(cfg.n_archetypes)
-        for p in pois:
-            region = region_of(p.x, p.y, grid)
+        for lon, lat in zip(pois.lon.tolist(), pois.lat.tolist()):
+            region = region_of(lon, lat, grid)
             assert region is not None
             counts[archetype[grid.region_index(region)]] += 1
         for a in range(cfg.n_archetypes):
@@ -330,7 +330,8 @@ class TestBlockDrawsMatchLoop:
         classes, want_pois, archetype, smooth, side, noise = \
             loop_generate(cfg)
         assert np.array_equal(lc.classes, classes)
-        assert pois == want_pois
+        for name in ("lon", "lat", "category"):
+            assert np.array_equal(getattr(pois, name), getattr(want_pois, name))
         assert ledger["archetype_of_region"] == archetype.tolist()
         assert ledger["poi_count_total"] == len(want_pois)
         comp = ledger["components"]

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import fields
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 from geohg import baselines
-from geohg.cli import (_resolve_model_args, _resolve_ssl, build_parser,
-                       dispatch)
-from geohg.geodata import load_gridspec, load_labels, load_landcover, load_pois
+from geohg.cli import _resolve, _settings, build_parser, dispatch
+from geohg.geodata import (LabelSet, load_gridspec, load_labels,
+                           load_landcover, load_pois, save_labels)
 from geohg.evaluation import RunSettings, load_report
 from geohg.features import featurize_all, load_features
 from geohg.hetgraph import build_graph, rnr_edge_count
 from geohg.model import load_checkpoint, load_embeddings, predict_all
+from geohg.synth import SynthConfig
 
 from _worlds import parse_graph_export
 
@@ -19,8 +21,9 @@ from _worlds import parse_graph_export
 SYNTH_FLAGS = ["synth", "--n-cols", "10", "--n-rows", "10",
                "--pixels-per-cell", "3", "--n-patches", "12",
                "--seed", "7"]
-FAST_MODEL = ["--layers", "1", "--hidden-dim", "8",
-              "--max-epochs", "30", "--patience", "30"]
+FAST_ARCH = ["--layers", "1", "--hidden-dim", "8"]
+FAST_TRAINING = ["--max-epochs", "30", "--patience", "30"]
+FAST_MODEL = FAST_ARCH + FAST_TRAINING
 FAST_SSL = ["--ssl-epochs", "2", "--batch-size", "16"]
 
 
@@ -65,6 +68,19 @@ class TestSynth:
         comments = [l for l in head if l.startswith("#")]
         assert any("seed = 7" in l for l in comments)
         assert any("command = synth" in l for l in comments)
+
+    def test_defaults_are_the_config_defaults(self):
+        # Every synth flag takes its type and default from SynthConfig, so
+        # the CLI and the API cannot drift apart.
+        args = vars(build_parser().parse_args(["synth"]))
+        given = {k: v for k, v in args.items()
+                 if k not in ("command", "func", "out_dir")}
+        config = SynthConfig()
+        assert len(given) == 15
+        for name, value in given.items():
+            assert value == getattr(config, name), name
+            assert type(value) is type(getattr(config, name)), name
+        assert SynthConfig(**given) == config
 
 
 class TestFeaturizeAndGraph:
@@ -148,7 +164,7 @@ class TestTrainPredict:
 class TestPretrainFinetuneSimilarity:
     def test_full_self_supervised_pipeline(self, world_dir, tmp_path):
         assert run(tmp_path, "pretrain", *world_flags(world_dir),
-                   "--seed", "2", *FAST_MODEL, *FAST_SSL) == 0
+                   "--seed", "2", *FAST_ARCH, *FAST_SSL) == 0
         emb_path = tmp_path / "embeddings.csv"
         regions, emb = load_embeddings(str(emb_path))
         assert emb.shape == (100, 8)
@@ -160,7 +176,7 @@ class TestPretrainFinetuneSimilarity:
                    "--embeddings", str(emb_path),
                    "--labels", str(world_dir / "labels.csv"),
                    "--masked-ratio", "0.5", "--seed", "2",
-                   *FAST_MODEL) == 0
+                   *FAST_TRAINING) == 0
         assert (tmp_path / "head.json").exists()
         assert (tmp_path / "finetune_log.csv").exists()
 
@@ -230,8 +246,8 @@ class TestResolvedConfigs:
             "--patience", "3", "--label-transform", "log1p+zscore",
             "--temperature", "0.5", "--top-k", "2", "--batch-size", "8",
             "--ssl-epochs", "3", "--ssl-lr", "0.05"])
-        _, _, hgnn = _resolve_model_args(args)
-        for config in (hgnn, _resolve_ssl(args)):
+        settings = _settings(args, _resolve(args))
+        for config in (settings.hgnn, settings.ssl):
             for field in fields(config):
                 assert getattr(config, field.name) != field.default, \
                     (type(config).__name__, field.name)
@@ -323,6 +339,211 @@ class TestSweep:
         assert "error [sweep]:" in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,tag,row", [
+        ([], "env0.4_soc1.2_mask0.5", "0.4,1.2,0.5,"),
+        (["--theta-soc", "0.7"], "env0.4_soc0.7_mask0.5", "0.4,0.7,0.5,")])
+    def test_task_preset_sets_the_default_thresholds(self, world_dir, tmp_path,
+                                                     flags, tag, row):
+        # gdp preset: theta_env 0.4, theta_soc 1.2, as eval --task gdp uses;
+        # an explicit list still wins over the preset.
+        assert run(tmp_path, "sweep", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--method", "idw", "--task", "gdp",
+                   "--masked-ratio", "0.5", *flags) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"predictions_{tag}.csv", f"report_{tag}.txt", "sweep_summary.csv"]
+        summary = [l for l in
+                   (tmp_path / "sweep_summary.csv").read_text().splitlines()
+                   if l and not l.startswith("#")]
+        assert len(summary) == 2 and summary[1].startswith(row)
+
+    @pytest.mark.parametrize("method", ["idw", "uk"])
+    @pytest.mark.parametrize("flags", [
+        ["--theta-env", "0.5,0.6"], ["--theta-soc", "0.9,1.0"],
+        ["--task", "gdp", "--theta-env", "0.4,0.5"]])
+    def test_a_baseline_with_several_thresholds_exits_2_before_any_run(
+            self, world_dir, tmp_path, capsys, method, flags):
+        # A baseline uses no thresholds, so each extra value would only
+        # rerun the same baseline.
+        code = run(tmp_path, "sweep", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--method", method, *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [sweep]:" in err and "uses no graph thresholds" in err
+        assert not list(tmp_path.iterdir())
+
+
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags_taken(command):
+    """Each flag `command` takes, as written on the command line, with the
+    value it parses to when left out."""
+    return {a.option_strings[-1]: a.default
+            for a in _subcommands()[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+EVERY_ARCH = ["--layers", "1", "--hidden-dim", "4"]
+EVERY_TRAINING = ["--lr", "0.01", "--max-epochs", "3", "--patience", "2",
+                  "--label-transform", "log1p+zscore"]
+EVERY_SSL = ["--temperature", "0.5", "--top-k", "2", "--batch-size", "8",
+             "--ssl-epochs", "1", "--ssl-lr", "0.01"]
+EVERY_TASK = ["--task", "gdp", "--theta-env", "0.5", "--theta-soc", "1.0"]
+
+
+def every_command_argv(world, d):
+    """A non-default value for every flag of every subcommand, in an order
+    where each command's inputs come before it."""
+    inputs = ["--grid", str(world / "grid.cfg"),
+              "--landcover", str(world / "landcover.txt"),
+              "--pois", str(world / "pois.csv"),
+              "--categories", str(d / "categories.txt"), "--n-categories", "7"]
+    split = ["--labels", str(d / "labels.csv"), "--masked-ratio", "0.5",
+             "--seed", "1"]
+    return {
+        "synth": ["--n-cols", "9", "--n-rows", "8", "--pixels-per-cell", "3",
+                  "--n-classes", "5", "--n-categories", "4",
+                  "--n-archetypes", "3", "--n-patches", "10",
+                  "--smooth-amplitude", "0.25", "--jump", "1.5",
+                  "--noise-sigma", "0.05", "--origin-lon", "10.5",
+                  "--origin-lat", "20.5", "--cell-km", "2.0",
+                  "--indicator-name", "gdp", "--seed", "7"],
+        "featurize": [*inputs, "--out", str(d / "featurize" / "f.csv")],
+        "build-graph": ["--grid", str(world / "grid.cfg"),
+                        "--features", str(d / "featurize" / "f.csv"),
+                        "--theta-env", "0.5", "--theta-soc", "1.0",
+                        "--out", str(d / "build-graph" / "g.txt")],
+        "train": [*inputs, *split, *EVERY_TASK, *EVERY_ARCH,
+                  *EVERY_TRAINING],
+        "predict": [*inputs,
+                    "--checkpoint", str(d / "train" / "checkpoint.json"),
+                    "--out", str(d / "predict" / "p.csv")],
+        "pretrain": [*inputs, "--seed", "1", *EVERY_TASK, *EVERY_ARCH,
+                     *EVERY_SSL],
+        "finetune": ["--grid", str(world / "grid.cfg"),
+                     "--embeddings", str(d / "pretrain" / "embeddings.csv"),
+                     *split, "--task", "gdp", *EVERY_TRAINING],
+        "similarity": ["--embeddings", str(d / "pretrain" / "embeddings.csv"),
+                       "--anchor-x", "3", "--anchor-y", "4",
+                       "--out", str(d / "similarity" / "s.csv")],
+        "baseline": ["--method", "uk", "--grid", str(world / "grid.cfg"),
+                     *split, "--power", "3.0", "--idw-k", "8", "--uk-k", "16"],
+        "eval": [*inputs, *split, "--method", "geohg-ssl", *EVERY_TASK,
+                 *EVERY_ARCH, *EVERY_TRAINING, *EVERY_SSL],
+        "sweep": [*inputs, *split, "--method", "geohg-ssl", *EVERY_TASK,
+                  *EVERY_ARCH, *EVERY_TRAINING, *EVERY_SSL],
+    }
+
+
+@pytest.fixture(scope="module")
+def every_command(world_dir, tmp_path_factory):
+    """Each subcommand run once into its own directory with the flags of
+    every_command_argv; labels are shifted positive for log1p+zscore."""
+    d = tmp_path_factory.mktemp("every")
+    labels = load_labels(str(world_dir / "labels.csv"),
+                         load_gridspec(str(world_dir / "grid.cfg")))
+    save_labels(LabelSet(tuple((r, v + 10.0) for r, v in labels.entries)),
+                str(d / "labels.csv"))
+    (d / "categories.txt").write_text("".join(f"c{i}\n" for i in range(7)))
+    argvs = every_command_argv(world_dir, d)
+    for command, argv in argvs.items():
+        (d / command).mkdir()
+        assert run(d / command, command, *argv) == 0, command
+    return d, argvs
+
+
+def text_outputs(d):
+    return sorted(p for p in d.iterdir() if p.suffix != ".json")
+
+
+class TestEcho:
+    def test_the_table_gives_every_flag_a_non_default_value(self, tmp_path):
+        argvs = every_command_argv(tmp_path, tmp_path)
+        assert set(argvs) == set(_subcommands())
+        for command, argv in argvs.items():
+            given = dict(zip(argv[::2], argv[1::2]))
+            taken = _flags_taken(command)
+            assert set(given) == set(taken), command
+            for flag, value in given.items():
+                assert str(taken[flag]) != value, (command, flag)
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_each_text_output_echoes_every_flag_as_given(self, every_command,
+                                                         command):
+        d, argvs = every_command
+        argv = argvs[command]
+        want = [f"# {flag[2:].replace('-', '_')} = {value}"
+                for flag, value in zip(argv[::2], argv[1::2])
+                if flag != "--out"]
+        outputs = text_outputs(d / command)
+        assert outputs, command
+        for path in outputs:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == f"# command = {command}", path.name
+            header = [l for l in lines if l.startswith("#")]
+            assert [l for l in want if l not in header] == [], path.name
+            # output locations stay out, so reruns elsewhere match bytes
+            assert not [l for l in header
+                        if l.startswith(("# out ", "# out_dir "))], path.name
+
+    @pytest.mark.parametrize("command,flags,want", [
+        ("build-graph", [], ["theta_env = 0.6", "theta_soc = 0.9"]),
+        ("train", ["--task", "gdp", *EVERY_ARCH, "--max-epochs", "3"],
+         ["theta_env = 0.4", "theta_soc = 1.2", "label_transform = zscore",
+          "lr = 0.002", "patience = 50"]),
+        ("pretrain", ["--task", "gdp", *EVERY_ARCH, "--ssl-epochs", "1"],
+         ["theta_env = 0.4", "theta_soc = 1.2", "temperature = 0.1",
+          "top_k = 4", "batch_size = 64", "ssl_lr = 0.002"]),
+        ("finetune", ["--task", "carbon", "--max-epochs", "3"],
+         ["label_transform = log1p+zscore", "lr = 0.002", "task = carbon"]),
+        ("sweep", ["--task", "pm25", "--method", "idw"],
+         ["theta_env = 0.8", "theta_soc = 0.6", "layers = 3",
+          "hidden_dim = 64", "max_epochs = 1000", "ssl_epochs = 60"])])
+    def test_flags_left_out_are_echoed_as_resolved(self, every_command,
+                                                   tmp_path, command, flags,
+                                                   want):
+        # Each flag not given reads as its preset or default value, never
+        # as the None it parses to.
+        d, argvs = every_command
+        inputs = {"--grid", "--landcover", "--pois", "--categories",
+                  "--n-categories", "--features", "--embeddings", "--labels",
+                  "--masked-ratio", "--seed"}
+        argv = [a for flag, value in zip(argvs[command][::2],
+                                         argvs[command][1::2])
+                if flag in inputs for a in (flag, value)]
+        if command == "build-graph":
+            argv += ["--out", str(tmp_path / "g.txt")]
+        argv += flags
+        assert run(tmp_path, command, *argv) == 0
+        for path in text_outputs(tmp_path):
+            header = [l[2:] for l in path.read_text().splitlines()
+                      if l.startswith("#")]
+            assert [l for l in want if l not in header] == [], path.name
+            assert not [l for l in header if l.endswith(" = None")
+                        and not l.startswith(("categories", "n_categories",
+                                              "task"))], path.name
+
+    @pytest.mark.parametrize("command,flag", [
+        ("pretrain", "--lr"), ("pretrain", "--max-epochs"),
+        ("pretrain", "--patience"), ("pretrain", "--label-transform"),
+        ("finetune", "--layers"), ("finetune", "--hidden-dim"),
+        ("finetune", "--theta-env"), ("finetune", "--theta-soc")])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command,
+                                                       flag):
+        required = {"pretrain": ["--grid", "g", "--landcover", "l",
+                                 "--pois", "p"],
+                    "finetune": ["--grid", "g", "--embeddings", "e",
+                                 "--labels", "y"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *required, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_missing_input_exits_2_with_stage_tag(self, tmp_path, capsys):
@@ -391,7 +612,7 @@ class TestErrors:
                       ["--ssl-lr", "0"], ["--temperature", "nan"]):
             capsys.readouterr()
             code = run(tmp_path, "pretrain", *world_flags(world_dir),
-                       *FAST_MODEL, *FAST_SSL, *flags)
+                       *FAST_ARCH, *FAST_SSL, *flags)
             assert code == 2, flags
             assert "error [pretrain]:" in capsys.readouterr().err, flags
             assert not (tmp_path / "pretrain_checkpoint.json").exists()
@@ -417,7 +638,7 @@ class TestErrors:
                    "--grid", str(world_dir / "grid.cfg"),
                    "--embeddings", str(world_dir / "labels.csv"),
                    "--labels", str(world_dir / "labels.csv"),
-                   "--masked-ratio", "0.5", *FAST_MODEL)
+                   "--masked-ratio", "0.5", *FAST_TRAINING)
         assert code == 2
         assert "not an embeddings CSV" in capsys.readouterr().err
         assert not (tmp_path / "head.json").exists()

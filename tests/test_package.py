@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,9 @@ def test_import_starts_no_thread():
     # In a fresh interpreter, as this one has imported geohg already.
     code = ("import threading; n = threading.active_count(); import geohg; "
             "assert threading.active_count() == n, threading.enumerate()")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # The child finds geohg where this interpreter did, installed or not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_numpy_is_the_only_dependency():

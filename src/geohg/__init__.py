@@ -11,9 +11,9 @@ from .features import (FeatureTable, assign_pois, featurize_all,
 from .hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
                        build_rnr, build_slr, rnr_edge_count, save_graph)
 from .tensor import NumericError, Tensor, adam_step, glorot_uniform
-from .model import (HeadState, HgnnConfig, ModelState, SslConfig,
-                    backbone_checksum, embed_regions, finetune_head,
-                    hgnn_forward, infonce_loss, load_checkpoint,
+from .model import (HeadState, HgnnConfig, LabelTransform, ModelState,
+                    SslConfig, TrainConfig, backbone_checksum, embed_regions,
+                    finetune_head, hgnn_forward, infonce_loss, load_checkpoint,
                     load_embeddings, positive_sets, predict, predict_all,
                     predict_from_embeddings, pretrain_contrastive,
                     save_checkpoint, save_training_log, train_end_to_end,
@@ -32,9 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "EdgeFamily", "EvalSplit", "ExperimentInputs",
     "ExperimentResult", "FeatureTable", "GeoDataError", "GridSpec",
-    "HeadState", "HeteroGraph", "HgnnConfig", "LabelSet", "LandCoverGrid",
-    "MetricReport", "ModelState", "NumericError", "PoiTable", "Region",
-    "RunSettings", "Sample", "SslConfig", "SynthConfig", "Tensor",
+    "HeadState", "HeteroGraph", "HgnnConfig", "LabelSet", "LabelTransform",
+    "LandCoverGrid", "MetricReport", "ModelState", "NumericError", "PoiTable",
+    "Region", "RunSettings", "Sample", "SslConfig", "SynthConfig", "Tensor",
+    "TrainConfig",
     "VariogramModel", "adam_step", "assign_pois",
     "backbone_checksum", "build_elr", "build_graph", "build_rnr",
     "build_slr", "embed_regions", "empirical_variogram",

@@ -24,11 +24,11 @@ from .geodata import (GeoDataError, load_categories, load_gridspec,
                       open_commented, save_labels, save_landcover, save_pois)
 from .features import featurize_all, load_features, save_features
 from .hetgraph import build_graph, check_thresholds, save_graph
-from .model import (LABEL_TRANSFORMS, HgnnConfig, SslConfig, finetune_head,
-                    load_checkpoint, load_embeddings, predict_all,
-                    pretrain_contrastive, save_checkpoint, save_training_log,
-                    train_end_to_end, write_embeddings)
-from .evaluation import (ExperimentInputs, RunSettings, make_split,
+from .model import (LABEL_TRANSFORMS, HgnnConfig, SslConfig, TrainConfig,
+                    finetune_head, load_checkpoint, load_embeddings,
+                    predict_all, pretrain_contrastive, save_checkpoint,
+                    save_training_log, train_end_to_end, write_embeddings)
+from .evaluation import (METHODS, ExperimentInputs, RunSettings, make_split,
                          run_experiment, similarity_map, write_predictions,
                          write_report, write_similarity)
 from .synth import SynthConfig, generate
@@ -45,6 +45,7 @@ TASK_PRESETS: dict[str, dict[str, object]] = {
     "light": {"theta_env": 0.2, "theta_soc": 0.9, "label_transform": "zscore"},
     "pm25": {"theta_env": 0.8, "theta_soc": 0.6, "label_transform": "zscore"},
 }
+BASELINES = ("idw", "uk")
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ THRESHOLDS = FlagGroup(RunSettings(), (
 ARCHITECTURE = FlagGroup(HgnnConfig(), (
     Flag("layers", "n_layers", "graph layers (1..3)"),
     Flag("hidden_dim", "hidden_dim", "hidden width")))
-TRAINING = FlagGroup(HgnnConfig(), (
+TRAINING = FlagGroup(TrainConfig(), (
     Flag("lr", "lr", "Adam learning rate"),
     Flag("max_epochs", "max_epochs"),
     Flag("patience", "patience", "early-stopping patience"),
@@ -149,15 +150,19 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
     return resolved
 
 
-def _settings(args: argparse.Namespace,
-              resolved: dict[str, object]) -> RunSettings:
+def _settings(resolved: dict[str, object]) -> RunSettings:
     """RunSettings from resolved model flags; a setting the command takes no
     flag for keeps its default."""
-    return RunSettings(
-        **THRESHOLDS.fields(resolved),
-        hgnn=HgnnConfig(seed=args.seed, **ARCHITECTURE.fields(resolved),
-                        **TRAINING.fields(resolved)),
-        ssl=SslConfig(seed=args.seed, **SSL.fields(resolved)))
+    return RunSettings(**THRESHOLDS.fields(resolved),
+                       hgnn=HgnnConfig(**ARCHITECTURE.fields(resolved)),
+                       train=TrainConfig(**TRAINING.fields(resolved)),
+                       ssl=SslConfig(**SSL.fields(resolved)))
+
+
+def _forget(args: argparse.Namespace, *groups: FlagGroup) -> None:
+    """Drop the flags of ``groups``: _resolve and _echo then skip them."""
+    for flag in (f for group in groups for f in group.flags):
+        delattr(args, flag.dest)
 
 
 def _load_world(args: argparse.Namespace):
@@ -216,11 +221,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid, lc, pois, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     resolved = _resolve(args)
-    settings = _settings(args, resolved)
+    settings = _settings(resolved)
     feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, settings.theta_env, settings.theta_soc)
     split = make_split(labels, args.masked_ratio, args.seed)
-    state, log = train_end_to_end(graph, feats, labels, split, settings.hgnn)
+    state, log = train_end_to_end(graph, feats, labels, split, settings.hgnn,
+                                  settings.train, args.seed)
     save_checkpoint(state, _out_path(args, "checkpoint.json"))
     save_training_log(log, _out_path(args, "train_log.csv"),
                       _echo(args, n_categories=n_categories, **resolved))
@@ -233,11 +239,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_pretrain(args: argparse.Namespace) -> int:
     grid, lc, pois, n_categories = _load_world(args)
     resolved = _resolve(args)
-    settings = _settings(args, resolved)
+    settings = _settings(resolved)
     feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, settings.theta_env, settings.theta_soc)
     state, embeddings, log = pretrain_contrastive(graph, feats, settings.ssl,
-                                                  settings.hgnn)
+                                                  settings.hgnn, args.seed)
     echo = _echo(args, n_categories=n_categories, **resolved)
     save_checkpoint(state, _out_path(args, "pretrain_checkpoint.json"))
     write_embeddings(feats.regions, embeddings,
@@ -256,10 +262,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     labels = load_labels(args.labels, grid)
     regions, embeddings = load_embeddings(args.embeddings)
     resolved = _resolve(args)
-    config = HgnnConfig(seed=args.seed, hidden_dim=embeddings.shape[1],
-                        **TRAINING.fields(resolved))
     split = make_split(labels, args.masked_ratio, args.seed)
-    head, log = finetune_head(embeddings, labels, split, config, regions)
+    head, log = finetune_head(embeddings, labels, split,
+                              _settings(resolved).train, regions, args.seed)
     save_checkpoint(head, _out_path(args, "head.json"))
     save_training_log(log, _out_path(args, "finetune_log.csv"),
                       _echo(args, **resolved))
@@ -313,13 +318,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.method in BASELINES:    # they read no model setting
+        del args.task
+        _forget(args, *MODEL_GROUPS)
     grid, lc, pois, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     resolved = _resolve(args)
     inputs = ExperimentInputs(grid=grid, lc=lc, pois=pois, labels=labels,
                               n_categories=n_categories)
     echo = _echo(args, n_categories=n_categories, **resolved)
-    result = _run_and_write(args.method, inputs, _settings(args, resolved),
+    result = _run_and_write(args.method, inputs, _settings(resolved),
                             args.masked_ratio, args.seed,
                             _out_path(args, "report.txt"),
                             _out_path(args, "predictions.csv"), echo)
@@ -346,6 +354,8 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.method in BASELINES:    # only the thresholds, which name files
+        _forget(args, ARCHITECTURE, TRAINING, SSL)
     resolved = _resolve(args)
     for key in ("theta_env", "theta_soc"):   # a preset or default is one value
         if not isinstance(resolved[key], list):
@@ -357,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
     if repeated:
         raise ValueError(f"sweep values repeat output tags: {repeated}")
-    if args.method in ("idw", "uk") and len(envs) * len(socs) > 1:
+    if args.method in BASELINES and len(envs) * len(socs) > 1:
         raise ValueError(f"{args.method} uses no graph thresholds; give at "
                          "most one --theta-env and one --theta-soc value")
     for te, ts, _ in combos:
@@ -374,7 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run = {**resolved, "theta_env": te, "theta_soc": ts}
         echo = _echo(args, n_categories=n_categories, masked_ratio=m, **run)
         results.append(_run_and_write(
-            args.method, inputs, _settings(args, run), m, args.seed,
+            args.method, inputs, _settings(run), m, args.seed,
             _out_path(args, f"report_{tag}.txt"),
             _out_path(args, f"predictions_{tag}.csv"), echo))
     summary = _out_path(args, "sweep_summary.csv")
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("baseline", help="IDW or kriging on the label set")
-    p.add_argument("--method", required=True, choices=("idw", "uk"))
+    p.add_argument("--method", required=True, choices=BASELINES)
     p.add_argument("--grid", required=True)
     _add_split(p)
     p.add_argument("--power", type=float, default=baselines.IDW_POWER,
@@ -499,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the masked-ratio protocol end to end")
     _add_world_inputs(p)
     _add_split(p)
-    p.add_argument("--method", default="geohg",
-                   choices=("geohg", "geohg-ssl", "idw", "uk"))
+    p.add_argument("--method", default="geohg", choices=METHODS)
     _add_task(p)
     _add_groups(p, THRESHOLDS, ARCHITECTURE, TRAINING, SSL)
     p.set_defaults(func=cmd_eval)
@@ -515,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of thresholds / masked ratios")
     _add_world_inputs(p)
     _add_split(p, many=True)
-    p.add_argument("--method", default="geohg",
-                   choices=("geohg", "geohg-ssl", "idw", "uk"))
+    p.add_argument("--method", default="geohg", choices=METHODS)
     _add_task(p)
     _add_groups(p, THRESHOLDS, many=True)
     _add_groups(p, ARCHITECTURE, TRAINING, SSL)

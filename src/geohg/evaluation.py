@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,9 +25,10 @@ from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
 from .features import featurize_all
 from .hetgraph import build_graph
 from . import baselines
-from .model import (HgnnConfig, SslConfig, LogRow, backbone_checksum,
-                    finetune_head, predict_all, predict_from_embeddings,
-                    prepare_graph, pretrain_contrastive, train_end_to_end)
+from .model import (HgnnConfig, SslConfig, TrainConfig, LogRow,
+                    backbone_checksum, finetune_head, predict_all,
+                    predict_from_embeddings, prepare_graph,
+                    pretrain_contrastive, train_end_to_end)
 
 METHODS = ("geohg", "geohg-ssl", "idw", "uk")
 
@@ -152,6 +153,7 @@ class RunSettings:
     theta_env: float = 0.6
     theta_soc: float = 0.9
     hgnn: HgnnConfig = HgnnConfig()
+    train: TrainConfig = TrainConfig()
     ssl: SslConfig = SslConfig()
     idw_power: float = baselines.IDW_POWER
     idw_k: int = baselines.IDW_K
@@ -193,24 +195,22 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                                  n_categories=inputs.n_categories)
         graph = build_graph(inputs.grid, features, settings.theta_env,
                             settings.theta_soc)
-        cfg = replace(settings.hgnn, seed=seed)
         if method == "geohg":
             gt = prepare_graph(graph, features)   # once, for both calls
             state, rows = train_end_to_end(graph, features, inputs.labels,
-                                           split, cfg, gt)
-            log = tuple(rows)
+                                           split, settings.hgnn,
+                                           settings.train, seed, gt)
             y_all = predict_all(state, graph, features, gt)
         else:
-            ssl_cfg = replace(settings.ssl, seed=seed)
-            state, embeddings, _ = pretrain_contrastive(graph, features,
-                                                        ssl_cfg, cfg)
+            state, embeddings, _ = pretrain_contrastive(
+                graph, features, settings.ssl, settings.hgnn, seed)
             checksum = backbone_checksum(state)
-            head, rows = finetune_head(embeddings, inputs.labels, split, cfg,
-                                       features.regions)
+            head, rows = finetune_head(embeddings, inputs.labels, split,
+                                       settings.train, features.regions, seed)
             if backbone_checksum(state) != checksum:   # pragma: no cover
                 raise RuntimeError("backbone changed during head fine-tuning")
-            log = tuple(rows)
             y_all = predict_from_embeddings(head, embeddings)
+        log = tuple(rows)
         pred_of = {region: float(y_all[inputs.grid.region_index(region)])
                    for region in label_of}
     else:

@@ -24,6 +24,10 @@ Training regimes:
     against mean-pooled positive sets, in-batch negatives), then a fresh head
     fine-tuned on the frozen embedding matrix.
 
+Each stage takes only what it reads: HgnnConfig (the architecture, all a
+checkpoint stores), TrainConfig, SslConfig and the run seed. A supervised
+fit leaves its LabelTransform on the state; a pretrained backbone has none.
+
 Both losses read only a few rows, so during training the last relational
 layer and the head run on a RowSubset alone: the train and validation
 regions for the MSE, built once per run, and a batch's anchors and pooled
@@ -62,24 +66,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 RELATIONS = ("rnr", "elr_r2e", "elr_e2r", "slr_r2e", "slr_e2r")
 LABEL_TRANSFORMS = ("zscore", "log1p+zscore")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
 class HgnnConfig:
     n_layers: int = 3
     hidden_dim: int = 64
-    label_transform: str = "zscore"
-    seed: int = 0
-    lr: float = 2e-3
-    max_epochs: int = 1000
-    patience: int = 50
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_layers <= 3:
             raise ValueError(f"n_layers must be 1..3, got {self.n_layers}")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    lr: float = 2e-3
+    max_epochs: int = 1000
+    patience: int = 50
+    label_transform: str = "zscore"
+
+    def __post_init__(self) -> None:
         if self.label_transform not in LABEL_TRANSFORMS:
             raise ValueError(f"unknown label transform {self.label_transform!r}")
         if not 0 < self.lr < np.inf or self.max_epochs < 1 \
@@ -95,7 +104,6 @@ class SslConfig:
     batch_size: int = 64
     epochs: int = 60
     lr: float = 2e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.temperature < np.inf:
@@ -110,33 +118,67 @@ class SslConfig:
             raise ValueError("batch size must be >= 2")
 
 
+@dataclass(frozen=True)
+class LabelTransform:
+    """z = (f(y) - mean) / std, with f = log1p for "log1p+zscore" and the
+    identity for "zscore"; ``fit`` takes mean and std from train labels."""
+
+    kind: str
+    mean: float
+    std: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in LABEL_TRANSFORMS:
+            raise ValueError(f"unknown label transform {self.kind!r}")
+
+    @classmethod
+    def fit(cls, kind: str, train_values: np.ndarray) -> "LabelTransform":
+        """Mean/std on the training subset (after log1p when selected)."""
+        v = np.asarray(train_values, dtype=np.float64)
+        if kind == "log1p+zscore":
+            if v.min() <= -1.0:
+                raise ValueError("log1p transform needs values > -1")
+            v = np.log1p(v)
+        mean = float(v.mean())
+        std = float(v.std())
+        # Constant labels leave a float-rounding residue in std, so the
+        # degenerate case is detected relative to the label magnitude.
+        if not np.isfinite(std) or std <= 1e-12 * max(1.0, abs(mean)):
+            std = 1.0     # keep the transform invertible
+        return cls(kind, mean, std)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        v = np.asarray(values, dtype=np.float64)
+        if self.kind == "log1p+zscore":
+            v = np.log1p(v)
+        return (v - self.mean) / self.std
+
+    def invert(self, z: np.ndarray) -> np.ndarray:
+        v = np.asarray(z, dtype=np.float64) * self.std + self.mean
+        if self.kind == "log1p+zscore":
+            v = np.expm1(v)
+        return v
+
+
 @dataclass
 class ModelState:
-    """All learnable parameters plus label-transform statistics, and the
-    (theta_env, theta_soc) thresholds of the graph it was trained on."""
+    """All learnable parameters, the (theta_env, theta_soc) thresholds of
+    the graph it was trained on, and its fitted label transform, if any."""
 
     config: HgnnConfig
     n_env: int
     n_soc: int
     params: dict[str, np.ndarray]
-    label_mean: float = 0.0
-    label_std: float = 1.0
-    trained: bool = False
     thresholds: tuple[float, float] = (0.0, 0.0)
-
-    def backbone_names(self) -> list[str]:
-        return [k for k in self.params if not k.startswith("head.")]
+    labels: Optional[LabelTransform] = None
 
 
 @dataclass
 class HeadState:
     """Stand-alone regression head fine-tuned on frozen embeddings."""
 
-    config: HgnnConfig
     params: dict[str, np.ndarray]
-    label_mean: float = 0.0
-    label_std: float = 1.0
-    trained: bool = False
+    labels: Optional[LabelTransform] = None
 
 
 # (name, shape, Glorot (fan_in, fan_out) or None for a zero bias)
@@ -171,14 +213,14 @@ def _init_params(seed: int, layout: list[ParamSpec]) -> dict[str, np.ndarray]:
             for name, shape, fans in layout}
 
 
-def init_state(config: HgnnConfig, n_env: int, n_soc: int) -> ModelState:
-    params = _init_params(config.seed, _model_layout(config, n_env, n_soc))
+def init_state(config: HgnnConfig, n_env: int, n_soc: int,
+               seed: int) -> ModelState:
+    params = _init_params(seed, _model_layout(config, n_env, n_soc))
     return ModelState(config=config, n_env=n_env, n_soc=n_soc, params=params)
 
 
-def init_head(config: HgnnConfig, d: int) -> HeadState:
-    return HeadState(config=config,
-                     params=_init_params(config.seed, _head_layout(d)))
+def init_head(d: int, seed: int) -> HeadState:
+    return HeadState(params=_init_params(seed, _head_layout(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,42 +466,6 @@ def infonce_loss(gt: GraphTensors, leaves: dict[str, Tensor], config: HgnnConfig
 
 
 # ---------------------------------------------------------------------------
-# label transforms
-# ---------------------------------------------------------------------------
-
-def fit_label_transform(kind: str, train_values: np.ndarray) -> tuple[float, float]:
-    """Mean/std on the training subset (after log1p when selected)."""
-    v = np.asarray(train_values, dtype=np.float64)
-    if kind == "log1p+zscore":
-        if v.min() <= -1.0:
-            raise ValueError("log1p transform needs values > -1")
-        v = np.log1p(v)
-    mean = float(v.mean())
-    std = float(v.std())
-    # Constant labels leave a float-rounding residue in std, so the
-    # degenerate case is detected relative to the label magnitude.
-    if not np.isfinite(std) or std <= 1e-12 * max(1.0, abs(mean)):
-        std = 1.0     # keep the transform invertible
-    return mean, std
-
-
-def apply_label_transform(kind: str, values: np.ndarray, mean: float,
-                          std: float) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if kind == "log1p+zscore":
-        v = np.log1p(v)
-    return (v - mean) / std
-
-
-def invert_label_transform(kind: str, z: np.ndarray, mean: float,
-                           std: float) -> np.ndarray:
-    v = np.asarray(z, dtype=np.float64) * std + mean
-    if kind == "log1p+zscore":
-        v = np.expm1(v)
-    return v
-
-
-# ---------------------------------------------------------------------------
 # training regimes
 # ---------------------------------------------------------------------------
 
@@ -517,16 +523,13 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
     return params, log
 
 
-def _region_positions(features: FeatureTable) -> dict[Region, int]:
-    return {r: i for i, r in enumerate(features.regions)}
-
-
-def _split_targets(pos: dict[Region, int], labels: LabelSet,
+def _split_targets(regions: Sequence[Region], labels: LabelSet,
                    split: "EvalSplit", kind: str) -> tuple:
     """(train rows, validation rows, transformed train and validation
-    targets, (mean, std) of the label transform fitted on train labels)."""
+    targets, the train-fitted label transform); rows index ``regions``."""
     if len(split.train) == 0 or len(split.validation) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    pos = {r: i for i, r in enumerate(regions)}
     values = labels.as_dict()
     try:
         train_ext = np.array([pos[r] for r in split.train], dtype=np.int64)
@@ -535,14 +538,14 @@ def _split_targets(pos: dict[Region, int], labels: LabelSet,
         y_val = np.array([values[r] for r in split.validation])
     except KeyError as exc:
         raise GeoDataError(f"split region {exc} has no features or label") from exc
-    mean, std = fit_label_transform(kind, y_train)
-    return (train_ext, val_ext, apply_label_transform(kind, y_train, mean, std),
-            apply_label_transform(kind, y_val, mean, std), (mean, std))
+    transform = LabelTransform.fit(kind, y_train)
+    return (train_ext, val_ext, transform.apply(y_train),
+            transform.apply(y_val), transform)
 
 
 def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
                      labels: LabelSet, split: "EvalSplit",
-                     config: HgnnConfig,
+                     config: HgnnConfig, train: TrainConfig, seed: int,
                      gt: Optional[GraphTensors] = None
                      ) -> tuple[ModelState, list[LogRow]]:
     """Full-batch Adam on train-region MSE with validation early stopping.
@@ -552,11 +555,11 @@ def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
     the parameters in force before that epoch's update. `gt`, when given,
     is prepare_graph(graph, features), already built by the caller.
     """
-    train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
-        _region_positions(features), labels, split, config.label_transform)
+    train_ext, val_ext, y_train, y_val, transform = _split_targets(
+        features.regions, labels, split, train.label_transform)
     if gt is None:
         gt = prepare_graph(graph, features)
-    state = init_state(config, graph.n_env, graph.n_soc)
+    state = init_state(config, graph.n_env, graph.n_soc, seed)
     train_internal, val_internal = gt.rank[train_ext], gt.rank[val_ext]
     subset = row_subset(gt, np.concatenate([train_internal, val_internal]))
     val_rows = np.searchsorted(subset.rows, val_internal)
@@ -566,11 +569,10 @@ def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
                                         y_train, subset)
         return loss, float(np.mean((preds.data[val_rows, 0] - y_val) ** 2))
 
-    state.params, log = _fit(state.params, config.lr, config.max_epochs,
+    state.params, log = _fit(state.params, train.lr, train.max_epochs,
                              lambda epoch: (objective,), "training",
-                             patience=config.patience)
-    state.label_mean, state.label_std = mean, std
-    state.trained = True
+                             patience=train.patience)
+    state.labels = transform
     state.thresholds = graph.thresholds
     return state, log
 
@@ -618,22 +620,20 @@ def _most_similar(raw: np.ndarray, norms: np.ndarray, rows: np.ndarray,
 
 
 def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
-                         ssl: SslConfig,
-                         config: Optional[HgnnConfig] = None
+                         ssl: SslConfig, config: HgnnConfig, seed: int
                          ) -> tuple[ModelState, np.ndarray, list[tuple[int, float]]]:
     """Contrastive backbone pretraining; returns (state, E_pretrain, loss log).
 
     Batches are uniform random permutation slices (full batches only); each
     anchor is scored against every batch member's mean-pooled positive set,
     its own being the positive pair. Anchors with no positives are skipped.
+    ``seed`` seeds the init and, on its own generator, the batch order.
     """
-    if config is None:
-        config = HgnnConfig(seed=ssl.seed)
     if graph.n_regions < ssl.batch_size:
         raise ValueError(f"batch size {ssl.batch_size} exceeds "
                          f"{graph.n_regions} regions")
     gt = prepare_graph(graph, features)
-    state = init_state(config, graph.n_env, graph.n_soc)
+    state = init_state(config, graph.n_env, graph.n_soc, seed)
     positives_ext = positive_sets(graph, features, ssl.top_k)
     positives_int = [np.sort(gt.rank[p]) if p.size else p
                      for p in positives_ext]
@@ -641,7 +641,7 @@ def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
     if n_empty:
         warnings.warn(f"{n_empty} regions have no positives and are skipped",
                       stacklevel=2)
-    rng = np.random.default_rng(ssl.seed)
+    rng = np.random.default_rng(seed)
     n = graph.n_regions
 
     def batches(epoch: int):
@@ -662,7 +662,6 @@ def pretrain_contrastive(graph: HeteroGraph, features: FeatureTable,
               for epoch in range(ssl.epochs)]
     log = [(epoch, float(np.mean(v)) if v else float("nan"))
            for epoch, v in enumerate(losses)]
-    state.trained = True
     state.thresholds = graph.thresholds
     embeddings = embed_regions(state, gt)
     return state, embeddings, log
@@ -691,23 +690,21 @@ def embed_regions(state: ModelState, gt: GraphTensors) -> np.ndarray:
 def hgnn_forward(graph: HeteroGraph, features: FeatureTable,
                  state: ModelState) -> np.ndarray:
     """Public forward: (n_regions, hidden_dim) embeddings in input order."""
-    gt = prepare_graph(graph, features)
-    return embed_regions(state, gt)
+    return embed_regions(state, prepare_graph(graph, features))
 
 
 def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
-                  config: HgnnConfig,
-                  regions: Sequence[Region]) -> tuple[HeadState, list[LogRow]]:
+                  train: TrainConfig, regions: Sequence[Region],
+                  seed: int) -> tuple[HeadState, list[LogRow]]:
     """Train only a fresh 3-layer head on the frozen embedding matrix.
 
     ``regions[i]`` names the region behind e_pretrain row i. The first log
     row is the untrained head's performance (losses are recorded before each
     update), so improvement is read directly off the log.
     """
-    train_ext, val_ext, y_train, y_val, (mean, std) = _split_targets(
-        {r: i for i, r in enumerate(regions)}, labels, split,
-        config.label_transform)
-    head = init_head(config, d=e_pretrain.shape[1])
+    train_ext, val_ext, y_train, y_val, transform = _split_targets(
+        regions, labels, split, train.label_transform)
+    head = init_head(e_pretrain.shape[1], seed)
     x_train = Tensor(e_pretrain[train_ext])
     x_val = e_pretrain[val_ext]
 
@@ -718,11 +715,10 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
         return (T.mean_all(T.square(err)),
                 float(np.mean((val_pred.ravel() - y_val) ** 2)))
 
-    head.params, log = _fit(head.params, config.lr, config.max_epochs,
+    head.params, log = _fit(head.params, train.lr, train.max_epochs,
                             lambda epoch: (objective,), "fine-tuning",
-                            patience=config.patience)
-    head.label_mean, head.label_std = mean, std
-    head.trained = True
+                            patience=train.patience)
+    head.labels = transform
     return head, log
 
 
@@ -736,7 +732,7 @@ def predict(state: ModelState, graph: HeteroGraph,
             regions: Sequence[Region]) -> dict[Region, float]:
     """Inverse-transformed predictions for the requested regions."""
     values = predict_all(state, graph, features)
-    pos = _region_positions(features)
+    pos = {r: i for i, r in enumerate(features.regions)}
     try:
         return {r: float(values[pos[r]]) for r in regions}
     except KeyError as exc:
@@ -748,24 +744,18 @@ def predict_all(state: ModelState, graph: HeteroGraph,
                 gt: Optional[GraphTensors] = None) -> np.ndarray:
     """Predictions for every region, in feature order. `gt`, when given, is
     prepare_graph(graph, features), already built by the caller."""
-    if not state.trained:
-        raise ValueError("model state is untrained")
     if gt is None:
         gt = prepare_graph(graph, features)
-    e = embed_regions(state, gt)
-    z = _head_values(state.params, e).ravel()
-    out = invert_label_transform(state.config.label_transform, z,
-                                 state.label_mean, state.label_std)
-    return T.require_finite(out, "predictions")
+    return predict_from_embeddings(state, embed_regions(state, gt))
 
 
-def predict_from_embeddings(head: HeadState, e_pretrain: np.ndarray) -> np.ndarray:
-    """Head predictions over an embedding matrix, inverse-transformed."""
-    if not head.trained:
-        raise ValueError("head is untrained")
-    z = _head_values(head.params, e_pretrain).ravel()
-    out = invert_label_transform(head.config.label_transform, z,
-                                 head.label_mean, head.label_std)
+def predict_from_embeddings(state: ModelState | HeadState,
+                            embeddings: np.ndarray) -> np.ndarray:
+    """The head of ``state`` over embedding rows, inverse-transformed."""
+    if state.labels is None:
+        raise ValueError("state is untrained (a pretrained backbone has "
+                         "no fitted head)")
+    out = state.labels.invert(_head_values(state.params, embeddings).ravel())
     return T.require_finite(out, "predictions")
 
 
@@ -776,23 +766,23 @@ def predict_from_embeddings(head: HeadState, e_pretrain: np.ndarray) -> np.ndarr
 def backbone_checksum(state: ModelState) -> str:
     """SHA-256 over the exact bytes of every non-head parameter."""
     digest = hashlib.sha256()
-    for name in state.backbone_names():
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(state.params[name]).tobytes())
+    for name, arr in state.params.items():
+        if not name.startswith("head."):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
 
 
 def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
     """JSON checkpoint of a whole model ("kind": "model") or of a head
-    fine-tuned on frozen embeddings ("kind": "head")."""
-    payload: dict = {"version": CHECKPOINT_VERSION,
-                     "kind": "model" if isinstance(state, ModelState) else "head",
-                     "config": asdict(state.config)}
+    fine-tuned on frozen embeddings ("kind": "head"); "labels" may be null."""
+    payload: dict = {"version": CHECKPOINT_VERSION, "kind": "head"}
     if isinstance(state, ModelState):
-        payload.update(n_env=state.n_env, n_soc=state.n_soc,
+        payload.update(kind="model", config=asdict(state.config),
+                       n_env=state.n_env, n_soc=state.n_soc,
                        thresholds=list(state.thresholds))
-    payload.update(label_mean=state.label_mean, label_std=state.label_std,
-                   trained=state.trained,
+    payload.update(labels=None if state.labels is None
+                   else asdict(state.labels),
                    params={name: {"shape": list(arr.shape),
                                   "data": arr.ravel().tolist()}
                            for name, arr in state.params.items()})
@@ -801,10 +791,9 @@ def save_checkpoint(state: ModelState | HeadState, path: str) -> None:
 
 
 def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
-    """Read a "model" or "head" checkpoint. A model checkpoint also holds
-    its graph's two thresholds. Each parameter must be finite and shaped as
-    the config and entity counts say (a head's width is read from
-    head.0.w); otherwise GeoDataError names the file."""
+    """Read a "model" or "head" checkpoint. Each parameter must be finite
+    and shaped as the config and entity counts say (a head's width is read
+    from head.0.w); otherwise GeoDataError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION or \
@@ -812,21 +801,21 @@ def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
         raise GeoDataError(f"{path}: not a version-{CHECKPOINT_VERSION} "
                            f"{kind} checkpoint")
     try:
-        config = HgnnConfig(**payload["config"])
         params = {name: np.array(spec["data"], dtype=np.float64)
                   .reshape(spec["shape"])
                   for name, spec in payload["params"].items()}
-        fields = ({"n_env": payload["n_env"], "n_soc": payload["n_soc"]}
-                  if kind == "model" else {})
-        layout = (_model_layout(config, **fields) if kind == "model"
-                  else _head_layout(params["head.0.w"].shape[0]))
+        labels = payload["labels"]
+        labels = None if labels is None else LabelTransform(**labels)
         if kind == "model":
             theta_env, theta_soc = payload["thresholds"]
-            fields["thresholds"] = (float(theta_env), float(theta_soc))
-        state = (ModelState if kind == "model" else HeadState)(
-            config=config, params=params, label_mean=payload["label_mean"],
-            label_std=payload["label_std"], trained=payload["trained"],
-            **fields)
+            state = ModelState(config=HgnnConfig(**payload["config"]),
+                               n_env=payload["n_env"], n_soc=payload["n_soc"],
+                               params=params, labels=labels,
+                               thresholds=(float(theta_env), float(theta_soc)))
+            layout = _model_layout(state.config, state.n_env, state.n_soc)
+        else:
+            state = HeadState(params=params, labels=labels)
+            layout = _head_layout(params["head.0.w"].shape[0])
     except (KeyError, TypeError, ValueError) as exc:
         raise GeoDataError(f"{path}: malformed checkpoint ({exc!r})") from exc
     want = {name: shape for name, shape, _ in layout}

@@ -18,8 +18,9 @@ from geohg.evaluation import (ExperimentInputs, RunSettings, mae, make_split,
                               r2, rmse, run_experiment)
 from geohg.geodata import GridSpec
 from geohg.hetgraph import build_elr, build_rnr, build_slr, rnr_edge_count
-from geohg.model import (HgnnConfig, SslConfig, backbone_checksum,
-                         backbone_forward, batch_positive_plan, finetune_head,
+from geohg.model import (HgnnConfig, SslConfig, TrainConfig,
+                         backbone_checksum, backbone_forward,
+                         batch_positive_plan, finetune_head,
                          hgnn_forward, infonce_loss, init_state,
                          mse_training_loss, positive_sets, prepare_graph,
                          pretrain_contrastive)
@@ -37,8 +38,8 @@ def big_world():
     lc, pois, labels, _ = generate(cfg)
     inputs = ExperimentInputs(grid=lc.grid, lc=lc, pois=pois, labels=labels,
                               n_categories=cfg.n_categories)
-    settings = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=48,
-                                           max_epochs=300, patience=50))
+    settings = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=48),
+                           train=TrainConfig(max_epochs=300, patience=50))
     return inputs, settings
 
 
@@ -50,8 +51,8 @@ def leaves_of(params):
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
     grid, feats, graph, labels, _ = synth_world(4, 4, seed=1)
-    config = HgnnConfig(n_layers=2, hidden_dim=8, seed=0)
-    state = init_state(config, graph.n_env, graph.n_soc)
+    config = HgnnConfig(n_layers=2, hidden_dim=8)
+    state = init_state(config, graph.n_env, graph.n_soc, seed=0)
     gt = prepare_graph(graph, feats)
 
     rng = np.random.default_rng(0)
@@ -204,8 +205,8 @@ def test_criterion_5_infonce_oracle():
     rng = np.random.default_rng(5)
     for world_seed in (0, 1):
         grid, feats, graph, _, _ = synth_world(6, 6, seed=world_seed)
-        config = HgnnConfig(n_layers=2, hidden_dim=16, seed=world_seed)
-        state = init_state(config, graph.n_env, graph.n_soc)
+        config = HgnnConfig(n_layers=2, hidden_dim=16)
+        state = init_state(config, graph.n_env, graph.n_soc, seed=world_seed)
         gt = prepare_graph(graph, feats)
         positives = [np.sort(gt.rank[p])
                      for p in positive_sets(graph, feats, 4)]
@@ -226,8 +227,8 @@ def test_criterion_5_infonce_oracle():
 
     # Uniform scores: zero parameters force every score to 0.
     grid, feats, graph, _, _ = synth_world(6, 6, seed=2)
-    config = HgnnConfig(n_layers=2, hidden_dim=16, seed=2)
-    state = init_state(config, graph.n_env, graph.n_soc)
+    config = HgnnConfig(n_layers=2, hidden_dim=16)
+    state = init_state(config, graph.n_env, graph.n_soc, seed=2)
     zeros = {k: np.zeros_like(v) for k, v in state.params.items()}
     gt = prepare_graph(graph, feats)
     positives = [np.sort(gt.rank[p]) for p in positive_sets(graph, feats, 4)]
@@ -272,8 +273,8 @@ def test_criterion_6_graph_invariants():
 
     equivariant_ok = True
     grid, feats, graph, _, _ = synth_world(5, 5, seed=3)
-    config = HgnnConfig(n_layers=3, hidden_dim=16, seed=3)
-    state = init_state(config, graph.n_env, graph.n_soc)
+    config = HgnnConfig(n_layers=3, hidden_dim=16)
+    state = init_state(config, graph.n_env, graph.n_soc, seed=3)
     base = hgnn_forward(graph, feats, state)
     for _ in range(5):
         perm = rng.permutation(grid.n_regions)
@@ -355,15 +356,16 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_frozen_backbone():
     grid, feats, graph, labels, _ = synth_world(8, 8, seed=10)
-    config = HgnnConfig(n_layers=2, hidden_dim=16, seed=10, max_epochs=150,
-                        patience=150)
-    ssl = SslConfig(batch_size=16, epochs=4, seed=10)
-    state, embeddings, _ = pretrain_contrastive(graph, feats, ssl, config)
+    config = HgnnConfig(n_layers=2, hidden_dim=16)
+    ssl = SslConfig(batch_size=16, epochs=4)
+    state, embeddings, _ = pretrain_contrastive(graph, feats, ssl, config,
+                                                seed=10)
     checksum_before = backbone_checksum(state)
 
     split = make_split(labels, masked_ratio=0.5, seed=10)
-    head, log = finetune_head(embeddings, labels, split, config,
-                              regions=feats.regions)
+    head, log = finetune_head(embeddings, labels, split,
+                              TrainConfig(max_epochs=150, patience=150),
+                              regions=feats.regions, seed=10)
     checksum_after = backbone_checksum(state)
 
     frozen = checksum_after == checksum_before

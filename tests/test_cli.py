@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geohg import baselines
-from geohg.cli import _resolve, _settings, build_parser, dispatch
+from geohg.cli import (BASELINES, MODEL_GROUPS, _resolve, _settings,
+                       build_parser, dispatch)
 from geohg.geodata import (LabelSet, load_gridspec, load_labels,
                            load_landcover, load_pois, save_labels)
 from geohg.evaluation import RunSettings, load_report
@@ -229,8 +230,8 @@ class TestEval:
     def test_explicit_flag_overrides_preset(self, world_dir, tmp_path):
         assert run(tmp_path, "eval", *world_flags(world_dir),
                    "--labels", str(world_dir / "labels.csv"),
-                   "--method", "idw", "--masked-ratio", "0.5",
-                   "--task", "gdp", "--theta-env", "0.55") == 0
+                   "--method", "geohg", "--masked-ratio", "0.5",
+                   "--task", "gdp", "--theta-env", "0.55", *FAST_MODEL) == 0
         text = (tmp_path / "report.txt").read_text()
         assert "# theta_env = 0.55" in text
         assert "# theta_soc = 1.2" in text
@@ -246,8 +247,8 @@ class TestResolvedConfigs:
             "--patience", "3", "--label-transform", "log1p+zscore",
             "--temperature", "0.5", "--top-k", "2", "--batch-size", "8",
             "--ssl-epochs", "3", "--ssl-lr", "0.05"])
-        settings = _settings(args, _resolve(args))
-        for config in (settings.hgnn, settings.ssl):
+        settings = _settings(_resolve(args))
+        for config in (settings.hgnn, settings.train, settings.ssl):
             for field in fields(config):
                 assert getattr(config, field.name) != field.default, \
                     (type(config).__name__, field.name)
@@ -501,7 +502,7 @@ class TestEcho:
           "top_k = 4", "batch_size = 64", "ssl_lr = 0.002"]),
         ("finetune", ["--task", "carbon", "--max-epochs", "3"],
          ["label_transform = log1p+zscore", "lr = 0.002", "task = carbon"]),
-        ("sweep", ["--task", "pm25", "--method", "idw"],
+        ("sweep", ["--task", "pm25", "--method", "geohg-ssl"],
          ["theta_env = 0.8", "theta_soc = 0.6", "layers = 3",
           "hidden_dim = 64", "max_epochs = 1000", "ssl_epochs = 60"])])
     def test_flags_left_out_are_echoed_as_resolved(self, every_command,
@@ -527,6 +528,30 @@ class TestEcho:
             assert not [l for l in header if l.endswith(" = None")
                         and not l.startswith(("categories", "n_categories",
                                               "task"))], path.name
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_a_baseline_echoes_no_model_flag(self, world_dir, tmp_path,
+                                             method):
+        # The baselines read no model setting: eval echoes none, nor
+        # --task; sweep keeps --task and the thresholds, which name its
+        # files.
+        argv = [*world_flags(world_dir),
+                "--labels", str(world_dir / "labels.csv"),
+                "--masked-ratio", "0.5", "--method", method, *EVERY_TASK,
+                *EVERY_ARCH, *EVERY_TRAINING, *EVERY_SSL]
+        model = {"task"} | {f.dest for group in MODEL_GROUPS
+                            for f in group.flags}
+        for command, kept in (("eval", set()),
+                              ("sweep", {"task", "theta_env", "theta_soc"})):
+            assert run(tmp_path / command, command, *argv) == 0, command
+            outputs = text_outputs(tmp_path / command)
+            assert outputs, command
+            for path in outputs:
+                header = {l[2:].split(" = ")[0]
+                          for l in path.read_text().splitlines()
+                          if l.startswith("#")}
+                assert header & model == kept, (command, path.name)
+                assert "seed" in header and "method" in header, path.name
 
     @pytest.mark.parametrize("command,flag", [
         ("pretrain", "--lr"), ("pretrain", "--max-epochs"),
@@ -605,6 +630,21 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "error [predict]:" in err and "theta_soc" in err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_predict_from_a_pretrained_backbone_exits_2(self, world_dir,
+                                                        tmp_path, capsys):
+        # Pretraining fits no head, so its checkpoint has nothing to
+        # predict with.
+        assert run(tmp_path, "pretrain", *world_flags(world_dir),
+                   *FAST_ARCH, *FAST_SSL) == 0
+        capsys.readouterr()
+        code = run(tmp_path, "predict", *world_flags(world_dir),
+                   "--checkpoint", str(tmp_path / "pretrain_checkpoint.json"),
+                   "--out", str(tmp_path / "pred.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [predict]:" in err and "pretrained backbone" in err
         assert not (tmp_path / "pred.csv").exists()
 
     def test_bad_ssl_settings_exit_2(self, world_dir, tmp_path, capsys):

@@ -11,7 +11,7 @@ from geohg.evaluation import (EvalSplit, ExperimentInputs, RunSettings,
                               write_predictions, write_report,
                               write_similarity)
 from geohg.geodata import GeoDataError, LabelSet
-from geohg.model import HgnnConfig, SslConfig
+from geohg.model import HgnnConfig, SslConfig, TrainConfig
 
 from _worlds import synth_raw
 
@@ -30,8 +30,8 @@ def world_inputs(n_cols=10, n_rows=10, seed=0, with_lc=True):
                             n_categories=cfg.n_categories)
 
 
-FAST = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=8, max_epochs=60,
-                                   patience=60),
+FAST = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=8),
+                   train=TrainConfig(max_epochs=60, patience=60),
                    ssl=SslConfig(batch_size=16, epochs=3))
 
 
@@ -276,8 +276,8 @@ class TestRunExperiment:
 
     def test_model_beats_chance_on_learnable_world(self):
         inputs = world_inputs(12, 12, seed=16)
-        settings = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=16,
-                                               max_epochs=300, patience=60))
+        settings = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=16),
+                               train=TrainConfig(max_epochs=300, patience=60))
         result = run_experiment(inputs, "geohg", masked_ratio=0.5, seed=9,
                                 settings=settings)
         assert result.report.r2 > 0.2

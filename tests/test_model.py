@@ -12,14 +12,12 @@ from geohg.features import FeatureTable
 from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (CHECKPOINT_VERSION, RELATIONS, HgnnConfig,
-                         SslConfig, apply_label_transform,
+                         LabelTransform, SslConfig, TrainConfig,
                          backbone_checksum, backbone_forward,
-                         batch_positive_plan, finetune_head,
-                         fit_label_transform, head_forward, hgnn_forward,
-                         infonce_loss,
-                         init_head, init_state, invert_label_transform,
-                         load_checkpoint, load_embeddings,
-                         mse_training_loss, positive_sets, predict,
+                         batch_positive_plan, finetune_head, head_forward,
+                         hgnn_forward, infonce_loss, init_head, init_state,
+                         load_checkpoint, load_embeddings, mse_training_loss,
+                         positive_sets, predict,
                          predict_all, prepare_graph, predict_from_embeddings,
                          pretrain_contrastive, row_subset, save_checkpoint,
                          save_training_log, train_end_to_end,
@@ -68,12 +66,12 @@ class TestConfigs:
 
     def test_unknown_transform_and_relation(self):
         with pytest.raises(ValueError):
-            HgnnConfig(label_transform="boxcox")
+            TrainConfig(label_transform="boxcox")
 
     def test_lr_must_be_finite_and_positive(self):
         for lr in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="lr"):
-                HgnnConfig(lr=lr)
+                TrainConfig(lr=lr)
 
     def test_ssl_validation(self):
         for bad in ({"temperature": 0.0}, {"temperature": -0.1},
@@ -89,26 +87,31 @@ class TestLabelTransforms:
     def test_zscore_round_trip(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.5, size=50)
-        mean, std = fit_label_transform("zscore", values)
-        z = apply_label_transform("zscore", values, mean, std)
+        transform = LabelTransform.fit("zscore", values)
+        z = transform.apply(values)
         assert abs(z.mean()) < 1e-12 and abs(z.std() - 1.0) < 1e-12
-        back = invert_label_transform("zscore", z, mean, std)
+        back = transform.invert(z)
         assert np.allclose(back, values, atol=1e-12)
 
     def test_log1p_round_trip(self):
         values = np.array([0.0, 1.0, 10.0, 1000.0])
-        mean, std = fit_label_transform("log1p+zscore", values)
-        z = apply_label_transform("log1p+zscore", values, mean, std)
-        back = invert_label_transform("log1p+zscore", z, mean, std)
+        transform = LabelTransform.fit("log1p+zscore", values)
+        back = transform.invert(transform.apply(values))
         assert np.allclose(back, values, rtol=1e-12)
 
     def test_log1p_rejects_low_values(self):
         with pytest.raises(ValueError, match="> -1"):
-            fit_label_transform("log1p+zscore", np.array([-2.0, 1.0]))
+            LabelTransform.fit("log1p+zscore", np.array([-2.0, 1.0]))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="boxcox"):
+            LabelTransform("boxcox", 0.0, 1.0)
+        with pytest.raises(ValueError, match="boxcox"):
+            LabelTransform.fit("boxcox", np.ones(3))
 
     def test_constant_labels_keep_unit_scale(self):
-        mean, std = fit_label_transform("zscore", np.full(5, 7.0))
-        assert mean == 7.0 and std == 1.0
+        transform = LabelTransform.fit("zscore", np.full(5, 7.0))
+        assert transform.mean == 7.0 and transform.std == 1.0
 
 
 class TestForward:
@@ -116,8 +119,8 @@ class TestForward:
         grid = GridSpec(0.0, 0.0, 3, 1)
         feats = hand_features(grid, seed=1)
         graph = HeteroGraph(n_regions=3, n_env=3, n_soc=2)
-        config = HgnnConfig(n_layers=1, hidden_dim=6, seed=2)
-        state = init_state(config, 3, 2)
+        config = HgnnConfig(n_layers=1, hidden_dim=6)
+        state = init_state(config, 3, 2, seed=2)
         out = hgnn_forward(graph, feats, state)
         p = state.params
         raw = pos_scaled(feats.matrix)
@@ -135,8 +138,8 @@ class TestForward:
         feats = FeatureTable(base.regions, rows,
                              np.full(2, base.poi_counts[0]), base.n_env)
         graph = rnr_only_graph(grid, feats)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=4)
-        state = init_state(config, 3, 2)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        state = init_state(config, 3, 2, seed=4)
         state.params["w_in"][:2, :] = 0.0   # ignore e_pos
         out = hgnn_forward(graph, feats, state)
         assert np.array_equal(out[0], out[1])
@@ -146,8 +149,8 @@ class TestForward:
         grid = GridSpec(0.0, 0.0, 3, 3)
         feats = hand_features(grid, seed=5, n_env=2, n_soc=1)
         graph = rnr_only_graph(grid, feats)
-        config = HgnnConfig(n_layers=1, hidden_dim=5, seed=0)
-        state = init_state(config, 2, 1)
+        config = HgnnConfig(n_layers=1, hidden_dim=5)
+        state = init_state(config, 2, 1, seed=0)
         eye = np.eye(5)
         for name in list(state.params):
             if name.endswith(".b") or name == "b_in":
@@ -172,8 +175,8 @@ class TestForward:
         feats = hand_features(grid, seed=6)
         elr = EdgeFamily(np.array([[1, 4]], dtype=np.int64), np.array([0.8]))
         graph = HeteroGraph(n_regions=4, n_env=3, n_soc=2, edges_elr=elr)
-        config = HgnnConfig(n_layers=1, hidden_dim=4, seed=7)
-        state = init_state(config, 3, 2)
+        config = HgnnConfig(n_layers=1, hidden_dim=4)
+        state = init_state(config, 3, 2, seed=7)
         for name in state.params:
             state.params[name] = np.zeros_like(state.params[name])
         state.params["layer0.elr_e2r.b"] = np.full((1, 4), 2.5)
@@ -184,8 +187,8 @@ class TestForward:
 
     def test_permutation_equivariance_exact(self):
         grid, feats, graph, _, _ = synth_world(5, 4, seed=8)
-        config = HgnnConfig(n_layers=3, hidden_dim=16, seed=9)
-        state = init_state(config, graph.n_env, graph.n_soc)
+        config = HgnnConfig(n_layers=3, hidden_dim=16)
+        state = init_state(config, graph.n_env, graph.n_soc, seed=9)
         base = hgnn_forward(graph, feats, state)
         rng = np.random.default_rng(10)
         perm = rng.permutation(grid.n_regions)
@@ -197,8 +200,8 @@ class TestForward:
         grid = GridSpec(0.0, 0.0, 8, 8)
         feats = hand_features(grid, seed=11)
         graph = rnr_only_graph(grid, feats)
-        config = HgnnConfig(n_layers=2, hidden_dim=12, seed=12)
-        state = init_state(config, 3, 2)
+        config = HgnnConfig(n_layers=2, hidden_dim=12)
+        state = init_state(config, 3, 2, seed=12)
         base = hgnn_forward(graph, feats, state)
         target_row = 0  # region (0, 0)
 
@@ -223,8 +226,8 @@ class TestForward:
                             edges_rnr=base_graph.edges_rnr, edges_elr=elr)
         bumped = env_rolled(feats, b)
         for n_layers, should_change in ((1, False), (2, True)):
-            config = HgnnConfig(n_layers=n_layers, hidden_dim=10, seed=14)
-            state = init_state(config, 3, 2)
+            config = HgnnConfig(n_layers=n_layers, hidden_dim=10)
+            state = init_state(config, 3, 2, seed=14)
             out_base = hgnn_forward(graph, feats, state)
             out_bump = hgnn_forward(graph, bumped, state)
             changed = not np.array_equal(out_bump[a], out_base[a])
@@ -232,14 +235,15 @@ class TestForward:
 
 
 def fused_layer_cases():
-    """(name, graph, features, config) for the fused-layer checks."""
+    """(name, graph, features, config, init seed) for the fused-layer
+    checks."""
     cases = []
     grid, feats, graph, _, _ = synth_world(5, 4, seed=40)
     graph = HeteroGraph(n_regions=graph.n_regions, n_env=graph.n_env,
                         n_soc=graph.n_soc, edges_rnr=graph.edges_rnr,
                         edges_elr=graph.edges_elr)      # no SLR edges
     cases.append(("relation subset", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=2)))
+                  HgnnConfig(n_layers=2, hidden_dim=4), 2))
     # Hand-made entity edges: env entity 2 and soc entity 1 stay isolated.
     grid = GridSpec(0.0, 0.0, 4, 3)
     feats = hand_features(grid, seed=41)
@@ -252,7 +256,7 @@ def fused_layer_cases():
     graph = HeteroGraph(n_regions=n, n_env=3, n_soc=2, edges_rnr=rnr,
                         edges_elr=elr, edges_slr=slr)
     cases.append(("isolated entity", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=3)))
+                  HgnnConfig(n_layers=2, hidden_dim=4), 3))
     # Region 6 loses all its RNR edges and has no entity edge either.
     e = rnr.endpoints
     keep = (e[:, 0] != 6) & (e[:, 1] != 6)
@@ -261,16 +265,16 @@ def fused_layer_cases():
                                              rnr.weights[keep].copy()),
                         edges_elr=elr, edges_slr=slr)
     cases.append(("zero in-degree region", graph, feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=4)))
-    three_layers = HgnnConfig(n_layers=3, hidden_dim=4, seed=6)
-    cases.append(("three layers", graph, feats, three_layers))
+                  HgnnConfig(n_layers=2, hidden_dim=4), 4))
+    cases.append(("three layers", graph, feats,
+                  HgnnConfig(n_layers=3, hidden_dim=4), 6))
     grid = GridSpec(0.0, 0.0, 7, 1)
     feats = hand_features(grid, seed=42)
     cases.append(("1x7 grid", build_graph(grid, feats, 0.3, 0.2), feats,
-                  HgnnConfig(n_layers=2, hidden_dim=4, seed=5)))
+                  HgnnConfig(n_layers=2, hidden_dim=4), 5))
     grid, feats, graph, _, _ = synth_world(5, 4, seed=43)
     cases.append(("one layer", graph, feats,
-                  HgnnConfig(n_layers=1, hidden_dim=4, seed=8)))
+                  HgnnConfig(n_layers=1, hidden_dim=4), 8))
     return cases
 
 
@@ -319,7 +323,7 @@ class TestRelationalLayer:
 
     def test_cases_cover_the_shapes(self):
         by_name = {name: (graph, feats)
-                   for name, graph, feats, _ in self.CASES}
+                   for name, graph, feats, _, _ in self.CASES}
         gt = prepare_graph(*by_name["isolated entity"])
         env = gt.relations["elr_r2e"].agg.has_in_edge
         soc = gt.relations["slr_r2e"].agg.has_in_edge
@@ -330,13 +334,13 @@ class TestRelationalLayer:
         assert gt.relations["rnr"].agg.idx.shape == (7, 2)
         gt = prepare_graph(*by_name["relation subset"])
         assert sorted(gt.relations) == ["elr_e2r", "elr_r2e", "rnr"]
-        assert {config.n_layers for _, _, _, config in self.CASES} \
+        assert {config.n_layers for _, _, _, config, _ in self.CASES} \
             == {1, 2, 3}
 
     def test_matches_per_relation_reference(self):
         # Oracle: the unfused rule, one dense mean per relation built
         # straight from the edge lists, plus the masked relation bias.
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, _ in self.CASES:
             gt, rels, weights, h = layer_inputs(graph, feats, config, 43)
             out, _, _ = run_layer(gt, rels, weights, h)
             want = h @ weights["self"][0] + weights["self"][1]
@@ -347,7 +351,7 @@ class TestRelationalLayer:
             assert np.allclose(out.data, want, atol=1e-12), name
 
     def test_matches_stacked_layer_with_gradients(self):
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, _ in self.CASES:
             gt, rels, weights, h = layer_inputs(graph, feats, config, 47)
             target = np.random.default_rng(48).normal(size=h.shape)
             runs = []
@@ -362,7 +366,7 @@ class TestRelationalLayer:
                 assert np.max(np.abs(got - want)) <= 1e-12, name
 
     def test_gradient_matches_finite_differences(self):
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, _ in self.CASES:
             gt, rels, weights, h = layer_inputs(graph, feats, config, 44)
             target = np.random.default_rng(45).normal(size=h.shape)
 
@@ -382,8 +386,8 @@ class TestRelationalLayer:
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(46)
-        for name, graph, feats, config in self.CASES:
-            state = init_state(config, graph.n_env, graph.n_soc)
+        for name, graph, feats, config, seed in self.CASES:
+            state = init_state(config, graph.n_env, graph.n_soc, seed)
             base = hgnn_forward(graph, feats, state)
             for _ in range(3):
                 perm = rng.permutation(graph.n_regions)
@@ -396,7 +400,7 @@ class TestRelationalLayer:
         # every gradient under the same upstream g, which the full layer
         # sees scattered into zeros.
         rng = np.random.default_rng(49)
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, _ in self.CASES:
             gt, rels, weights, h = layer_inputs(graph, feats, config, 50)
             n = gt.n_regions
             no_in_edge = np.flatnonzero(np.any(
@@ -487,10 +491,10 @@ class TestFoldedLayerZero:
         # Output and every parameter gradient against the unfolded stack,
         # for the full forward and for row subsets of the last layer.
         rng = np.random.default_rng(55)
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, seed in self.CASES:
             gt = prepare_graph(graph, feats)
             params = {k: rng.normal(scale=0.7, size=v.shape) for k, v in
-                      init_state(config, graph.n_env, graph.n_soc)
+                      init_state(config, graph.n_env, graph.n_soc, seed)
                       .params.items() if not k.startswith("head.")}
             x = canonical_inputs(feats, gt)
             n = gt.n_regions
@@ -522,9 +526,9 @@ class TestFoldedLayerZero:
         layer = T.relational_layer
         monkeypatch.setattr(T, "relational_layer",
                             lambda *a: calls.append(1) or layer(*a))
-        for name, graph, feats, config in self.CASES:
+        for name, graph, feats, config, seed in self.CASES:
             gt = prepare_graph(graph, feats)
-            state = init_state(config, graph.n_env, graph.n_soc)
+            state = init_state(config, graph.n_env, graph.n_soc, seed)
             calls.clear()
             backbone_forward(gt, leaves_of(state.params), config)
             assert len(calls) == config.n_layers - 1, name
@@ -555,8 +559,8 @@ class TestRowSubsetLosses:
 
     def setup(self, seed):
         grid, feats, graph, _, _ = synth_world(6, 6, seed=seed)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=seed)
-        state = init_state(config, graph.n_env, graph.n_soc)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        state = init_state(config, graph.n_env, graph.n_soc, seed=seed)
         # Random parameters everywhere, biases included.
         rng = np.random.default_rng(seed)
         params = {k: rng.normal(scale=0.5, size=v.shape)
@@ -712,9 +716,10 @@ class TestTrainEndToEnd:
         grid, feats, graph, _, _ = synth_world(10, 10, seed=15)
         labels = constant_labels(grid, 3.7)
         split = make_split(labels, masked_ratio=0.25, seed=0)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=1, max_epochs=300,
-                            patience=300)
-        state, log = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        train = TrainConfig(max_epochs=300, patience=300)
+        state, log = train_end_to_end(graph, feats, labels, split, config,
+                                      train, seed=1)
         assert min(row[2] for row in log) < 5e-3
         preds = predict_all(state, graph, feats)
         assert np.max(np.abs(preds - 3.7)) < 0.2
@@ -722,10 +727,12 @@ class TestTrainEndToEnd:
     def test_fixed_seed_bit_identical_logs(self):
         grid, feats, graph, labels, _ = synth_world(6, 6, seed=16)
         split = make_split(labels, masked_ratio=0.5, seed=2)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=30,
-                            patience=30)
-        state_a, log_a = train_end_to_end(graph, feats, labels, split, config)
-        state_b, log_b = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        train = TrainConfig(max_epochs=30, patience=30)
+        state_a, log_a = train_end_to_end(graph, feats, labels, split, config,
+                                          train, seed=3)
+        state_b, log_b = train_end_to_end(graph, feats, labels, split, config,
+                                          train, seed=3)
         assert log_a == log_b
         for name in state_a.params:
             assert np.array_equal(state_a.params[name], state_b.params[name])
@@ -733,12 +740,13 @@ class TestTrainEndToEnd:
     def test_prepared_graph_passed_in_gives_the_same_results(self):
         grid, feats, graph, labels, _ = synth_world(6, 6, seed=16)
         split = make_split(labels, masked_ratio=0.5, seed=2)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=20,
-                            patience=20)
-        state_a, log_a = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        train = TrainConfig(max_epochs=20, patience=20)
+        state_a, log_a = train_end_to_end(graph, feats, labels, split, config,
+                                          train, seed=3)
         gt = prepare_graph(graph, feats)
         state_b, log_b = train_end_to_end(graph, feats, labels, split, config,
-                                          gt)
+                                          train, seed=3, gt=gt)
         assert log_a == log_b
         for name in state_a.params:
             assert np.array_equal(state_a.params[name], state_b.params[name])
@@ -750,10 +758,11 @@ class TestTrainEndToEnd:
         # region->entity relations get no update.
         grid, feats, graph, labels, _ = synth_world(6, 6, seed=16)
         split = make_split(labels, masked_ratio=0.5, seed=2)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=3, max_epochs=10,
-                            patience=10)
-        init = init_state(config, graph.n_env, graph.n_soc).params
-        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        init = init_state(config, graph.n_env, graph.n_soc, seed=3).params
+        state, _ = train_end_to_end(graph, feats, labels, split, config,
+                                    TrainConfig(max_epochs=10, patience=10),
+                                    seed=3)
         assert set(state.params) == set(init)
         for rel in ("elr_r2e", "slr_r2e"):
             for part in ("w", "b"):
@@ -768,9 +777,10 @@ class TestTrainEndToEnd:
         grid, feats, graph, labels, _ = synth_world(
             12, 12, seed=17, noise_sigma=0.0, jump=0.0, smooth_amplitude=0.0)
         split = make_split(labels, masked_ratio=0.3, seed=4)
-        config = HgnnConfig(n_layers=1, hidden_dim=32, seed=5,
-                            max_epochs=600, patience=150)
-        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=1, hidden_dim=32)
+        train = TrainConfig(max_epochs=600, patience=150)
+        state, _ = train_end_to_end(graph, feats, labels, split, config,
+                                    train, seed=5)
         values = labels.as_dict()
         got = predict(state, graph, feats, split.masked)
         y_true = np.array([values[r] for r in split.masked])
@@ -784,17 +794,21 @@ class TestTrainEndToEnd:
                           validation=split.validation,
                           masked_ratio=split.masked_ratio, seed=split.seed)
         with pytest.raises(ValueError, match="non-empty"):
-            train_end_to_end(graph, feats, labels, bad, HgnnConfig())
+            train_end_to_end(graph, feats, labels, bad, HgnnConfig(),
+                             TrainConfig(), seed=0)
 
     def test_log_rows_are_pre_update_losses(self):
         # Epoch 0 must record the seeded-init model, so a 1-epoch run and a
         # 30-epoch run agree on the first row.
         grid, feats, graph, labels, _ = synth_world(5, 5, seed=19)
         split = make_split(labels, masked_ratio=0.5, seed=6)
-        short = HgnnConfig(hidden_dim=8, seed=7, max_epochs=1, patience=1)
-        longer = HgnnConfig(hidden_dim=8, seed=7, max_epochs=30, patience=30)
-        _, log_short = train_end_to_end(graph, feats, labels, split, short)
-        _, log_long = train_end_to_end(graph, feats, labels, split, longer)
+        config = HgnnConfig(hidden_dim=8)
+        short = TrainConfig(max_epochs=1, patience=1)
+        longer = TrainConfig(max_epochs=30, patience=30)
+        _, log_short = train_end_to_end(graph, feats, labels, split, config,
+                                        short, seed=7)
+        _, log_long = train_end_to_end(graph, feats, labels, split, config,
+                                       longer, seed=7)
         assert log_short[0] == log_long[0]
 
 
@@ -802,8 +816,10 @@ class TestPredict:
     def test_prediction_covers_requested_regions(self):
         grid, feats, graph, labels, _ = synth_world(5, 5, seed=20)
         split = make_split(labels, masked_ratio=0.5, seed=8)
-        config = HgnnConfig(hidden_dim=8, seed=9, max_epochs=10, patience=10)
-        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        state, _ = train_end_to_end(graph, feats, labels, split,
+                                    HgnnConfig(hidden_dim=8),
+                                    TrainConfig(max_epochs=10, patience=10),
+                                    seed=9)
         wanted = [(0, 0), (3, 2), (4, 4)]
         got = predict(state, graph, feats, wanted)
         assert sorted(got) == sorted(wanted)
@@ -811,17 +827,28 @@ class TestPredict:
 
     def test_untrained_state_rejected(self):
         grid, feats, graph, _, _ = synth_world(4, 4, seed=21)
-        state = init_state(HgnnConfig(hidden_dim=8), graph.n_env, graph.n_soc)
+        state = init_state(HgnnConfig(hidden_dim=8), graph.n_env, graph.n_soc,
+                           seed=0)
         with pytest.raises(ValueError, match="untrained"):
+            predict_all(state, graph, feats)
+
+    def test_pretrained_state_rejected(self):
+        # Pretraining fits no label transform, so its head predicts nothing.
+        grid, feats, graph, _, _ = synth_world(4, 4, seed=21)
+        state, _, _ = pretrain_contrastive(
+            graph, feats, SslConfig(batch_size=8, epochs=1),
+            HgnnConfig(n_layers=1, hidden_dim=4), seed=0)
+        with pytest.raises(ValueError, match="pretrained backbone"):
             predict_all(state, graph, feats)
 
     def test_memorizes_training_regions_on_constant_field(self):
         grid, feats, graph, _, _ = synth_world(5, 5, seed=22)
         labels = constant_labels(grid, -1.25)
         split = make_split(labels, masked_ratio=0.5, seed=10)
-        config = HgnnConfig(n_layers=1, hidden_dim=8, seed=11,
-                            max_epochs=300, patience=300)
-        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        config = HgnnConfig(n_layers=1, hidden_dim=8)
+        train = TrainConfig(max_epochs=300, patience=300)
+        state, _ = train_end_to_end(graph, feats, labels, split, config,
+                                    train, seed=11)
         got = predict(state, graph, feats, split.train)
         for region in split.train:
             assert got[region] == pytest.approx(-1.25, abs=0.05)
@@ -830,8 +857,8 @@ class TestPredict:
 class TestInfoNce:
     def batch_setup(self, seed, hidden_dim=16, batch=6, top_k=4):
         grid, feats, graph, _, _ = synth_world(6, 6, seed=seed)
-        config = HgnnConfig(n_layers=2, hidden_dim=hidden_dim, seed=seed)
-        state = init_state(config, graph.n_env, graph.n_soc)
+        config = HgnnConfig(n_layers=2, hidden_dim=hidden_dim)
+        state = init_state(config, graph.n_env, graph.n_soc, seed=seed)
         gt = prepare_graph(graph, feats)
         positives = [np.sort(gt.rank[p]) if p.size else p
                      for p in positive_sets(graph, feats, top_k)]
@@ -950,22 +977,25 @@ class TestPositiveSets:
 class TestPretrain:
     def test_deterministic_embeddings(self):
         grid, feats, graph, _, _ = synth_world(6, 6, seed=30)
-        ssl = SslConfig(batch_size=12, epochs=4, seed=1)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=1)
-        _, emb_a, log_a = pretrain_contrastive(graph, feats, ssl, config)
-        _, emb_b, log_b = pretrain_contrastive(graph, feats, ssl, config)
+        ssl = SslConfig(batch_size=12, epochs=4)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        _, emb_a, log_a = pretrain_contrastive(graph, feats, ssl, config,
+                                               seed=1)
+        _, emb_b, log_b = pretrain_contrastive(graph, feats, ssl, config,
+                                               seed=1)
         assert np.array_equal(emb_a, emb_b)
         assert log_a == log_b
 
     def test_embeddings_shape_and_state_flag(self):
         grid, feats, graph, _, _ = synth_world(6, 6, seed=31, theta_env=0.3,
                                                theta_soc=0.7)
-        ssl = SslConfig(batch_size=9, epochs=3, seed=2)
-        config = HgnnConfig(n_layers=1, hidden_dim=8, seed=2)
-        state, emb, log = pretrain_contrastive(graph, feats, ssl, config)
+        ssl = SslConfig(batch_size=9, epochs=3)
+        config = HgnnConfig(n_layers=1, hidden_dim=8)
+        state, emb, log = pretrain_contrastive(graph, feats, ssl, config,
+                                               seed=2)
         assert emb.shape == (36, 8)
         assert np.all(np.isfinite(emb))
-        assert state.trained
+        assert state.labels is None     # the head is not trained
         assert state.thresholds == (0.3, 0.7)
         assert len(log) == 3 and all(np.isfinite(v) for _, v in log)
 
@@ -974,8 +1004,8 @@ class TestPretrain:
         # path to the InfoNCE loss: their gradient is 0 in every Adam step,
         # so they keep their init bit for bit.
         grid, feats, graph, _, _ = synth_world(6, 6, seed=34)
-        ssl = SslConfig(batch_size=9, epochs=2, seed=4)
-        config = HgnnConfig(n_layers=2, hidden_dim=8, seed=4)
+        ssl = SslConfig(batch_size=9, epochs=2)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
         calls = {"adam": 0, "loss": 0}
         adam, loss = T.adam_step, geohg.model.infonce_loss
 
@@ -988,8 +1018,8 @@ class TestPretrain:
         monkeypatch.setattr(T, "adam_step", counted("adam", adam))
         monkeypatch.setattr(geohg.model, "infonce_loss",
                             counted("loss", loss))
-        init = init_state(config, graph.n_env, graph.n_soc).params
-        state, _, _ = pretrain_contrastive(graph, feats, ssl, config)
+        init = init_state(config, graph.n_env, graph.n_soc, seed=4).params
+        state, _, _ = pretrain_contrastive(graph, feats, ssl, config, seed=4)
         unreached = [k for k in init if k.startswith("head.")] + [
             f"layer1.{rel}.{part}" for rel in ("elr_r2e", "slr_r2e")
             for part in ("w", "b")]
@@ -1005,16 +1035,18 @@ class TestPretrain:
         grid, feats, graph, _, _ = synth_world(4, 4, seed=32)
         with pytest.raises(ValueError, match="batch size"):
             pretrain_contrastive(graph, feats,
-                                 SslConfig(batch_size=64, epochs=1))
+                                 SslConfig(batch_size=64, epochs=1),
+                                 HgnnConfig(), seed=0)
 
     def test_isolated_regions_skipped_with_warning(self):
         grid = GridSpec(0.0, 0.0, 4, 1)
         feats = hand_features(grid, seed=33)
         graph = HeteroGraph(n_regions=4, n_env=3, n_soc=2)  # no edges at all
-        ssl = SslConfig(batch_size=2, epochs=1, top_k=0, seed=3)
-        config = HgnnConfig(n_layers=1, hidden_dim=4, seed=3)
+        ssl = SslConfig(batch_size=2, epochs=1, top_k=0)
+        config = HgnnConfig(n_layers=1, hidden_dim=4)
         with pytest.warns(UserWarning, match="no positives"):
-            _, emb, log = pretrain_contrastive(graph, feats, ssl, config)
+            _, emb, log = pretrain_contrastive(graph, feats, ssl, config,
+                                               seed=3)
         assert np.all(np.isfinite(emb))
         assert math.isnan(log[0][1])  # every batch skipped
 
@@ -1032,23 +1064,22 @@ class TestFinetuneHead:
 
     def test_backbone_untouched_by_finetune(self):
         grid, feats, graph, labels, _ = synth_world(6, 6, seed=34)
-        ssl = SslConfig(batch_size=12, epochs=2, seed=4)
-        config = HgnnConfig(n_layers=1, hidden_dim=8, seed=4, max_epochs=40,
-                            patience=40)
-        state, emb, _ = pretrain_contrastive(graph, feats, ssl, config)
+        ssl = SslConfig(batch_size=12, epochs=2)
+        config = HgnnConfig(n_layers=1, hidden_dim=8)
+        state, emb, _ = pretrain_contrastive(graph, feats, ssl, config, seed=4)
         before = backbone_checksum(state)
         split = make_split(labels, masked_ratio=0.5, seed=11)
-        finetune_head(emb, labels, split, config,
-                      regions=feats.regions)
+        finetune_head(emb, labels, split,
+                      TrainConfig(max_epochs=40, patience=40),
+                      regions=feats.regions, seed=4)
         assert backbone_checksum(state) == before
 
     def test_constant_labels_converge(self):
         e, regions, _ = self.embedding_problem(seed=35, n=200)
         labels = LabelSet(entries=tuple((r, 2.5) for r in regions))
         split = make_split(labels, masked_ratio=0.3, seed=12)
-        config = HgnnConfig(hidden_dim=12, seed=5, max_epochs=800,
-                            patience=800)
-        head, log = finetune_head(e, labels, split, config, regions)
+        train = TrainConfig(max_epochs=800, patience=800)
+        head, log = finetune_head(e, labels, split, train, regions, seed=5)
         assert min(row[2] for row in log) < 1e-2
         preds = predict_from_embeddings(head, e)
         idx = {r: i for i, r in enumerate(regions)}
@@ -1058,9 +1089,8 @@ class TestFinetuneHead:
     def test_linear_target_high_r2(self):
         e, regions, labels = self.embedding_problem(seed=36, n=200)
         split = make_split(labels, masked_ratio=0.3, seed=13)
-        config = HgnnConfig(hidden_dim=12, seed=6, max_epochs=500,
-                            patience=100)
-        head, _ = finetune_head(e, labels, split, config, regions)
+        train = TrainConfig(max_epochs=500, patience=100)
+        head, _ = finetune_head(e, labels, split, train, regions, seed=6)
         preds = predict_from_embeddings(head, e)
         values = labels.as_dict()
         idx = {r: i for i, r in enumerate(regions)}
@@ -1071,17 +1101,15 @@ class TestFinetuneHead:
     def test_first_log_row_is_untrained_head(self):
         e, regions, labels = self.embedding_problem(seed=37)
         split = make_split(labels, masked_ratio=0.4, seed=14)
-        config = HgnnConfig(hidden_dim=12, seed=7, max_epochs=20, patience=20)
-        head, log = finetune_head(e, labels, split, config, regions)
+        train = TrainConfig(max_epochs=20, patience=20)
+        head, log = finetune_head(e, labels, split, train, regions, seed=7)
         # Recompute the untrained-head validation MSE independently.
-        fresh = init_head(config, d=12)
+        fresh = init_head(d=12, seed=7)
         values = labels.as_dict()
         idx = {r: i for i, r in enumerate(regions)}
         y_train = np.array([values[r] for r in split.train])
-        mean, std = fit_label_transform("zscore", y_train)
-        y_val = apply_label_transform(
-            "zscore", np.array([values[r] for r in split.validation]),
-            mean, std)
+        y_val = LabelTransform.fit("zscore", y_train).apply(
+            np.array([values[r] for r in split.validation]))
         val_rows = e[[idx[r] for r in split.validation]]
         want = float(np.mean((head_reference(fresh.params, val_rows).ravel()
                               - y_val) ** 2))
@@ -1090,11 +1118,10 @@ class TestFinetuneHead:
     def test_predictions_match_reference_head_bitwise(self):
         e, regions, labels = self.embedding_problem(seed=38)
         split = make_split(labels, masked_ratio=0.4, seed=15)
-        config = HgnnConfig(hidden_dim=12, seed=8, max_epochs=20, patience=20)
-        head, _ = finetune_head(e, labels, split, config, regions)
-        want = invert_label_transform(
-            "zscore", head_reference(head.params, e).ravel(),
-            head.label_mean, head.label_std)
+        train = TrainConfig(max_epochs=20, patience=20)
+        head, _ = finetune_head(e, labels, split, train, regions, seed=8)
+        assert head.labels.kind == "zscore"
+        want = head.labels.invert(head_reference(head.params, e).ravel())
         assert predict_from_embeddings(head, e).tobytes() == want.tobytes()
 
 
@@ -1104,8 +1131,10 @@ class TestCheckpointsAndIo:
                                                     theta_env=0.4,
                                                     theta_soc=1.2)
         split = make_split(labels, masked_ratio=0.5, seed=15)
-        config = HgnnConfig(hidden_dim=8, seed=8, max_epochs=10, patience=10)
-        state, _ = train_end_to_end(graph, feats, labels, split, config)
+        state, _ = train_end_to_end(graph, feats, labels, split,
+                                    HgnnConfig(hidden_dim=8),
+                                    TrainConfig(max_epochs=10, patience=10),
+                                    seed=8)
         assert state.thresholds == (0.4, 1.2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, str(path))
@@ -1114,22 +1143,53 @@ class TestCheckpointsAndIo:
         again = load_checkpoint(str(path))
         assert again.config == state.config
         assert again.thresholds == (0.4, 1.2)
-        assert again.label_mean == state.label_mean
-        assert again.label_std == state.label_std
+        assert again.labels == state.labels
         for name in state.params:
             assert np.array_equal(again.params[name], state.params[name])
         assert np.array_equal(predict_all(again, graph, feats),
                               predict_all(state, graph, feats))
 
+    def test_save_of_load_rewrites_the_file_byte_for_byte(self, tmp_path):
+        # A trained model, a pretrained backbone and a head: loading keeps
+        # every stored value. A model stores only its architecture as
+        # config, a head no config at all, and only trained states carry a
+        # label transform.
+        grid, feats, graph, labels, _ = synth_world(6, 6, seed=39,
+                                                    theta_env=0.4,
+                                                    theta_soc=1.2)
+        split = make_split(labels, masked_ratio=0.5, seed=16)
+        config = HgnnConfig(n_layers=2, hidden_dim=8)
+        train = TrainConfig(max_epochs=5, patience=5)
+        model, _ = train_end_to_end(graph, feats, labels, split, config,
+                                    train, seed=9)
+        backbone, emb, _ = pretrain_contrastive(
+            graph, feats, SslConfig(batch_size=12, epochs=1), config, seed=9)
+        head, _ = finetune_head(emb, labels, split, train, feats.regions,
+                                seed=9)
+        for name, state, kind in (("model", model, "model"),
+                                  ("backbone", backbone, "model"),
+                                  ("head", head, "head")):
+            path = tmp_path / f"{name}.json"
+            save_checkpoint(state, str(path))
+            payload = json.loads(path.read_text())
+            if kind == "model":
+                assert sorted(payload["config"]) \
+                    == sorted(f.name for f in fields(HgnnConfig))
+            else:
+                assert "config" not in payload
+            assert (payload["labels"] is None) == (name == "backbone"), name
+            again = tmp_path / f"{name}-again.json"
+            save_checkpoint(load_checkpoint(str(path), kind), str(again))
+            assert again.read_bytes() == path.read_bytes(), name
+
     def test_wrong_kind_rejected(self, tmp_path):
-        config = HgnnConfig(hidden_dim=4)
-        head, _ = HeadState_roundtrip_helper(config, tmp_path)
+        head, _ = HeadState_roundtrip_helper(4, tmp_path)
         with pytest.raises(ValueError, match="model checkpoint"):
             load_checkpoint(str(tmp_path / "head.json"))
 
     def test_head_round_trip(self, tmp_path):
-        config = HgnnConfig(hidden_dim=4)
-        head, again = HeadState_roundtrip_helper(config, tmp_path)
+        head, again = HeadState_roundtrip_helper(4, tmp_path)
+        assert again.labels == head.labels
         for name in head.params:
             assert np.array_equal(again.params[name], head.params[name])
 
@@ -1144,8 +1204,8 @@ class TestCheckpointsAndIo:
         assert np.array_equal(got, emb)
 
     def test_parameter_shapes_checked_against_config(self, tmp_path):
-        config = HgnnConfig(n_layers=1, hidden_dim=4, seed=1)
-        state = init_state(config, n_env=3, n_soc=2)
+        config = HgnnConfig(n_layers=1, hidden_dim=4)
+        state = init_state(config, n_env=3, n_soc=2, seed=1)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, str(path))
         good = json.loads(path.read_text())
@@ -1179,7 +1239,8 @@ class TestCheckpointsAndIo:
         del bad["thresholds"]
         rejected(bad, "malformed checkpoint")
         bad = json.loads(json.dumps(good))
-        for version in (1, 2):            # before thresholds; old config
+        for version in (1, 2, 3):   # before thresholds; old config; one
+                                    # config for every stage
             bad["version"] = version
             rejected(bad, f"not a version-{CHECKPOINT_VERSION} model "
                           f"checkpoint")
@@ -1187,7 +1248,7 @@ class TestCheckpointsAndIo:
         assert load_checkpoint(str(path)).params.keys() == state.params.keys()
 
     def test_head_shapes_checked(self, tmp_path):
-        head = init_head(HgnnConfig(hidden_dim=4), d=6)
+        head = init_head(d=6, seed=0)
         path = tmp_path / "head.json"
         save_checkpoint(head, str(path))
         assert load_checkpoint(str(path), kind="head").params["head.0.w"] \
@@ -1239,9 +1300,9 @@ class TestCheckpointsAndIo:
         assert parsed == [(0.0, 1.5, 2.25), (1.0, 0.125, 0.75)]
 
 
-def HeadState_roundtrip_helper(config, tmp_path):
-    head = init_head(config, d=config.hidden_dim)
-    head.trained = True
+def HeadState_roundtrip_helper(d, tmp_path):
+    head = init_head(d, seed=0)
+    head.labels = LabelTransform("zscore", 0.0, 1.0)
     path = tmp_path / "head.json"
     save_checkpoint(head, str(path))
     return head, load_checkpoint(str(path), kind="head")

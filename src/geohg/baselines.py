@@ -250,6 +250,8 @@ class VariogramModel:
     kind: str = "exponential"
 
     def __post_init__(self) -> None:
+        if self.kind != "exponential":
+            raise ValueError(f"unsupported variogram kind {self.kind!r}")
         params = (self.nugget, self.sill, self.effective_range)
         if (not all(map(math.isfinite, params)) or self.nugget < 0
                 or self.sill <= 0 or self.effective_range <= 0):

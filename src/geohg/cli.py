@@ -81,7 +81,7 @@ class FlagGroup:
 SYNTH = FlagGroup(SynthConfig(), tuple(Flag(name, name) for name in (
     "n_cols", "n_rows", "pixels_per_cell", "n_classes", "n_categories",
     "n_archetypes", "n_patches", "smooth_amplitude", "jump", "noise_sigma",
-    "origin_lon", "origin_lat", "cell_km", "indicator_name", "seed")))
+    "origin_lon", "origin_lat", "cell_km", "seed")))
 THRESHOLDS = FlagGroup(RunSettings(), (
     Flag("theta_env", "theta_env", "ELR weight threshold"),
     Flag("theta_soc", "theta_soc", "SLR weight threshold")))
@@ -167,6 +167,8 @@ def _forget(args: argparse.Namespace, *groups: FlagGroup) -> None:
 
 def _load_world(args: argparse.Namespace):
     grid = load_gridspec(args.grid)
+    if getattr(args, "method", None) in BASELINES:   # no raster or POI read
+        return grid, None, None, args.n_categories
     lc = load_landcover(args.landcover, grid)
     categories = load_categories(args.categories) if args.categories else None
     n_categories = args.n_categories
@@ -297,7 +299,7 @@ def _run_and_write(method: str, inputs: ExperimentInputs,
                    echo: list[str]):
     result = run_experiment(inputs, method, masked_ratio, seed, settings)
     write_report(result.report, report_path, echo)
-    write_predictions(result.predictions, predictions_path, echo)
+    write_predictions(inputs.labels, result, predictions_path, echo)
     return result
 
 

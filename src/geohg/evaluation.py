@@ -1,9 +1,9 @@
 """Masked-ratio experiment protocol: splits, metrics, runners, report files.
 
-The protocol masks a fraction M of the labeled regions as the test set and
-splits the remaining labels 80/20 into train and validation. Models fit on
-train (validating on validation), baselines fit on all available samples, and
-every reported metric is computed on the masked set only.
+The protocol masks a fraction M of the label rows as the test set and splits
+the rest 80/20 into train and validation, each an array of label-row indices.
+Models fit on train (validating on validation), baselines on all available
+rows in label-file order, and every metric is read on the masked rows only.
 
 Reports and prediction files are written with ``repr`` floats and no
 timestamps, so a rerun with the same seed produces byte-identical artifacts.
@@ -33,28 +33,27 @@ from .model import (HgnnConfig, SslConfig, TrainConfig, LogRow,
 METHODS = ("geohg", "geohg-ssl", "idw", "uk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalSplit:
-    """Disjoint partition of the labeled regions for one experiment."""
+    """Disjoint partition of the label set for one experiment, as int64
+    label-row indices."""
 
-    masked: tuple[Region, ...]
-    train: tuple[Region, ...]
-    validation: tuple[Region, ...]
-    masked_ratio: float
-    seed: int
+    masked: np.ndarray
+    train: np.ndarray
+    validation: np.ndarray
 
     def __post_init__(self) -> None:
-        groups = (set(self.masked), set(self.train), set(self.validation))
-        total = sum(len(g) for g in groups)
-        if len(set().union(*groups)) != total:
+        rows = np.concatenate([self.masked, self.train, self.validation])
+        if np.unique(rows).size != rows.size:
             raise ValueError("split groups overlap")
 
-    def available(self) -> tuple[Region, ...]:
-        return self.train + self.validation
+    def available(self) -> np.ndarray:
+        return np.concatenate([self.train, self.validation])
 
 
 def make_split(labels: LabelSet, masked_ratio: float, seed: int) -> EvalSplit:
-    """Uniform random mask of round(M*N) regions; available split 80/20."""
+    """Uniform random mask of round(M*N) label rows; available split 80/20.
+    Each group holds its rows in the order of one seeded permutation."""
     if not 0.0 < masked_ratio < 1.0:
         raise ValueError(f"masked ratio must be in (0, 1), got {masked_ratio}")
     n = len(labels)
@@ -68,13 +67,10 @@ def make_split(labels: LabelSet, masked_ratio: float, seed: int) -> EvalSplit:
         raise ValueError(
             f"too few labels: {n} at ratio {masked_ratio} leaves "
             f"{n_train} train / {n_val} validation")
-    regions = labels.regions()
     perm = np.random.default_rng(seed).permutation(n)
-    picked = [regions[i] for i in perm]
-    return EvalSplit(masked=tuple(picked[:n_masked]),
-                     train=tuple(picked[n_masked:n_masked + n_train]),
-                     validation=tuple(picked[n_masked + n_train:]),
-                     masked_ratio=masked_ratio, seed=seed)
+    return EvalSplit(masked=perm[:n_masked],
+                     train=perm[n_masked:n_masked + n_train],
+                     validation=perm[n_masked + n_train:])
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +156,11 @@ class RunSettings:
     uk_k: int = baselines.UK_K
 
 
-PredictionRow = tuple[Region, float, float, bool]   # (region, true, pred, masked)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     method: str
     report: MetricReport
-    predictions: tuple[PredictionRow, ...]
+    predictions: np.ndarray       # (n_labels,) one prediction per label row
     split: EvalSplit
     log: tuple[LogRow, ...] = ()
 
@@ -183,7 +176,6 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
     split = make_split(inputs.labels, masked_ratio, seed)
-    label_of = inputs.labels.as_dict()
     t0 = time.perf_counter()
     notes: tuple[tuple[str, str], ...] = ()
     log: tuple[LogRow, ...] = ()
@@ -191,6 +183,7 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
     if method in ("geohg", "geohg-ssl"):
         if inputs.lc is None or inputs.pois is None:
             raise ValueError(f"method {method!r} needs land-cover and POI inputs")
+        index = inputs.grid.region_index(inputs.labels.cells)  # features: row-major
         features = featurize_all(inputs.grid, inputs.lc, inputs.pois,
                                  n_categories=inputs.n_categories)
         graph = build_graph(inputs.grid, features, settings.theta_env,
@@ -211,36 +204,29 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                 raise RuntimeError("backbone changed during head fine-tuning")
             y_all = predict_from_embeddings(head, embeddings)
         log = tuple(rows)
-        pred_of = {region: float(y_all[inputs.grid.region_index(region)])
-                   for region in label_of}
+        pred = y_all[index]
     else:
-        available = set(split.available())
-        samples = [(region, value) for region, value in inputs.labels.entries
-                   if region in available]
-        regions = list(label_of)
+        # Samples in label-file order: the sample index breaks distance ties.
+        available = np.sort(split.available())
+        samples = list(zip(inputs.labels.cells[available].tolist(),
+                           inputs.labels.values[available].tolist()))
         if method == "idw":
-            pred = baselines.idw_predict_batch(samples, regions,
+            pred = baselines.idw_predict_batch(samples, inputs.labels.cells,
                                                settings.idw_power,
                                                settings.idw_k)
         else:
             model = baselines.fit_variogram(samples)
-            fallbacks: list[Region] = []
-            pred = baselines.uk_predict_batch(samples, regions, model,
+            fallbacks: list[np.ndarray] = []
+            pred = baselines.uk_predict_batch(samples, inputs.labels.cells, model,
                                               settings.uk_k,
                                               on_fallback=fallbacks.append)
             notes += (("uk_idw_fallbacks", str(len(fallbacks))),)
-        pred_of = {region: float(p) for region, p in zip(regions, pred)}
 
     runtime = time.perf_counter() - t0
-    masked_set = set(split.masked)
-    rows_out = tuple(
-        (region, label_of[region], pred_of[region], region in masked_set)
-        for region in sorted(label_of, key=lambda r: (r[1], r[0])))
-    y_true = np.array([label_of[r] for r in split.masked])
-    y_pred = np.array([pred_of[r] for r in split.masked])
-    report = score(y_true, y_pred, runtime, notes)
-    return ExperimentResult(method=method, report=report,
-                            predictions=rows_out, split=split, log=log)
+    report = score(inputs.labels.values[split.masked], pred[split.masked],
+                   runtime, notes)
+    return ExperimentResult(method=method, report=report, predictions=pred,
+                            split=split, log=log)
 
 
 def similarity_map(e_pretrain: np.ndarray, anchor_row: int) -> np.ndarray:
@@ -270,12 +256,17 @@ def similarity_map(e_pretrain: np.ndarray, anchor_row: int) -> np.ndarray:
 # artifact writers (deterministic: repr floats, no timestamps)
 # ---------------------------------------------------------------------------
 
-def write_predictions(rows: Sequence[PredictionRow], path: str,
+def write_predictions(labels: LabelSet, result: ExperimentResult, path: str,
                       header_comments: Sequence[str] = ()) -> None:
+    """One row per label row, in (y, x) order, flagging the masked rows."""
+    order = np.lexsort(labels.cells.T)     # by y, then x
+    rows = zip(labels.cells[order].tolist(), labels.values[order].tolist(),
+               result.predictions[order].tolist(),
+               np.isin(order, result.split.masked).tolist())
     with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,y_true,y_pred,is_masked\n")
-        for (x, y), y_true, y_pred, masked in rows:
-            fh.write(f"{x},{y},{y_true!r},{y_pred!r},{int(masked)}\n")
+        for (x, y), y_true, y_pred, is_masked in rows:
+            fh.write(f"{x},{y},{y_true!r},{y_pred!r},{int(is_masked)}\n")
 
 
 def write_report(report: MetricReport, path: str,

@@ -1,8 +1,9 @@
 """Raw geodata ingestion: the region grid, land-cover class grid, POI table and sparse labels.
 
 POIs are held as one :class:`PoiTable` of lon, lat and category columns, from the
-generator or :func:`load_pois` to the featurizer. Every output file of the package starts
-with one ``# `` line per header comment (:func:`open_commented`); readers skip them.
+generator or :func:`load_pois` to the featurizer; labels as one :class:`LabelSet` of
+cell and value columns, in file order, from the loader to the report. Every output
+file starts with one ``# `` line per header comment (:func:`open_commented`).
 
 File formats (all plain text, see README):
   * grid spec      -- ``key = value`` lines (origin_lon, origin_lat, n_cols, n_rows, cell_km);
@@ -71,12 +72,13 @@ class GridSpec:
         x, y = region
         return 0 <= x < self.n_cols and 0 <= y < self.n_rows
 
-    def region_index(self, region: Region) -> int:
-        """Canonical row-major index: y * n_cols + x."""
-        if not self.contains(region):
-            raise GeoDataError(f"region {region} outside {self.n_cols}x{self.n_rows} grid")
-        x, y = region
-        return y * self.n_cols + x
+    def region_index(self, cells: Region | np.ndarray) -> np.ndarray:
+        """Canonical row-major index y * n_cols + x of one (x, y) region, or
+        of each row of an (n, 2) cell array."""
+        cells = np.asarray(cells)
+        if not ((cells >= 0) & (cells < (self.n_cols, self.n_rows))).all():
+            raise GeoDataError(f"region outside {self.n_cols}x{self.n_rows} grid")
+        return cells[..., 1] * self.n_cols + cells[..., 0]
 
     def regions(self) -> Iterator[Region]:
         """All region ids in canonical row-major order."""
@@ -166,30 +168,34 @@ class PoiTable:
         return self.category.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSet:
-    """Sparse ground-truth indicator values keyed by region id."""
+    """Sparse ground-truth indicator values as read-only columns: label row i
+    gives region (cells[i, 0], cells[i, 1]) the value values[i]."""
 
-    entries: tuple[tuple[Region, float], ...]
-    indicator_name: str = "indicator"
+    cells: np.ndarray         # (n, 2) int64 (x, y)
+    values: np.ndarray        # (n,) float64, finite
 
     def __post_init__(self) -> None:
-        seen = set()
-        for region, value in self.entries:
-            if region in seen:
-                raise GeoDataError(f"duplicate region {region} in label set")
-            seen.add(region)
-            if not math.isfinite(value):
-                raise GeoDataError(f"non-finite label value for region {region}")
+        if np.size(self.cells) and np.asarray(self.cells).dtype.kind not in "iu":
+            raise GeoDataError("label cells must be integers")
+        for name, dtype in (("cells", np.int64), ("values", float)):
+            column = np.array(getattr(self, name), dtype=dtype)    # a private copy
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if (self.cells.ndim != 2 or self.cells.shape[1] != 2
+                or self.values.shape != (len(self.cells),)):
+            raise GeoDataError("label cells must be (n, 2) and values (n,)")
+        order = np.lexsort(self.cells.T)
+        repeated = (np.diff(self.cells[order], axis=0) == 0).all(axis=1)
+        if repeated.any():
+            region = tuple(self.cells[order[1:][repeated][0]].tolist())
+            raise GeoDataError(f"duplicate region {region} in label set")
+        if not np.isfinite(self.values).all():
+            raise GeoDataError("non-finite label value")
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_dict(self) -> dict[Region, float]:
-        return dict(self.entries)
-
-    def regions(self) -> list[Region]:
-        return [region for region, _ in self.entries]
+        return self.values.size
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +335,8 @@ def save_pois(pois: PoiTable, path: str,
             fh.write(f"{lon!r},{lat!r},{cat}\n")
 
 
-def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") -> LabelSet:
-    entries: list[tuple[Region, float]] = []
-    seen: set[Region] = set()
+def load_labels(path: str, grid: GridSpec) -> LabelSet:
+    rows: dict[Region, float] = {}      # in file order
     for i, parts in _csv_rows(path, "x_r,y_r,value"):
         try:
             region = (int(parts[0]), int(parts[1]))
@@ -340,20 +345,20 @@ def load_labels(path: str, grid: GridSpec, indicator_name: str = "indicator") ->
             raise GeoDataError(f"{path}: line {i}: {exc}") from exc
         if not grid.contains(region):
             raise GeoDataError(f"{path}: line {i}: region {region} outside grid")
-        if region in seen:
+        if region in rows:
             raise GeoDataError(f"{path}: line {i}: duplicate region {region}")
         if not math.isfinite(value):
             raise GeoDataError(f"{path}: line {i}: non-finite value")
-        seen.add(region)
-        entries.append((region, value))
-    return LabelSet(entries=tuple(entries), indicator_name=indicator_name)
+        rows[region] = value
+    return LabelSet(cells=np.reshape(np.array(list(rows), dtype=np.int64), (-1, 2)),
+                    values=list(rows.values()))
 
 
 def save_labels(labels: LabelSet, path: str,
                 header_comments: Sequence[str] = ()) -> None:
     with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,value\n")
-        for (x, y), value in labels.entries:
+        for (x, y), value in zip(labels.cells.tolist(), labels.values.tolist()):
             fh.write(f"{x},{y},{value!r}\n")
 
 

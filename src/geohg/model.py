@@ -530,14 +530,14 @@ def _split_targets(regions: Sequence[Region], labels: LabelSet,
     if len(split.train) == 0 or len(split.validation) == 0:
         raise ValueError("train and validation sets must be non-empty")
     pos = {r: i for i, r in enumerate(regions)}
-    values = labels.as_dict()
     try:
-        train_ext = np.array([pos[r] for r in split.train], dtype=np.int64)
-        val_ext = np.array([pos[r] for r in split.validation], dtype=np.int64)
-        y_train = np.array([values[r] for r in split.train])
-        y_val = np.array([values[r] for r in split.validation])
+        train_ext, val_ext = (
+            np.array([pos[tuple(c)] for c in labels.cells[rows].tolist()],
+                     dtype=np.int64) for rows in (split.train, split.validation))
     except KeyError as exc:
-        raise GeoDataError(f"split region {exc} has no features or label") from exc
+        raise GeoDataError(f"split region {exc} has no features") from exc
+    y_train = labels.values[split.train]
+    y_val = labels.values[split.validation]
     transform = LabelTransform.fit(kind, y_train)
     return (train_ext, val_ext, transform.apply(y_train),
             transform.apply(y_val), transform)

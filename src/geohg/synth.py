@@ -90,7 +90,6 @@ class SynthConfig:
     origin_lon: float = 0.0
     origin_lat: float = 0.0
     cell_km: float = 1.0
-    indicator_name: str = "indicator"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -286,8 +285,9 @@ def generate(config: SynthConfig) -> tuple[LandCoverGrid, PoiTable, LabelSet, di
     # 1) Voronoi patches -> archetype per region (seeded in cell-center units).
     patch_xy = rng.random((config.n_patches, 2)) * [config.n_cols, config.n_rows]
     patch_arch = rng.integers(0, config.n_archetypes, size=config.n_patches)
-    # (x + 0.5, y + 0.5) per region; divmod gives (y, x).
-    centers = np.column_stack(np.divmod(np.arange(n), config.n_cols)[::-1]) + 0.5
+    # (x, y) per region in row-major order; divmod gives (y, x).
+    cells = np.column_stack(np.divmod(np.arange(n), config.n_cols)[::-1])
+    centers = cells + 0.5
     nearest = np.empty(n, dtype=np.intp)
     for lo in range(0, n, VORONOI_BLOCK):
         block = centers[lo:lo + VORONOI_BLOCK]
@@ -335,9 +335,7 @@ def generate(config: SynthConfig) -> tuple[LandCoverGrid, PoiTable, LabelSet, di
              if config.noise_sigma > 0 else np.zeros(n))
 
     y = env_term + soc_term + smooth + jump_term + noise
-    entries = tuple((region, float(y[grid.region_index(region)]))
-                    for region in grid.regions())
-    labels = LabelSet(entries=entries, indicator_name=config.indicator_name)
+    labels = LabelSet(cells=cells, values=y)
 
     ledger = {
         "seed": config.seed,

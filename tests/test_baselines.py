@@ -181,6 +181,18 @@ class TestVariogramModel:
                 with pytest.raises(ValueError):
                     VariogramModel(*params)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "spherical", "Exponential",
+                                      ""])
+    def test_kinds_other_than_exponential_rejected(self, kind):
+        # semivariance is always the exponential curve, so any other kind
+        # would silently give exponential values.
+        with pytest.raises(ValueError, match="unsupported variogram kind"):
+            VariogramModel(nugget=0.0, sill=1.0, effective_range=5.0,
+                           kind=kind)
+        model = VariogramModel(nugget=0.0, sill=1.0, effective_range=5.0,
+                               kind="exponential")
+        assert model.kind == "exponential"
+
 
 class TestEmpiricalVariogram:
     def test_doubling_values_quadruples_semivariance(self):

@@ -77,7 +77,7 @@ class TestSynth:
         given = {k: v for k, v in args.items()
                  if k not in ("command", "func", "out_dir")}
         config = SynthConfig()
-        assert len(given) == 15
+        assert len(given) == 14
         for name, value in given.items():
             assert value == getattr(config, name), name
             assert type(value) is type(getattr(config, name)), name
@@ -265,6 +265,34 @@ class TestBaseline:
             assert int(report["n_eval"]) == 50
             assert (tmp_path / f"predictions_{method}.csv").exists()
 
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_eval_of_a_baseline_reads_no_raster_or_pois(self, world_dir,
+                                                        tmp_path, method):
+        # A baseline reads neither file, so eval must not parse them; its
+        # files then equal baseline's below the '#' header.
+        broken = tmp_path / "landcover.txt"
+        broken.write_text("not a land-cover file\n")
+        split = ["--labels", str(world_dir / "labels.csv"),
+                 "--masked-ratio", "0.5", "--seed", "4"]
+        assert run(tmp_path / "eval", "eval", "--method", method,
+                   "--grid", str(world_dir / "grid.cfg"),
+                   "--landcover", str(broken),
+                   "--pois", str(tmp_path / "no-such-pois.csv"), *split) == 0
+        assert run(tmp_path / "baseline", "baseline", "--method", method,
+                   "--grid", str(world_dir / "grid.cfg"), *split) == 0
+
+        def body(path):
+            return [l for l in path.read_text().splitlines()
+                    if not l.startswith("#")]
+
+        for got, want in (("report.txt", f"report_{method}.txt"),
+                          ("predictions.csv", f"predictions_{method}.csv")):
+            assert body(tmp_path / "eval" / got) \
+                == body(tmp_path / "baseline" / want)
+        header = (tmp_path / "eval" / "report.txt").read_text()
+        assert f"# landcover = {broken}\n" in header
+        assert "# n_categories = None\n" in header
+
     def test_defaults_are_the_library_defaults(self, monkeypatch):
         # The flags take their defaults from geohg.baselines, as RunSettings
         # does, so the CLI and the API cannot drift apart.
@@ -413,7 +441,7 @@ def every_command_argv(world, d):
                   "--smooth-amplitude", "0.25", "--jump", "1.5",
                   "--noise-sigma", "0.05", "--origin-lon", "10.5",
                   "--origin-lat", "20.5", "--cell-km", "2.0",
-                  "--indicator-name", "gdp", "--seed", "7"],
+                  "--seed", "7"],
         "featurize": [*inputs, "--out", str(d / "featurize" / "f.csv")],
         "build-graph": ["--grid", str(world / "grid.cfg"),
                         "--features", str(d / "featurize" / "f.csv"),
@@ -448,7 +476,7 @@ def every_command(world_dir, tmp_path_factory):
     d = tmp_path_factory.mktemp("every")
     labels = load_labels(str(world_dir / "labels.csv"),
                          load_gridspec(str(world_dir / "grid.cfg")))
-    save_labels(LabelSet(tuple((r, v + 10.0) for r, v in labels.entries)),
+    save_labels(LabelSet(labels.cells, labels.values + 10.0),
                 str(d / "labels.csv"))
     (d / "categories.txt").write_text("".join(f"c{i}\n" for i in range(7)))
     argvs = every_command_argv(world_dir, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 import geohg.evaluation
 import geohg.model
-from geohg.evaluation import (EvalSplit, ExperimentInputs, RunSettings,
+from geohg.evaluation import (EvalSplit, ExperimentInputs, ExperimentResult,
+                              RunSettings,
                               load_report, mae, make_split, r2, rmse,
                               run_experiment, score, similarity_map,
                               write_predictions, write_report,
                               write_similarity)
-from geohg.geodata import GeoDataError, LabelSet
+from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.model import HgnnConfig, SslConfig, TrainConfig
 
 from _worlds import synth_raw
@@ -18,9 +20,23 @@ from _worlds import synth_raw
 
 def label_set(n, seed=0):
     rng = np.random.default_rng(seed)
-    regions = [(i % 10, i // 10) for i in range(n)]
-    return LabelSet(entries=tuple(
-        (r, float(v)) for r, v in zip(regions, rng.normal(size=n))))
+    return LabelSet(cells=[(i % 10, i // 10) for i in range(n)],
+                    values=rng.normal(size=n))
+
+
+def same_split(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("masked", "train", "validation"))
+
+
+def written_rows(labels, result, path):
+    """The predictions file of ``result``, as (x, y, y_true, y_pred,
+    is_masked) tuples in file order."""
+    write_predictions(labels, result, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x_r,y_r,y_true,y_pred,is_masked"
+    return [(int(x), int(y), float(t), float(p), int(m))
+            for x, y, t, p, m in (line.split(",") for line in lines[1:])]
 
 
 def world_inputs(n_cols=10, n_rows=10, seed=0, with_lc=True):
@@ -46,18 +62,26 @@ class TestMakeSplit:
     def test_partition_is_disjoint_and_complete(self):
         labels = label_set(60)
         split = make_split(labels, masked_ratio=0.4, seed=1)
-        groups = (set(split.masked), set(split.train),
-                  set(split.validation))
+        groups = (set(split.masked.tolist()), set(split.train.tolist()),
+                  set(split.validation.tolist()))
         assert sum(len(g) for g in groups) == 60
-        assert set().union(*groups) == set(labels.regions())
+        assert set().union(*groups) == set(range(60))
+
+    def test_groups_are_slices_of_one_seeded_permutation(self):
+        split = make_split(label_set(40), masked_ratio=0.5, seed=3)
+        perm = np.random.default_rng(3).permutation(40)
+        rows = np.concatenate([split.masked, split.train, split.validation])
+        assert np.array_equal(rows, perm)
+        assert all(group.dtype == np.int64 for group in
+                   (split.masked, split.train, split.validation))
 
     def test_same_seed_same_split(self):
         labels = label_set(50)
         a = make_split(labels, masked_ratio=0.5, seed=7)
         b = make_split(labels, masked_ratio=0.5, seed=7)
-        assert a == b
+        assert same_split(a, b)
         c = make_split(labels, masked_ratio=0.5, seed=8)
-        assert a != c
+        assert not same_split(a, c)
 
     def test_ratio_bounds(self):
         labels = label_set(50)
@@ -70,14 +94,20 @@ class TestMakeSplit:
             make_split(label_set(3), masked_ratio=0.5, seed=0)
 
     def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            EvalSplit(masked=((0, 0),), train=((0, 0), (1, 0)),
-                      validation=((2, 0),), masked_ratio=0.3, seed=0)
+        for masked, train, validation in (
+                ([0], [0, 1], [2]),          # masked and train share row 0
+                ([0], [1], [2, 1]),          # train and validation share row 1
+                ([3], [1, 2], [3]),          # masked and validation share row 3
+                ([0, 0], [1], [2])):         # a row repeated within one group
+            with pytest.raises(ValueError, match="overlap"):
+                EvalSplit(masked=np.array(masked), train=np.array(train),
+                          validation=np.array(validation))
 
     def test_available_concatenates_train_and_validation(self):
         labels = label_set(40)
         split = make_split(labels, masked_ratio=0.5, seed=2)
-        assert split.available() == split.train + split.validation
+        assert np.array_equal(split.available(),
+                              np.concatenate([split.train, split.validation]))
 
 
 class TestMetrics:
@@ -176,38 +206,51 @@ class TestSimilarityMap:
 
 
 class TestRunExperiment:
-    def test_all_methods_share_report_schema(self):
+    def test_all_methods_share_report_schema(self, tmp_path):
         inputs = world_inputs(seed=6)
         for method in ("geohg", "geohg-ssl", "idw", "uk"):
             result = run_experiment(inputs, method, masked_ratio=0.5, seed=0,
                                     settings=FAST)
             assert result.method == method
             assert result.report.n_eval == len(result.split.masked)
-            assert len(result.predictions) == len(inputs.labels)
-            assert sum(row[3] for row in result.predictions) \
-                == len(result.split.masked)
+            assert result.predictions.shape == (len(inputs.labels),)
+            rows = written_rows(inputs.labels, result, tmp_path / method)
+            assert len(rows) == len(inputs.labels)
+            assert sum(row[4] for row in rows) == len(result.split.masked)
             assert np.isfinite(result.report.mae)
             assert np.isfinite(result.report.rmse)
 
-    def test_prediction_rows_sorted_row_major(self):
+    def test_prediction_rows_sorted_row_major(self, tmp_path):
         inputs = world_inputs(seed=7)
         result = run_experiment(inputs, "idw", masked_ratio=0.5, seed=1)
-        order = [(y, x) for (x, y), _, _, _ in result.predictions]
+        order = [(y, x) for x, y, _, _, _ in
+                 written_rows(inputs.labels, result, tmp_path / "p.csv")]
         assert order == sorted(order)
 
-    def test_true_values_match_labels(self):
+    def test_true_values_match_labels(self, tmp_path):
         inputs = world_inputs(seed=8)
         result = run_experiment(inputs, "idw", masked_ratio=0.5, seed=2)
-        values = inputs.labels.as_dict()
-        for region, y_true, _, _ in result.predictions:
-            assert y_true == values[region]
+        values = dict(zip(map(tuple, inputs.labels.cells.tolist()),
+                          inputs.labels.values.tolist()))
+        for x, y, y_true, _, _ in written_rows(inputs.labels, result,
+                                               tmp_path / "p.csv"):
+            assert y_true == values[(x, y)]
 
-    def test_metrics_use_masked_regions_only(self):
+    def test_predictions_are_one_per_label_row(self):
+        # IDW is exact at its samples, so each available row must carry
+        # its own label value.
+        inputs = world_inputs(seed=8)
+        result = run_experiment(inputs, "idw", masked_ratio=0.5, seed=2)
+        available = result.split.available()
+        assert np.array_equal(result.predictions[available],
+                              inputs.labels.values[available])
+
+    def test_metrics_use_masked_regions_only(self, tmp_path):
         inputs = world_inputs(seed=9)
         result = run_experiment(inputs, "idw", masked_ratio=0.5, seed=3)
-        rows = {r: (t, p) for r, t, p, _ in result.predictions}
-        y_true = np.array([rows[r][0] for r in result.split.masked])
-        y_pred = np.array([rows[r][1] for r in result.split.masked])
+        rows = written_rows(inputs.labels, result, tmp_path / "p.csv")
+        y_true = np.array([t for _, _, t, _, m in rows if m])
+        y_pred = np.array([p for _, _, _, p, m in rows if m])
         assert result.report.mae == pytest.approx(mae(y_true, y_pred),
                                                   abs=1e-12)
         assert result.report.r2 == pytest.approx(r2(y_true, y_pred),
@@ -237,7 +280,8 @@ class TestRunExperiment:
                                settings=FAST)
             b = run_experiment(inputs, method, masked_ratio=0.5, seed=6,
                                settings=FAST)
-            assert a.predictions == b.predictions
+            assert a.predictions.tobytes() == b.predictions.tobytes()
+            assert same_split(a.split, b.split)
             assert a.report.mae == b.report.mae
             assert a.report.r2 == b.report.r2
 
@@ -265,7 +309,41 @@ class TestRunExperiment:
         got = run_experiment(inputs, "geohg", masked_ratio=0.5, seed=7,
                              settings=FAST)
         assert len(calls) == 1
-        assert got.predictions == want.predictions and got.log == want.log
+        assert got.predictions.tobytes() == want.predictions.tobytes()
+        assert got.log == want.log
+
+    @pytest.mark.parametrize("method", ["geohg", "geohg-ssl"])
+    def test_label_cell_outside_the_grid_rejected(self, method):
+        # (10, 0) on a 10x10 grid would alias region (0, 1) under an
+        # unchecked row-major index.
+        inputs = world_inputs(seed=12)
+        labels = LabelSet(cells=np.vstack([inputs.labels.cells, [[10, 0]]]),
+                          values=np.append(inputs.labels.values, 0.0))
+        with pytest.raises(GeoDataError, match="outside 10x10 grid"):
+            run_experiment(dataclasses.replace(inputs, labels=labels), method,
+                           masked_ratio=0.5, seed=0, settings=FAST)
+
+    def test_idw_tie_goes_to_the_lower_label_row(self):
+        # Rows 0 and 1 are both at distance 1 from the target on row 2, and
+        # k = 1. The baselines take their samples in label-file order, so
+        # row 0 wins the tie, whatever order the split puts them in.
+        cells = [(1, 0), (0, 1), (0, 0)] + [(x, y) for x in range(3, 9)
+                                            for y in range(3, 9)]
+        labels = LabelSet(cells=cells,
+                          values=[10.0, 20.0] + list(range(len(cells) - 2)))
+        inputs = ExperimentInputs(grid=GridSpec(0.0, 0.0, 9, 9), lc=None,
+                                  pois=None, labels=labels)
+
+        def row_1_first(split):
+            available = split.available().tolist()
+            return (2 in split.masked.tolist() and {0, 1} <= set(available)
+                    and available.index(1) < available.index(0))
+
+        seed = next(seed for seed in range(200)
+                    if row_1_first(make_split(labels, 0.5, seed)))
+        result = run_experiment(inputs, "idw", masked_ratio=0.5, seed=seed,
+                                settings=RunSettings(idw_k=1))
+        assert result.predictions[2] == 10.0
 
     def test_uk_records_fallback_count(self):
         inputs = world_inputs(seed=15)
@@ -285,14 +363,25 @@ class TestRunExperiment:
 
 class TestArtifactFiles:
     def test_prediction_file_format(self, tmp_path):
-        rows = (((0, 0), 1.0, 1.5, True), ((1, 0), 2.0, 2.0, False))
+        # Label rows in file order (1, 0), (0, 1), (0, 0); written in (y, x)
+        # order, with row 2 masked.
+        labels = LabelSet(cells=[(1, 0), (0, 1), (0, 0)],
+                          values=[2.0, 3.0, 1.0])
+        result = ExperimentResult(
+            method="idw", report=score(np.array([1.0, 3.0]),
+                                       np.array([1.5, 3.25]), 0.0),
+            predictions=np.array([2.0, 3.25, 1.5]),
+            split=EvalSplit(masked=np.array([2]), train=np.array([0]),
+                            validation=np.array([1])))
         path = tmp_path / "pred.csv"
-        write_predictions(rows, str(path), header_comments=["method = idw"])
+        write_predictions(labels, result, str(path),
+                          header_comments=["method = idw"])
         assert path.read_text() == (
             "# method = idw\n"
             "x_r,y_r,y_true,y_pred,is_masked\n"
             "0,0,1.0,1.5,1\n"
-            "1,0,2.0,2.0,0\n")
+            "1,0,2.0,2.0,0\n"
+            "0,1,3.0,3.25,0\n")
 
     def test_report_round_trip(self, tmp_path):
         report = score(np.array([0.0, 1.0, 2.0]),

@@ -30,6 +30,16 @@ class TestGridSpec:
         assert ordered[-1] == (4, 2)
         for i, region in enumerate(ordered):
             assert grid.region_index(region) == i
+        assert grid.region_index(np.array(ordered[::-1])).tolist() \
+            == list(range(15))[::-1]
+
+    @pytest.mark.parametrize("region", [(5, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_region_index_rejects_cells_outside(self, region):
+        grid = make_grid(5, 3)
+        with pytest.raises(GeoDataError, match="outside 5x3 grid"):
+            grid.region_index(region)
+        with pytest.raises(GeoDataError, match="outside 5x3 grid"):
+            grid.region_index(np.array([(0, 0), region, (1, 1)]))
 
     def test_km_per_degree_uses_origin_latitude(self):
         grid = make_grid(lat=60.0)
@@ -294,7 +304,15 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         path.write_text("x_r,y_r,value\n0,0,5.0\n")
         labels = load_labels(str(path), make_grid(4, 4))
-        assert labels.entries == (((0, 0), 5.0),)
+        assert labels.cells.tolist() == [[0, 0]]
+        assert labels.values.tolist() == [5.0]
+        assert labels.cells.dtype == np.int64 and labels.values.dtype == np.float64
+
+    def test_header_only_file_is_an_empty_set(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("x_r,y_r,value\n")
+        labels = load_labels(str(path), make_grid(4, 4))
+        assert len(labels) == 0 and labels.cells.shape == (0, 2)
 
     def test_out_of_grid_region_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -331,17 +349,60 @@ class TestLabels:
     def test_round_trip_bit_equal(self, tmp_path):
         grid = make_grid(8, 8)
         rng = np.random.default_rng(3)
-        entries = tuple(
-            (region, float(rng.normal())) for region in grid.regions())
-        labels = LabelSet(entries=entries, indicator_name="carbon")
+        labels = LabelSet(cells=list(grid.regions()),
+                          values=rng.normal(size=grid.n_regions))
         path = tmp_path / "labels.csv"
         save_labels(labels, str(path), header_comments=["task = carbon"])
-        again = load_labels(str(path), grid, indicator_name="carbon")
-        assert again.entries == labels.entries
+        again = load_labels(str(path), grid)
+        assert np.array_equal(again.cells, labels.cells)
+        assert again.values.tobytes() == labels.values.tobytes()
+
+    def test_save_of_load_rewrites_the_body_byte_for_byte(self, tmp_path):
+        # File order, not (y, x) order, and repr floats survive the trip.
+        path, again = tmp_path / "labels.csv", tmp_path / "again.csv"
+        body = "x_r,y_r,value\n3,1,0.1\n0,0,-2.5e-17\n2,3,1e+300\n1,0,7.0\n"
+        path.write_text("# a comment\n" + body)
+        save_labels(load_labels(str(path), make_grid(4, 4)), str(again))
+        assert again.read_text() == body
 
     def test_labelset_rejects_duplicates(self):
-        with pytest.raises(GeoDataError):
-            LabelSet(entries=(((0, 0), 1.0), ((0, 0), 2.0)))
+        with pytest.raises(GeoDataError, match=r"duplicate region \(2, 1\)"):
+            LabelSet(cells=[(0, 0), (2, 1), (1, 0), (2, 1)],
+                     values=[1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_labelset_rejects_non_finite_values(self, bad):
+        with pytest.raises(GeoDataError, match="non-finite"):
+            LabelSet(cells=[(0, 0), (1, 0)], values=[1.0, bad])
+
+    @pytest.mark.parametrize("cells,values", [
+        ([(0, 0), (1, 0)], [1.0]),             # one value short
+        ([(0, 0)], [1.0, 2.0]),                # one value too many
+        ([0, 1], [1.0, 2.0]),                  # cells not (n, 2)
+        ([(0, 0, 0)], [1.0]),                  # three coordinates
+        ([(0, 0)], [[1.0]])])                  # values not 1-D
+    def test_labelset_rejects_misshapen_columns(self, cells, values):
+        with pytest.raises(GeoDataError, match=r"\(n, 2\)"):
+            LabelSet(cells=cells, values=values)
+
+    @pytest.mark.parametrize("cells", [[(0.0, 1.5)], [(True, False)]])
+    def test_labelset_rejects_non_integer_cells(self, cells):
+        # A float cell would otherwise be truncated towards zero.
+        with pytest.raises(GeoDataError, match="integers"):
+            LabelSet(cells=cells, values=[1.0])
+
+    def test_labelset_columns_are_read_only_copies(self):
+        cells = np.array([[0, 0], [3, 2]], dtype=np.int32)
+        values = np.array([1.5, -2.0])
+        labels = LabelSet(cells=cells, values=values)
+        assert labels.cells.dtype == np.int64 and labels.values.dtype == np.float64
+        cells[0, 0], values[0] = 9, 9.0
+        assert labels.cells.tolist() == [[0, 0], [3, 2]]
+        assert labels.values.tolist() == [1.5, -2.0]
+        for column in (labels.cells, labels.values):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 class TestGridSpecIo:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -46,7 +47,13 @@ def env_rolled(feats, row):
 
 
 def constant_labels(grid, value):
-    return LabelSet(entries=tuple((r, value) for r in grid.regions()))
+    return LabelSet(cells=list(grid.regions()),
+                    values=np.full(grid.n_regions, value))
+
+
+def regions_of(labels, rows):
+    """The (x, y) regions of the given label rows, in that order."""
+    return [tuple(cell) for cell in labels.cells[rows].tolist()]
 
 
 def head_reference(params, x):
@@ -781,18 +788,18 @@ class TestTrainEndToEnd:
         train = TrainConfig(max_epochs=600, patience=150)
         state, _ = train_end_to_end(graph, feats, labels, split, config,
                                     train, seed=5)
-        values = labels.as_dict()
-        got = predict(state, graph, feats, split.masked)
-        y_true = np.array([values[r] for r in split.masked])
-        y_pred = np.array([got[r] for r in split.masked])
+        masked = regions_of(labels, split.masked)
+        got = predict(state, graph, feats, masked)
+        y_true = labels.values[split.masked]
+        y_pred = np.array([got[r] for r in masked])
         assert r2(y_true, y_pred) >= 0.95
 
     def test_empty_split_rejected(self):
         grid, feats, graph, labels, _ = synth_world(4, 4, seed=18)
         split = make_split(labels, masked_ratio=0.5, seed=5)
-        bad = type(split)(masked=split.masked, train=(),
-                          validation=split.validation,
-                          masked_ratio=split.masked_ratio, seed=split.seed)
+        bad = type(split)(masked=split.masked,
+                          train=np.array([], dtype=np.int64),
+                          validation=split.validation)
         with pytest.raises(ValueError, match="non-empty"):
             train_end_to_end(graph, feats, labels, bad, HgnnConfig(),
                              TrainConfig(), seed=0)
@@ -849,8 +856,9 @@ class TestPredict:
         train = TrainConfig(max_epochs=300, patience=300)
         state, _ = train_end_to_end(graph, feats, labels, split, config,
                                     train, seed=11)
-        got = predict(state, graph, feats, split.train)
-        for region in split.train:
+        train_regions = regions_of(labels, split.train)
+        got = predict(state, graph, feats, train_regions)
+        for region in train_regions:
             assert got[region] == pytest.approx(-1.25, abs=0.05)
 
 
@@ -1058,8 +1066,7 @@ class TestFinetuneHead:
         beta = rng.normal(size=d)
         y = e @ beta + noise * rng.standard_normal(n)
         regions = [(i % 10, i // 10) for i in range(n)]
-        labels = LabelSet(entries=tuple(
-            (r, float(v)) for r, v in zip(regions, y)))
+        labels = LabelSet(cells=regions, values=y)
         return e, regions, labels
 
     def test_backbone_untouched_by_finetune(self):
@@ -1076,14 +1083,15 @@ class TestFinetuneHead:
 
     def test_constant_labels_converge(self):
         e, regions, _ = self.embedding_problem(seed=35, n=200)
-        labels = LabelSet(entries=tuple((r, 2.5) for r in regions))
+        labels = LabelSet(cells=regions, values=np.full(len(regions), 2.5))
         split = make_split(labels, masked_ratio=0.3, seed=12)
         train = TrainConfig(max_epochs=800, patience=800)
         head, log = finetune_head(e, labels, split, train, regions, seed=5)
         assert min(row[2] for row in log) < 1e-2
         preds = predict_from_embeddings(head, e)
         idx = {r: i for i, r in enumerate(regions)}
-        train_err = [abs(preds[idx[r]] - 2.5) for r in split.train]
+        train_err = [abs(preds[idx[r]] - 2.5)
+                     for r in regions_of(labels, split.train)]
         assert max(train_err) < 0.1
 
     def test_linear_target_high_r2(self):
@@ -1092,10 +1100,10 @@ class TestFinetuneHead:
         train = TrainConfig(max_epochs=500, patience=100)
         head, _ = finetune_head(e, labels, split, train, regions, seed=6)
         preds = predict_from_embeddings(head, e)
-        values = labels.as_dict()
         idx = {r: i for i, r in enumerate(regions)}
-        y_true = np.array([values[r] for r in split.masked])
-        y_pred = np.array([preds[idx[r]] for r in split.masked])
+        y_true = labels.values[split.masked]
+        y_pred = np.array([preds[idx[r]]
+                           for r in regions_of(labels, split.masked)])
         assert r2(y_true, y_pred) >= 0.9
 
     def test_first_log_row_is_untrained_head(self):
@@ -1105,15 +1113,25 @@ class TestFinetuneHead:
         head, log = finetune_head(e, labels, split, train, regions, seed=7)
         # Recompute the untrained-head validation MSE independently.
         fresh = init_head(d=12, seed=7)
-        values = labels.as_dict()
         idx = {r: i for i, r in enumerate(regions)}
-        y_train = np.array([values[r] for r in split.train])
+        y_train = labels.values[split.train]
         y_val = LabelTransform.fit("zscore", y_train).apply(
-            np.array([values[r] for r in split.validation]))
-        val_rows = e[[idx[r] for r in split.validation]]
+            labels.values[split.validation])
+        val_rows = e[[idx[r] for r in regions_of(labels, split.validation)]]
         want = float(np.mean((head_reference(fresh.params, val_rows).ravel()
                               - y_val) ** 2))
         assert log[0][2] == pytest.approx(want, abs=1e-12)
+
+    def test_split_region_without_an_embedding_rejected(self):
+        e, regions, labels = self.embedding_problem(seed=39)
+        split = make_split(labels, masked_ratio=0.4, seed=16)
+        region = regions_of(labels, split.train[:1])[0]
+        kept = [i for i, r in enumerate(regions) if r != region]
+        with pytest.raises(GeoDataError,
+                           match=re.escape(f"split region {region}")):
+            finetune_head(e[kept], labels, split,
+                          TrainConfig(max_epochs=2, patience=2),
+                          [regions[i] for i in kept], seed=0)
 
     def test_predictions_match_reference_head_bitwise(self):
         e, regions, labels = self.embedding_problem(seed=38)

@@ -5,7 +5,7 @@ import pytest
 
 from geohg import synth
 from geohg.features import featurize_all
-from geohg.geodata import (GeoDataError, GridSpec, LabelSet, PoiTable,
+from geohg.geodata import (GeoDataError, GridSpec, PoiTable,
                            region_of, save_labels, save_landcover, save_pois)
 from geohg.synth import (VORONOI_BLOCK, SynthConfig, barrier_side, generate,
                          poisson_sample)
@@ -200,7 +200,8 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         _, _, labels_a, _ = generate(small_config(seed=1))
         _, _, labels_b, _ = generate(small_config(seed=2))
-        assert labels_a.entries != labels_b.entries
+        assert np.array_equal(labels_a.cells, labels_b.cells)
+        assert not np.array_equal(labels_a.values, labels_b.values)
 
     def test_ledger_recomposes_labels_exactly(self):
         _, _, labels, ledger = generate(small_config(seed=5))
@@ -208,7 +209,7 @@ class TestGenerate:
         y = (np.array(comp["env_term"]) + np.array(comp["soc_term"])
              + np.array(comp["smooth"]) + np.array(comp["jump_term"])
              + np.array(comp["noise"]))
-        emitted = np.array([v for _, v in labels.entries])
+        emitted = labels.values
         assert np.max(np.abs(y - emitted)) < 1e-12
 
     def test_noiseless_flat_world_is_linear_in_features(self):
@@ -223,7 +224,7 @@ class TestGenerate:
         w = np.array(ledger["env_weights"])
         v = np.array(ledger["soc_weights"])
         y = feats.env @ w + feats.soc @ v
-        emitted = np.array([val for _, val in labels.entries])
+        emitted = labels.values
         assert np.max(np.abs(y - emitted)) < 1e-12
 
     def test_jump_separates_barrier_straddling_neighbors(self):
@@ -294,7 +295,7 @@ class TestGenerate:
         cfg = small_config(env_weights=w, soc_weights=v, noise_sigma=0.0,
                            jump=0.0, smooth_amplitude=0.0)
         _, _, labels, _ = generate(cfg)
-        assert all(val == 0.0 for _, val in labels.entries)
+        assert all(val == 0.0 for val in labels.values.tolist())
 
 
 class TestBlockDrawsMatchLoop:
@@ -353,8 +354,8 @@ class TestBlockDrawsMatchLoop:
         y = (np.array(env) + np.array(soc) + smooth + np.array(jump)
              + noise).tolist()
         assert ledger["labels"] == y
-        assert labels == LabelSet(tuple(zip(lc.grid.regions(), y)),
-                                  cfg.indicator_name)
+        assert labels.cells.tolist() == [list(r) for r in lc.grid.regions()]
+        assert labels.values.tolist() == y
 
     def test_unreachable_rate_raises_at_once(self):
         # exp(-1000) underflows to 0: the sequential search never ends (it

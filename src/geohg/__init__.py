@@ -14,7 +14,7 @@ from .tensor import NumericError, Tensor, adam_step, glorot_uniform
 from .model import (HeadState, HgnnConfig, LabelTransform, ModelState,
                     SslConfig, TrainConfig, backbone_checksum, embed_regions,
                     finetune_head, hgnn_forward, infonce_loss, load_checkpoint,
-                    load_embeddings, positive_sets, predict, predict_all,
+                    load_embeddings, positive_sets, predict_all,
                     predict_from_embeddings, pretrain_contrastive,
                     save_checkpoint, save_training_log, train_end_to_end,
                     write_embeddings)
@@ -45,7 +45,7 @@ __all__ = [
     "load_categories", "load_checkpoint", "load_embeddings",
     "load_features", "load_gridspec", "load_labels",
     "load_landcover", "load_pois", "mae", "make_split",
-    "positive_sets", "predict", "predict_all",
+    "positive_sets", "predict_all",
     "predict_from_embeddings", "pretrain_contrastive", "r2", "region_of",
     "rmse", "rnr_edge_count", "run_experiment", "save_checkpoint",
     "save_features", "save_graph", "save_gridspec", "save_labels",

@@ -79,7 +79,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geodata import Region
+from .geodata import Region, first_rows
 from .tensor import NumericError
 
 Sample = tuple[Region, float]
@@ -400,11 +400,6 @@ def fit_variogram(samples: Sequence[Sample],
                           effective_range=float(best_p[2]))
 
 
-def _location_ids(coords: np.ndarray) -> np.ndarray:
-    """Each sample's location id, shared by the samples at one cell."""
-    return np.unique(coords, axis=0, return_inverse=True)[1]
-
-
 def _singular(pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Each system's singularity flag under the rule in the module
     docstring, from its neighbours' cells pts (m, k, 2) and their location
@@ -459,7 +454,7 @@ def _uk_weights(coords: np.ndarray, targets: np.ndarray,
     lam = np.zeros((len(targets), n))
     idx = np.empty((len(targets), n), dtype=np.intp)
     ok = np.ones(len(targets), dtype=bool)
-    ids = _location_ids(coords)
+    ids = first_rows(coords)    # one id per cell: its first sample
 
     def block(rows: slice) -> None:
         dists, near = _neighbours(coords, targets[rows], k_neighbors)

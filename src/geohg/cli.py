@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import baselines
-from .geodata import (GeoDataError, load_categories, load_gridspec,
-                      load_labels, load_landcover, load_pois, save_gridspec,
-                      open_commented, save_labels, save_landcover, save_pois)
+from .geodata import (GeoDataError, cell_rows, load_categories, load_gridspec,
+                      load_labels, load_landcover, load_pois, open_commented,
+                      save_gridspec, save_labels, save_landcover, save_pois)
 from .features import featurize_all, load_features, save_features
 from .hetgraph import build_graph, check_thresholds, save_graph
 from .model import (LABEL_TRANSFORMS, HgnnConfig, SslConfig, TrainConfig,
@@ -203,7 +203,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     grid, lc, pois, n_categories = _load_world(args)
     feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     save_features(feats, args.out, _echo(args, n_categories=n_categories))
-    print(f"featurize: wrote {len(feats.regions)} region rows -> {args.out}")
+    print(f"featurize: wrote {len(feats.cells)} region rows -> {args.out}")
     return 0
 
 
@@ -248,7 +248,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
                                                   settings.hgnn, args.seed)
     echo = _echo(args, n_categories=n_categories, **resolved)
     save_checkpoint(state, _out_path(args, "pretrain_checkpoint.json"))
-    write_embeddings(feats.regions, embeddings,
+    write_embeddings(feats.cells, embeddings,
                      _out_path(args, "embeddings.csv"), echo)
     with open_commented(_out_path(args, "pretrain_log.csv"), echo) as fh:
         fh.write("epoch,loss\n")
@@ -262,11 +262,11 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 def cmd_finetune(args: argparse.Namespace) -> int:
     grid = load_gridspec(args.grid)
     labels = load_labels(args.labels, grid)
-    regions, embeddings = load_embeddings(args.embeddings)
+    cells, embeddings = load_embeddings(args.embeddings)
     resolved = _resolve(args)
     split = make_split(labels, args.masked_ratio, args.seed)
     head, log = finetune_head(embeddings, labels, split,
-                              _settings(resolved).train, regions, args.seed)
+                              _settings(resolved).train, cells, args.seed)
     save_checkpoint(head, _out_path(args, "head.json"))
     save_training_log(log, _out_path(args, "finetune_log.csv"),
                       _echo(args, **resolved))
@@ -287,7 +287,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                  theta_soc=theta_soc)
     with open_commented(args.out, echo) as fh:
         fh.write("x_r,y_r,y_pred\n")
-        for (x, y), value in zip(feats.regions, values):
+        for (x, y), value in zip(feats.cells.tolist(), values):
             fh.write(f"{x},{y},{float(value)!r}\n")
     print(f"predict: {len(values)} regions -> {args.out}")
     return 0
@@ -343,14 +343,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
-    regions, embeddings = load_embeddings(args.embeddings)
+    cells, embeddings = load_embeddings(args.embeddings)
     anchor = (args.anchor_x, args.anchor_y)
-    try:
-        row = regions.index(anchor)
-    except ValueError:
-        raise GeoDataError(f"anchor region {anchor} not in embeddings") from None
+    row = cell_rows(cells, anchor, "anchor region {} not in embeddings")[0]
     sims = similarity_map(embeddings, row)
-    write_similarity(regions, sims, args.out, _echo(args))
+    write_similarity(cells, sims, args.out, _echo(args))
     print(f"similarity: anchor {anchor} -> {args.out}")
     return 0
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                      PoiTable, Region, open_commented)
+                      PoiTable, open_commented)
 from .features import featurize_all
 from .hetgraph import build_graph
 from . import baselines
@@ -199,7 +199,7 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                 graph, features, settings.ssl, settings.hgnn, seed)
             checksum = backbone_checksum(state)
             head, rows = finetune_head(embeddings, inputs.labels, split,
-                                       settings.train, features.regions, seed)
+                                       settings.train, features.cells, seed)
             if backbone_checksum(state) != checksum:   # pragma: no cover
                 raise RuntimeError("backbone changed during head fine-tuning")
             y_all = predict_from_embeddings(head, embeddings)
@@ -281,11 +281,13 @@ def write_report(report: MetricReport, path: str,
             fh.write(f"{key} = {value}\n")
 
 
-def write_similarity(regions: Sequence[Region], sims: np.ndarray, path: str,
+def write_similarity(cells: np.ndarray, sims: np.ndarray, path: str,
                      header_comments: Sequence[str] = ()) -> None:
+    if len(cells) != len(sims):
+        raise GeoDataError("one cell per similarity value required")
     with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r,similarity\n")
-        for (x, y), s in zip(regions, sims):
+        for (x, y), s in zip(cells.tolist(), sims):
             fh.write(f"{x},{y},{float(s)!r}\n")
 
 

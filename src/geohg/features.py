@@ -10,7 +10,7 @@ A region with no POIs has ``e_soc = 0``. Proportions use natural counts, so
 ``e_env`` always sums to 1 and ``e_soc / f`` sums to 1 when ``poi_count > 0``.
 :func:`featurize_all` builds the whole table with array operations, reading the
 columns of a :class:`geodata.PoiTable` directly; a POI is assigned to its cell by
-the same floor as :func:`geodata.region_of`.
+the same floor as :func:`geodata.region_of`. Row i holds the cell ``cells[i]``.
 """
 
 from __future__ import annotations
@@ -22,32 +22,33 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable, Region,
+from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable,
                       open_commented)
 
 
 @dataclass(frozen=True)
 class FeatureTable:
     """Region feature rows: ``matrix[i]`` is ``[e_pos | e_env | e_soc]`` of
-    ``regions[i]``, with ``n_env`` land-cover columns after the two position
-    columns and the POI category columns after those."""
+    the cell ``cells[i]``, with ``n_env`` land-cover columns after the two
+    position columns and the POI category columns after those."""
 
-    regions: tuple[Region, ...]
+    cells: np.ndarray         # (n, 2) int64 (x, y), read-only
     matrix: np.ndarray        # (n, 2 + J + K), read-only
     poi_counts: np.ndarray    # (n,) POIs per region
     n_env: int
 
     def __post_init__(self) -> None:
-        n = len(self.regions)
-        if (self.matrix.ndim != 2 or self.matrix.shape[0] != n
+        n = len(self.cells)
+        if (self.cells.shape != (n, 2) or self.matrix.ndim != 2
+                or self.matrix.shape[0] != n
                 or self.matrix.shape[1] < 2 + self.n_env
                 or self.poi_counts.shape != (n,)):
             raise GeoDataError(
-                f"feature table shapes disagree: {n} regions, matrix "
-                f"{self.matrix.shape}, poi counts {self.poi_counts.shape}, "
-                f"{self.n_env} env columns")
-        self.matrix.setflags(write=False)
-        self.poi_counts.setflags(write=False)
+                f"feature table shapes disagree: cells {self.cells.shape}, "
+                f"matrix {self.matrix.shape}, poi counts "
+                f"{self.poi_counts.shape}, {self.n_env} env columns")
+        for column in (self.cells, self.matrix, self.poi_counts):
+            column.setflags(write=False)
 
     @property
     def env(self) -> np.ndarray:
@@ -113,10 +114,9 @@ def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: PoiTable,
     f = np.array([math.log(t + 1) for t in totals[has]])
     soc[has] = f[:, None] * counts[has] / totals[has, None]
 
-    regions = tuple(grid.regions())
-    return FeatureTable(regions=regions,
-                        matrix=np.hstack([np.array(regions, dtype=np.float64),
-                                          env, soc]),
+    cells = grid.cells()
+    return FeatureTable(cells=cells,
+                        matrix=np.hstack([cells.astype(np.float64), env, soc]),
                         poi_counts=totals.astype(np.int64),
                         n_env=n_env)
 
@@ -124,27 +124,30 @@ def featurize_all(grid: GridSpec, lc: LandCoverGrid, pois: PoiTable,
 def save_features(table: FeatureTable, path: str,
                   header_comments: Sequence[str] = ()) -> None:
     """Write the features CSV: x_r,y_r,pos_*,env_*,soc_*,poi_count."""
-    if not table.regions:
+    if not len(table.cells):
         raise GeoDataError("no features to save")
-    cols = (["x_r", "y_r", "pos_0", "pos_1"]
-            + [f"env_{j}" for j in range(table.n_env)]
-            + [f"soc_{k}" for k in range(table.soc.shape[1])]
-            + ["poi_count"])
     with open_commented(path, header_comments) as fh:
-        fh.write(",".join(cols) + "\n")
-        for (x, y), row, count in zip(table.regions, table.matrix.tolist(),
+        fh.write(",".join(_columns(table.n_env, table.soc.shape[1])) + "\n")
+        for (x, y), row, count in zip(table.cells.tolist(), table.matrix.tolist(),
                                       table.poi_counts.tolist()):
             fh.write(",".join([str(x), str(y)] + [repr(v) for v in row]
                               + [str(count)]) + "\n")
 
 
+def _columns(n_env: int, n_soc: int) -> list[str]:
+    """The features CSV header."""
+    return (["x_r", "y_r", "pos_0", "pos_1"] + [f"env_{j}" for j in range(n_env)]
+            + [f"soc_{k}" for k in range(n_soc)] + ["poi_count"])
+
+
 def load_features(path: str) -> FeatureTable:
     """Read back a features CSV written by :func:`save_features`.
 
-    Raises GeoDataError, naming the file, on a header that does not start
-    with x_r,y_r,pos_0,pos_1 and end with poi_count, and, naming the line,
-    on a row of the wrong width, a non-integer x_r, y_r or poi_count, or a
-    feature value that is unparsable, NaN or infinite.
+    Raises GeoDataError, naming the file, on a header other than
+    x_r,y_r,pos_0,pos_1,env_0..,soc_0..,poi_count, and, naming the line,
+    on a row of the wrong width, a non-integer x_r, y_r or poi_count, a
+    feature value that is unparsable, NaN or infinite, or a pos_0,pos_1
+    other than its x_r,y_r.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = None
@@ -159,13 +162,13 @@ def load_features(path: str) -> FeatureTable:
             rows.append((lineno, line.split(",")))
     if header is None:
         raise GeoDataError(f"{path}: missing header")
-    if header[:4] != ["x_r", "y_r", "pos_0", "pos_1"] \
-            or header[-1] != "poi_count":
-        raise GeoDataError(f"{path}: header must start with "
-                           f"x_r,y_r,pos_0,pos_1 and end with poi_count")
     n_env = sum(1 for c in header if c.startswith("env_"))
-    width = 2 + n_env + sum(1 for c in header if c.startswith("soc_"))
-    regions, values, counts = [], [], []
+    n_soc = sum(1 for c in header if c.startswith("soc_"))
+    if header != _columns(n_env, n_soc):
+        raise GeoDataError(f"{path}: header must be x_r,y_r,pos_0,pos_1,"
+                           f"env_0..,soc_0..,poi_count")
+    width = 2 + n_env + n_soc
+    cells, values, counts = [], [], []
     for lineno, parts in rows:
         where = f"{path}: line {lineno}"
         if len(parts) != len(header):
@@ -181,10 +184,12 @@ def load_features(path: str) -> FeatureTable:
             raise GeoDataError(f"{where}: unparsable feature value ({exc})") from None
         if not all(math.isfinite(v) for v in vals):
             raise GeoDataError(f"{where}: non-finite feature value")
-        regions.append((x, y))
+        if vals[:2] != [x, y]:
+            raise GeoDataError(f"{where}: pos_0,pos_1 differ from x_r,y_r")
+        cells.append((x, y))
         values.append(vals)
         counts.append(poi_count)
-    return FeatureTable(regions=tuple(regions),
+    return FeatureTable(cells=np.array(cells, dtype=np.int64).reshape(-1, 2),
                         matrix=np.array(values, dtype=np.float64).reshape(
                             len(rows), width),
                         poi_counts=np.array(counts, dtype=np.int64),

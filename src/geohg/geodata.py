@@ -14,9 +14,10 @@ File formats (all plain text, see README):
                       name resolved through a categories manifest (one name per line)
   * labels         -- CSV ``x_r,y_r,value`` with header
 
-Conventions: region ids are ``(x, y)`` integer cell coordinates, ``(0, 0)`` at the grid
-origin (south-west corner), x east, y north. Pixel row 0 of a land-cover file is the y=0
-row. Points exactly on a cell boundary belong to the lower-left cell (floor assignment).
+Conventions: a region is an ``(x, y)`` integer cell, ``(0, 0)`` at the grid origin
+(south-west corner), x east, y north; regions travel as (n, 2) int64 ``cells`` columns,
+where a cell's first row stands for it (:func:`first_rows`, :func:`cell_rows`). Pixel row
+0 of a land-cover file is the y=0 row. Points on a cell boundary go to the lower-left cell.
 """
 
 from __future__ import annotations
@@ -80,11 +81,10 @@ class GridSpec:
             raise GeoDataError(f"region outside {self.n_cols}x{self.n_rows} grid")
         return cells[..., 1] * self.n_cols + cells[..., 0]
 
-    def regions(self) -> Iterator[Region]:
-        """All region ids in canonical row-major order."""
-        for y in range(self.n_rows):
-            for x in range(self.n_cols):
-                yield (x, y)
+    def cells(self) -> np.ndarray:
+        """Every cell as an (n, 2) int64 (x, y) column, in row-major order."""
+        y, x = np.divmod(np.arange(self.n_regions, dtype=np.int64), self.n_cols)
+        return np.column_stack([x, y])
 
     def cell_center_lonlat(self, region: Region) -> tuple[float, float]:
         if not self.contains(region):
@@ -186,16 +186,38 @@ class LabelSet:
         if (self.cells.ndim != 2 or self.cells.shape[1] != 2
                 or self.values.shape != (len(self.cells),)):
             raise GeoDataError("label cells must be (n, 2) and values (n,)")
-        order = np.lexsort(self.cells.T)
-        repeated = (np.diff(self.cells[order], axis=0) == 0).all(axis=1)
-        if repeated.any():
-            region = tuple(self.cells[order[1:][repeated][0]].tolist())
+        repeats = np.flatnonzero(first_rows(self.cells) != np.arange(len(self)))
+        if repeats.size:
+            region = tuple(self.cells[repeats[0]].tolist())
             raise GeoDataError(f"duplicate region {region} in label set")
         if not np.isfinite(self.values).all():
             raise GeoDataError("non-finite label value")
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def first_rows(cells: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 2) cell column, the first row holding the same cell:
+    the row itself unless it repeats an earlier one."""
+    order = np.lexsort(cells.T)        # stable: a cell's rows stay in order
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = (cells[order[1:]] != cells[order[:-1]]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
+def cell_rows(cells: np.ndarray, queries: np.ndarray,
+              missing: str = "cell {} not found") -> np.ndarray:
+    """Per query cell, the first row of ``cells`` holding it. A query cell in
+    no row raises GeoDataError(missing.format(cell)), naming the first one."""
+    queries = np.reshape(queries, (-1, 2))
+    rows = first_rows(np.concatenate([cells, queries]))[len(cells):]
+    absent = np.flatnonzero(rows >= len(cells))
+    if absent.size:
+        raise GeoDataError(missing.format(tuple(queries[absent[0]].tolist())))
+    return rows
 
 
 # ---------------------------------------------------------------------------

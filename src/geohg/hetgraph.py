@@ -103,8 +103,7 @@ class HeteroGraph:
 def build_rnr(grid: GridSpec) -> EdgeFamily:
     """One weight-1 edge per unordered pair of 8-neighboring cells."""
     cols, rows = grid.n_cols, grid.n_rows
-    x, y = np.meshgrid(np.arange(cols), np.arange(rows))
-    x, y = x.ravel(), y.ravel()
+    x, y = grid.cells().T
     srcs, dsts = [], []
     # Offsets all point to strictly larger row-major indices, so src < dst holds.
     for dx, dy in RNR_OFFSETS:
@@ -143,28 +142,28 @@ def build_elr(features: FeatureTable, theta_env: float) -> EdgeFamily:
     """Region-to-env-entity edges where the land-cover proportion reaches theta_env."""
     check_thresholds(theta_env=theta_env)
     return _threshold_edges(features.env, theta_env,
-                            offset=len(features.regions))
+                            offset=len(features.cells))
 
 
 def build_slr(features: FeatureTable, theta_soc: float) -> EdgeFamily:
     """Region-to-soc-entity edges where the impact-weighted value reaches theta_soc."""
     check_thresholds(theta_soc=theta_soc)
     return _threshold_edges(features.soc, theta_soc,
-                            offset=len(features.regions) + features.n_env)
+                            offset=len(features.cells) + features.n_env)
 
 
 def build_graph(grid: GridSpec, features: FeatureTable,
                 theta_env: float, theta_soc: float) -> HeteroGraph:
     """The graph of a grid whose feature row i is its i-th region in
     row-major order, the node id RNR uses; raises GeoDataError otherwise."""
-    if len(features.regions) != grid.n_regions:
+    if len(features.cells) != grid.n_regions:
         raise GeoDataError(f"expected {grid.n_regions} feature rows, "
-                           f"got {len(features.regions)}")
-    for i, (got, want) in enumerate(zip(features.regions, grid.regions())):
-        if got != want:
-            raise GeoDataError(f"feature row {i} is region {got}, expected "
-                               f"{want}: rows must follow the grid's "
-                               f"row-major order")
+                           f"got {len(features.cells)}")
+    wrong = np.flatnonzero((features.cells != grid.cells()).any(axis=1))
+    if wrong.size:
+        raise GeoDataError(f"feature row {wrong[0]} is region "
+                           f"{tuple(features.cells[wrong[0]].tolist())}: rows "
+                           f"must follow the grid's row-major order")
     graph = HeteroGraph(n_regions=grid.n_regions,
                         n_env=features.n_env,
                         n_soc=features.soc.shape[1],

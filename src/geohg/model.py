@@ -27,6 +27,8 @@ Training regimes:
 Each stage takes only what it reads: HgnnConfig (the architecture, all a
 checkpoint stores), TrainConfig, SslConfig and the run seed. A supervised
 fit leaves its LabelTransform on the state; a pretrained backbone has none.
+Both regimes find the split's label cells among the (n, 2) int64 region
+cells (FeatureTable.cells, or an embedding file's) with geodata.cell_rows.
 
 Both losses read only a few rows, so during training the last relational
 layer and the head run on a RowSubset alone: the train and validation
@@ -57,7 +59,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import (DenseMean, NumericError, PaddedGather, RelationBlock,
                      Tensor)
-from .geodata import GeoDataError, LabelSet, Region, open_commented
+from .geodata import (GeoDataError, LabelSet, cell_rows, first_rows,
+                      open_commented)
 from .features import FeatureTable
 from .hetgraph import HeteroGraph
 
@@ -262,9 +265,9 @@ class GraphTensors:
 def prepare_graph(graph: HeteroGraph, features: FeatureTable) -> GraphTensors:
     """The graph's tensors in canonical order, with the feature rows'
     positions min-max scaled per axis (a degenerate span maps to 0)."""
-    if len(features.regions) != graph.n_regions:
+    if len(features.cells) != graph.n_regions:
         raise GeoDataError(f"graph has {graph.n_regions} regions, "
-                           f"features {len(features.regions)}")
+                           f"features {len(features.cells)}")
     if features.n_env != graph.n_env or features.soc.shape[1] != graph.n_soc:
         raise GeoDataError("feature dimensions disagree with graph entity counts")
     raw = features.matrix
@@ -523,19 +526,15 @@ def _fit(params: dict[str, np.ndarray], lr: float, n_epochs: int,
     return params, log
 
 
-def _split_targets(regions: Sequence[Region], labels: LabelSet,
+def _split_targets(cells: np.ndarray, labels: LabelSet,
                    split: "EvalSplit", kind: str) -> tuple:
     """(train rows, validation rows, transformed train and validation
-    targets, the train-fitted label transform); rows index ``regions``."""
+    targets, the train-fitted label transform); rows index ``cells``."""
     if len(split.train) == 0 or len(split.validation) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    pos = {r: i for i, r in enumerate(regions)}
-    try:
-        train_ext, val_ext = (
-            np.array([pos[tuple(c)] for c in labels.cells[rows].tolist()],
-                     dtype=np.int64) for rows in (split.train, split.validation))
-    except KeyError as exc:
-        raise GeoDataError(f"split region {exc} has no features") from exc
+    train_ext, val_ext = np.split(
+        cell_rows(cells, labels.cells[split.available()],
+                  "split region {} has no features"), [len(split.train)])
     y_train = labels.values[split.train]
     y_val = labels.values[split.validation]
     transform = LabelTransform.fit(kind, y_train)
@@ -556,7 +555,7 @@ def train_end_to_end(graph: HeteroGraph, features: FeatureTable,
     is prepare_graph(graph, features), already built by the caller.
     """
     train_ext, val_ext, y_train, y_val, transform = _split_targets(
-        features.regions, labels, split, train.label_transform)
+        features.cells, labels, split, train.label_transform)
     if gt is None:
         gt = prepare_graph(graph, features)
     state = init_state(config, graph.n_env, graph.n_soc, seed)
@@ -694,16 +693,16 @@ def hgnn_forward(graph: HeteroGraph, features: FeatureTable,
 
 
 def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
-                  train: TrainConfig, regions: Sequence[Region],
+                  train: TrainConfig, cells: np.ndarray,
                   seed: int) -> tuple[HeadState, list[LogRow]]:
     """Train only a fresh 3-layer head on the frozen embedding matrix.
 
-    ``regions[i]`` names the region behind e_pretrain row i. The first log
+    ``cells[i]`` is the cell behind e_pretrain row i. The first log
     row is the untrained head's performance (losses are recorded before each
     update), so improvement is read directly off the log.
     """
     train_ext, val_ext, y_train, y_val, transform = _split_targets(
-        regions, labels, split, train.label_transform)
+        cells, labels, split, train.label_transform)
     head = init_head(e_pretrain.shape[1], seed)
     x_train = Tensor(e_pretrain[train_ext])
     x_val = e_pretrain[val_ext]
@@ -725,18 +724,6 @@ def finetune_head(e_pretrain: np.ndarray, labels: LabelSet, split: "EvalSplit",
 def _head_values(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     """head_forward on arrays, with no gradient recorded."""
     return head_forward(Tensor(x), _leaves(params, requires_grad=False)).data
-
-
-def predict(state: ModelState, graph: HeteroGraph,
-            features: FeatureTable,
-            regions: Sequence[Region]) -> dict[Region, float]:
-    """Inverse-transformed predictions for the requested regions."""
-    values = predict_all(state, graph, features)
-    pos = {r: i for i, r in enumerate(features.regions)}
-    try:
-        return {r: float(values[pos[r]]) for r in regions}
-    except KeyError as exc:
-        raise GeoDataError(f"region {exc} not in features") from exc
 
 
 def predict_all(state: ModelState, graph: HeteroGraph,
@@ -829,21 +816,21 @@ def load_checkpoint(path: str, kind: str = "model") -> ModelState | HeadState:
     return state
 
 
-def write_embeddings(regions: Sequence[Region], embeddings: np.ndarray,
+def write_embeddings(cells: np.ndarray, embeddings: np.ndarray,
                      path: str, header_comments: Sequence[str] = ()) -> None:
-    """CSV dump of an embedding matrix: x_r,y_r,e_0..e_{d-1}."""
-    if len(regions) != embeddings.shape[0]:
+    """CSV dump of embedding rows and their cells: x_r,y_r,e_0..e_{d-1}."""
+    if len(cells) != embeddings.shape[0]:
         raise GeoDataError("one region per embedding row required")
     d = embeddings.shape[1]
     with open_commented(path, header_comments) as fh:
         fh.write("x_r,y_r," + ",".join(f"e_{i}" for i in range(d)) + "\n")
-        for (x, y), row in zip(regions, embeddings):
+        for (x, y), row in zip(cells.tolist(), embeddings):
             fh.write(f"{x},{y}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
-    """Read write_embeddings' CSV; malformed or non-finite rows raise
-    GeoDataError naming the file, and a repeated region names its line."""
+def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read write_embeddings' CSV as (cells, embeddings); malformed or non-finite
+    rows raise GeoDataError naming the file, a repeated region its lines."""
     with open(path, "r", encoding="utf-8") as fh:
         numbered = [(i, line.strip().split(",")) for i, line in enumerate(fh, 1)
                     if line.strip() and not line.strip().startswith("#")]
@@ -860,18 +847,19 @@ def load_embeddings(path: str) -> tuple[list[Region], np.ndarray]:
             raise GeoDataError(f"{path}: row width {len(parts)} != "
                                f"header {len(header)}")
     try:
-        regions = [(int(p[0]), int(p[1])) for p in rows]
+        cells = np.array([(int(p[0]), int(p[1])) for p in rows], dtype=np.int64)
         embeddings = np.array([[float(v) for v in p[2:]] for p in rows])
     except ValueError as exc:
         raise GeoDataError(f"{path}: {exc}") from exc
-    first: dict[Region, int] = {}
-    for lineno, region in zip(linenos[1:], regions):
-        if first.setdefault(region, lineno) != lineno:
-            raise GeoDataError(f"{path}: line {lineno}: region {region} "
-                               f"repeats line {first[region]}")
+    first = first_rows(cells)
+    i = int(np.argmax(first != np.arange(len(cells))))    # the first repeat
+    if first[i] != i:
+        raise GeoDataError(f"{path}: line {linenos[i + 1]}: region "
+                           f"{tuple(cells[i].tolist())} repeats line "
+                           f"{linenos[first[i] + 1]}")
     if not np.all(np.isfinite(embeddings)):
         raise GeoDataError(f"{path}: non-finite embedding values")
-    return regions, embeddings
+    return cells, embeddings
 
 
 def save_training_log(log: Sequence[LogRow], path: str,

@@ -285,8 +285,7 @@ def generate(config: SynthConfig) -> tuple[LandCoverGrid, PoiTable, LabelSet, di
     # 1) Voronoi patches -> archetype per region (seeded in cell-center units).
     patch_xy = rng.random((config.n_patches, 2)) * [config.n_cols, config.n_rows]
     patch_arch = rng.integers(0, config.n_archetypes, size=config.n_patches)
-    # (x, y) per region in row-major order; divmod gives (y, x).
-    cells = np.column_stack(np.divmod(np.arange(n), config.n_cols)[::-1])
+    cells = grid.cells()
     centers = cells + 0.5
     nearest = np.empty(n, dtype=np.intp)
     for lo in range(0, n, VORONOI_BLOCK):

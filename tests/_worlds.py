@@ -28,14 +28,14 @@ def synth_world(n_cols=8, n_rows=8, seed=0, theta_env=0.6, theta_soc=0.9,
     return lc.grid, feats, graph, labels, ledger
 
 
-def table(regions, env, soc, counts=None, pos=None):
+def table(cells, env, soc, counts=None, pos=None):
     """A FeatureTable from its column blocks; positions default to the
-    region coordinates and POI counts to zero."""
-    regions = tuple(tuple(r) for r in regions)
-    pos = np.array(regions, dtype=np.float64) if pos is None else pos
-    counts = np.zeros(len(regions), dtype=np.int64) if counts is None else counts
+    cell coordinates and POI counts to zero."""
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    pos = cells.astype(np.float64) if pos is None else pos
+    counts = np.zeros(len(cells), dtype=np.int64) if counts is None else counts
     env = np.asarray(env, dtype=np.float64)
-    return FeatureTable(regions=regions,
+    return FeatureTable(cells=cells,
                         matrix=np.hstack([pos, env, soc]),
                         poi_counts=np.asarray(counts, dtype=np.int64),
                         n_env=env.shape[1])
@@ -43,7 +43,7 @@ def table(regions, env, soc, counts=None, pos=None):
 
 def take_rows(features: FeatureTable, rows) -> FeatureTable:
     """The table of the given rows, in that order."""
-    return FeatureTable(regions=tuple(features.regions[i] for i in rows),
+    return FeatureTable(cells=features.cells[rows],
                         matrix=features.matrix[rows],
                         poi_counts=features.poi_counts[rows],
                         n_env=features.n_env)
@@ -53,13 +53,13 @@ def hand_features(grid: GridSpec, seed=0, n_env=3, n_soc=2):
     """Random but valid feature rows for every region of a grid."""
     rng = np.random.default_rng(seed)
     counts, env, soc = [], [], []
-    for region in grid.regions():
+    for _ in range(grid.n_regions):
         count = int(rng.integers(0, 12))
         soc.append(np.log(count + 1) * rng.dirichlet(np.ones(n_soc))
                    if count else np.zeros(n_soc))
         env.append(rng.dirichlet(np.ones(n_env)))
         counts.append(count)
-    return table(list(grid.regions()), env, soc, counts)
+    return table(grid.cells(), env, soc, counts)
 
 
 def relabel(graph: HeteroGraph, features, perm):

@@ -365,7 +365,7 @@ def test_criterion_9_frozen_backbone():
     split = make_split(labels, masked_ratio=0.5, seed=10)
     head, log = finetune_head(embeddings, labels, split,
                               TrainConfig(max_epochs=150, patience=150),
-                              regions=feats.regions, seed=10)
+                              cells=feats.cells, seed=10)
     checksum_after = backbone_checksum(state)
 
     frozen = checksum_after == checksum_before

@@ -90,7 +90,7 @@ class TestFeaturizeAndGraph:
         assert run(tmp_path, "featurize", *world_flags(world_dir),
                    "--out", str(feats_path)) == 0
         feats = load_features(str(feats_path))
-        assert len(feats.regions) == 100
+        assert len(feats.cells) == 100
 
         paths = [tmp_path / "graph.txt", tmp_path / "again.txt"]
         for graph_path in paths:
@@ -167,7 +167,7 @@ class TestPretrainFinetuneSimilarity:
         assert run(tmp_path, "pretrain", *world_flags(world_dir),
                    "--seed", "2", *FAST_ARCH, *FAST_SSL) == 0
         emb_path = tmp_path / "embeddings.csv"
-        regions, emb = load_embeddings(str(emb_path))
+        cells, emb = load_embeddings(str(emb_path))
         assert emb.shape == (100, 8)
         assert (tmp_path / "pretrain_checkpoint.json").exists()
         assert (tmp_path / "pretrain_log.csv").exists()

@@ -407,9 +407,18 @@ class TestArtifactFiles:
 
     def test_similarity_file_format(self, tmp_path):
         path = tmp_path / "sim.csv"
-        write_similarity([(0, 0), (1, 0)], np.array([1.0, 0.5]), str(path))
+        write_similarity(np.array([(0, 0), (1, 0)]), np.array([1.0, 0.5]),
+                         str(path))
         assert path.read_text() == (
             "x_r,y_r,similarity\n0,0,1.0\n1,0,0.5\n")
+
+    @pytest.mark.parametrize("n_values", [1, 3])
+    def test_similarity_needs_one_value_per_cell(self, tmp_path, n_values):
+        path = tmp_path / "sim.csv"
+        with pytest.raises(GeoDataError, match="one cell per similarity"):
+            write_similarity(np.array([(0, 0), (1, 0)]),
+                             np.linspace(0.0, 1.0, n_values), str(path))
+        assert not path.exists()
 
     def test_empty_report_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -62,7 +62,7 @@ def reference_features(grid, lc, pois, n_categories):
         if region is not None:
             counts[grid.region_index(region), c] += 1
     rows, totals = [], []
-    for region in grid.regions():
+    for region in map(tuple, grid.cells().tolist()):
         pixels = lc.region_pixels(region)
         env = np.bincount(pixels.ravel(), minlength=lc.n_classes) / pixels.size
         c = counts[grid.region_index(region)]
@@ -106,7 +106,7 @@ class TestComputePos:
         table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
         assert np.array_equal(row(table, grid, (3, 7))[:2], [3.0, 7.0])
         assert np.array_equal(table.matrix[:, :2],
-                              np.array(table.regions, dtype=np.float64))
+                              table.cells.astype(np.float64))
 
     def test_matches_center_offset_arithmetic(self):
         # Oracle: floor of (cell-center km offset / cell size) recovers the
@@ -125,7 +125,7 @@ class TestComputePos:
         # A table naming a region outside the grid cannot become a graph.
         grid = make_grid(4, 4)
         table = featurize_all(grid, make_lc(grid), poi_table([]), n_categories=0)
-        bad = FeatureTable(regions=table.regions[:-1] + ((4, 0),),
+        bad = FeatureTable(cells=np.vstack([table.cells[:-1], [(4, 0)]]),
                            matrix=table.matrix, poi_counts=table.poi_counts,
                            n_env=table.n_env)
         with pytest.raises(GeoDataError, match=r"region \(4, 0\)"):
@@ -156,7 +156,7 @@ class TestComputeEnv:
         grid = make_grid(3, 3)
         lc = make_lc(grid, ppc=4, seed=5)
         env = self.env(lc)
-        for region in grid.regions():
+        for region in map(tuple, grid.cells().tolist()):
             pixels = lc.region_pixels(region).ravel()
             want = np.array([(pixels == j).sum() for j in range(11)]) / pixels.size
             assert np.array_equal(env[grid.region_index(region)], want)
@@ -204,7 +204,7 @@ class TestComputeSoc:
         pois = [poi_at(grid, (int(rng.integers(0, 4)), int(rng.integers(0, 4))),
                        int(rng.integers(0, 5))) for _ in range(10)]
         km_lon, km_lat = grid.km_per_degree()
-        for target in grid.regions():
+        for target in map(tuple, grid.cells().tolist()):
             soc, count = self.soc(grid, pois, target)
             inside = [c for lon, lat, c in pois
                       if math.floor((lon - grid.origin_lon) * km_lon) == target[0]
@@ -300,7 +300,7 @@ class TestFeaturizeAll:
         lc = make_lc(grid, classes=np.full((2, 2), 3))
         pois = [poi_at(grid, (0, 0), 1)]
         table = featurize_all(grid, lc, poi_table(pois), n_categories=4)
-        assert table.regions == ((0, 0),) and table.n_env == 11
+        assert table.cells.tolist() == [[0, 0]] and table.n_env == 11
         want = np.zeros(2 + 11 + 4)
         want[2 + 3] = 1.0
         want[2 + 11 + 1] = math.log(2)
@@ -314,7 +314,7 @@ class TestFeaturizeAll:
         pois = [poi_at(grid, (int(rng.integers(0, 4)), int(rng.integers(0, 4))),
                        int(rng.integers(0, 6))) for _ in range(40)]
         table = featurize_all(grid, lc, poi_table(pois), n_categories=6)
-        assert table.regions == tuple(grid.regions())
+        assert np.array_equal(table.cells, grid.cells())
         assert np.all(np.abs(table.env.sum(axis=1) - 1.0) < 1e-9)
         for soc, count in zip(table.soc, table.poi_counts):
             if count > 0:
@@ -330,7 +330,7 @@ class TestFeaturizeAll:
                        int(rng.integers(0, 4))) for _ in range(25)]
         a = featurize_all(grid, lc, poi_table(pois), n_categories=4)
         b = featurize_all(grid, lc, poi_table(pois[::-1]), n_categories=4)
-        assert a.regions == b.regions
+        assert np.array_equal(a.cells, b.cells)
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.poi_counts, b.poi_counts)
 
@@ -365,7 +365,7 @@ class TestFeaturizeAll:
         table = featurize_all(grid, lc, poi_table(points),
                               n_categories=cfg.n_categories, warn=False)
         matrix, counts = reference_features(grid, lc, points, cfg.n_categories)
-        assert table.regions == tuple(grid.regions())
+        assert np.array_equal(table.cells, grid.cells())
         assert table.matrix.tobytes() == matrix.tobytes()   # bit for bit
         assert np.array_equal(table.poi_counts, counts)
 
@@ -393,7 +393,7 @@ class TestFeaturesIo:
         path = tmp_path / "features.csv"
         save_features(table, str(path), header_comments=["seed = 9"])
         again = load_features(str(path))
-        assert again.regions == table.regions
+        assert np.array_equal(again.cells, table.cells)
         assert again.n_env == table.n_env
         assert again.matrix.tobytes() == table.matrix.tobytes()
         assert np.array_equal(again.poi_counts, table.poi_counts)
@@ -463,3 +463,30 @@ class TestFeaturesIo:
         with pytest.raises(GeoDataError, match="header") as err:
             load_features(str(path))
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header, row", [
+        # soc_0's value would be read as land cover
+        ("x_r,y_r,pos_0,pos_1,soc_0,env_0,env_1,poi_count",
+         "0,0,0.0,0.0,0.7,0.25,0.75,1"),
+        # foo's values would be read as env_1, and env_1's dropped
+        ("x_r,y_r,pos_0,pos_1,env_0,foo,env_1,soc_0,poi_count",
+         "0,0,0.0,0.0,0.25,9.0,0.75,0.0,0"),
+    ], ids=["soc before env", "unknown middle column"])
+    def test_header_must_be_exact(self, tmp_path, header, row):
+        path = tmp_path / "features.csv"
+        path.write_text(f"# c\n{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(GeoDataError, match="header must be") as err:
+            load_features(str(path))
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("pos", ["0.0,0.0", "1.0,1.0", "0.0,1.0",
+                                     "1.5,0.0"])
+    def test_positions_other_than_the_cell_rejected(self, tmp_path, pos):
+        path, lines, _ = self.saved_rows(tmp_path)
+        row = lines[3].split(",")             # the second data row: (1, 0)
+        row[2:4] = pos.split(",")
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(GeoDataError, match="pos_0,pos_1 differ") as err:
+            load_features(str(path))
+        assert f"{path}: line 4" in str(err.value)

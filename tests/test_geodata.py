@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from geohg.geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                           PoiTable, load_gridspec, load_labels,
-                           load_landcover, load_pois, region_of,
+                           PoiTable, cell_rows, first_rows, load_gridspec,
+                           load_labels, load_landcover, load_pois, region_of,
                            save_gridspec, save_labels, save_landcover,
                            save_pois)
 
@@ -24,7 +24,7 @@ class TestGridSpec:
 
     def test_region_index_row_major(self):
         grid = make_grid(5, 3)
-        ordered = list(grid.regions())
+        ordered = [tuple(c) for c in grid.cells().tolist()]
         assert ordered[0] == (0, 0)
         assert ordered[1] == (1, 0)
         assert ordered[-1] == (4, 2)
@@ -40,6 +40,13 @@ class TestGridSpec:
             grid.region_index(region)
         with pytest.raises(GeoDataError, match="outside 5x3 grid"):
             grid.region_index(np.array([(0, 0), region, (1, 1)]))
+
+    def test_cells_follow_the_row_major_loop(self):
+        grid = make_grid(5, 3)
+        want = [[x, y] for y in range(3) for x in range(5)]
+        cells = grid.cells()
+        assert cells.dtype == np.int64 and cells.shape == (15, 2)
+        assert cells.tolist() == want
 
     def test_km_per_degree_uses_origin_latitude(self):
         grid = make_grid(lat=60.0)
@@ -73,7 +80,7 @@ class TestRegionOf:
 
     def test_cell_center_round_trip(self):
         grid = make_grid(6, 5, lon=-3.2, lat=48.1, cell_km=2.0)
-        for region in grid.regions():
+        for region in map(tuple, grid.cells().tolist()):
             lon, lat = grid.cell_center_lonlat(region)
             assert region_of(lon, lat, grid) == region
 
@@ -83,7 +90,7 @@ class TestRegionOf:
         km_lon, km_lat = grid.km_per_degree()
 
         def brute(lon, lat):
-            for (x, y) in grid.regions():
+            for (x, y) in grid.cells().tolist():
                 lon_lo = grid.origin_lon + x * grid.cell_km / km_lon
                 lon_hi = grid.origin_lon + (x + 1) * grid.cell_km / km_lon
                 lat_lo = grid.origin_lat + y * grid.cell_km / km_lat
@@ -349,7 +356,7 @@ class TestLabels:
     def test_round_trip_bit_equal(self, tmp_path):
         grid = make_grid(8, 8)
         rng = np.random.default_rng(3)
-        labels = LabelSet(cells=list(grid.regions()),
+        labels = LabelSet(cells=grid.cells(),
                           values=rng.normal(size=grid.n_regions))
         path = tmp_path / "labels.csv"
         save_labels(labels, str(path), header_comments=["task = carbon"])
@@ -369,6 +376,13 @@ class TestLabels:
         with pytest.raises(GeoDataError, match=r"duplicate region \(2, 1\)"):
             LabelSet(cells=[(0, 0), (2, 1), (1, 0), (2, 1)],
                      values=[1.0, 2.0, 3.0, 4.0])
+
+    def test_labelset_names_the_first_repeat_in_file_order(self):
+        # (1, 2) repeats on row 3 and (0, 1) on row 4; (0, 1) comes first
+        # in (y, x) order, but (1, 2) repeats first in the file.
+        with pytest.raises(GeoDataError, match=r"duplicate region \(1, 2\)"):
+            LabelSet(cells=[(1, 2), (0, 1), (3, 3), (1, 2), (0, 1)],
+                     values=[1.0, 2.0, 3.0, 4.0, 5.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_labelset_rejects_non_finite_values(self, bad):
@@ -403,6 +417,43 @@ class TestLabels:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 0
+
+
+class TestCellRows:
+    @staticmethod
+    def dict_first_rows(cells):
+        first = {}
+        return [first.setdefault(tuple(c), i)
+                for i, c in enumerate(cells.tolist())]
+
+    def test_first_rows_match_a_dict_of_first_rows(self):
+        rng = np.random.default_rng(5)
+        big = np.iinfo(np.int64).max      # cells that sum or pack alike
+        worlds = [rng.integers(-span, span, size=(n, 2))
+                  for n, span in ((0, 3), (1, 3), (40, 3), (300, 12))]
+        worlds.append(np.array([(0, 1), (1, 0), (1, 1), (0, 1), (big, -big),
+                                (-big, big), (big, -big), (1, 0)]))
+        for cells in worlds:
+            got = first_rows(cells)
+            assert got.dtype == np.int64
+            assert got.tolist() == self.dict_first_rows(cells)
+
+    def test_lookup_gives_the_first_row_of_each_query(self):
+        cells = np.array([(2, 0), (0, 1), (1, 1), (0, 1), (5, 5)])
+        queries = np.array([(0, 1), (5, 5), (2, 0), (0, 1), (1, 1)])
+        assert cell_rows(cells, queries).tolist() == [1, 4, 0, 1, 2]
+        assert cell_rows(cells, (1, 1)).tolist() == [2]
+        assert cell_rows(cells, np.zeros((0, 2), dtype=np.int64)).size == 0
+
+    def test_lookup_names_the_first_missing_cell(self):
+        cells = np.array([(0, 0), (1, 0), (2, 0)])
+        queries = np.array([(1, 0), (0, 3), (9, 9), (0, 3)])
+        with pytest.raises(GeoDataError, match=r"^cell \(0, 3\) not found$"):
+            cell_rows(cells, queries)
+        with pytest.raises(GeoDataError, match=r"^row for \(0, 3\)$"):
+            cell_rows(cells, queries, "row for {}")
+        with pytest.raises(GeoDataError, match=r"\(0, 0\)"):
+            cell_rows(np.zeros((0, 2), dtype=np.int64), [(0, 0)])
 
 
 class TestGridSpecIo:

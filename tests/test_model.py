@@ -10,7 +10,7 @@ import geohg.model
 import geohg.tensor as T
 from geohg.evaluation import make_split, r2
 from geohg.features import FeatureTable
-from geohg.geodata import GeoDataError, GridSpec, LabelSet
+from geohg.geodata import GeoDataError, GridSpec, LabelSet, cell_rows
 from geohg.hetgraph import EdgeFamily, HeteroGraph, build_graph
 from geohg.model import (CHECKPOINT_VERSION, RELATIONS, HgnnConfig,
                          LabelTransform, SslConfig, TrainConfig,
@@ -18,8 +18,8 @@ from geohg.model import (CHECKPOINT_VERSION, RELATIONS, HgnnConfig,
                          batch_positive_plan, finetune_head, head_forward,
                          hgnn_forward, infonce_loss, init_head, init_state,
                          load_checkpoint, load_embeddings, mse_training_loss,
-                         positive_sets, predict,
-                         predict_all, prepare_graph, predict_from_embeddings,
+                         positive_sets, predict_all, prepare_graph,
+                         predict_from_embeddings,
                          pretrain_contrastive, row_subset, save_checkpoint,
                          save_training_log, train_end_to_end,
                          write_embeddings)
@@ -43,11 +43,11 @@ def env_rolled(feats, row):
     """The table with one row's land-cover proportions rolled by one."""
     matrix = feats.matrix.copy()
     matrix[row, 2:2 + feats.n_env] = np.roll(feats.env[row], 1)
-    return FeatureTable(feats.regions, matrix, feats.poi_counts, feats.n_env)
+    return FeatureTable(feats.cells, matrix, feats.poi_counts, feats.n_env)
 
 
 def constant_labels(grid, value):
-    return LabelSet(cells=list(grid.regions()),
+    return LabelSet(cells=grid.cells(),
                     values=np.full(grid.n_regions, value))
 
 
@@ -142,7 +142,7 @@ class TestForward:
         base = hand_features(grid, seed=3)
         rows = base.matrix.copy()
         rows[1, 2:] = rows[0, 2:]
-        feats = FeatureTable(base.regions, rows,
+        feats = FeatureTable(base.cells, rows,
                              np.full(2, base.poi_counts[0]), base.n_env)
         graph = rnr_only_graph(grid, feats)
         config = HgnnConfig(n_layers=2, hidden_dim=8)
@@ -168,7 +168,7 @@ class TestForward:
             state.params[f"layer0.{rel}.w"] = eye.copy()
         out = hgnn_forward(graph, feats, state)
         raw = pos_scaled(feats.matrix)
-        for i, (x, y) in enumerate(grid.regions()):
+        for i, (x, y) in enumerate(grid.cells().tolist()):
             nbrs = [yy * 3 + xx
                     for yy in range(3) for xx in range(3)
                     if max(abs(xx - x), abs(yy - y)) == 1]
@@ -789,9 +789,8 @@ class TestTrainEndToEnd:
         state, _ = train_end_to_end(graph, feats, labels, split, config,
                                     train, seed=5)
         masked = regions_of(labels, split.masked)
-        got = predict(state, graph, feats, masked)
+        y_pred = predict_all(state, graph, feats)[cell_rows(feats.cells, masked)]
         y_true = labels.values[split.masked]
-        y_pred = np.array([got[r] for r in masked])
         assert r2(y_true, y_pred) >= 0.95
 
     def test_empty_split_rejected(self):
@@ -828,9 +827,9 @@ class TestPredict:
                                     TrainConfig(max_epochs=10, patience=10),
                                     seed=9)
         wanted = [(0, 0), (3, 2), (4, 4)]
-        got = predict(state, graph, feats, wanted)
-        assert sorted(got) == sorted(wanted)
-        assert all(np.isfinite(v) for v in got.values())
+        rows = cell_rows(feats.cells, wanted)
+        assert feats.cells[rows].tolist() == [list(r) for r in wanted]
+        assert np.isfinite(predict_all(state, graph, feats)[rows]).all()
 
     def test_untrained_state_rejected(self):
         grid, feats, graph, _, _ = synth_world(4, 4, seed=21)
@@ -857,9 +856,10 @@ class TestPredict:
         state, _ = train_end_to_end(graph, feats, labels, split, config,
                                     train, seed=11)
         train_regions = regions_of(labels, split.train)
-        got = predict(state, graph, feats, train_regions)
-        for region in train_regions:
-            assert got[region] == pytest.approx(-1.25, abs=0.05)
+        got = predict_all(state, graph, feats)[cell_rows(feats.cells,
+                                                         train_regions)]
+        for value in got:
+            assert value == pytest.approx(-1.25, abs=0.05)
 
 
 class TestInfoNce:
@@ -957,8 +957,8 @@ class TestPositiveSets:
         base[0] = 0.0                                   # a zero-norm row
         raw = np.array([base[rng.integers(0, 9)]
                         * 2.0 ** int(rng.integers(-2, 3))
-                        for _ in grid.regions()])
-        feats = table(list(grid.regions()), raw[:, 2:5], raw[:, 5:],
+                        for _ in range(grid.n_regions)])
+        feats = table(grid.cells(), raw[:, 2:5], raw[:, 5:],
                       pos=raw[:, :2])
         graph = rnr_only_graph(grid, hand_features(grid, seed=31))
         n = grid.n_regions
@@ -1078,7 +1078,7 @@ class TestFinetuneHead:
         split = make_split(labels, masked_ratio=0.5, seed=11)
         finetune_head(emb, labels, split,
                       TrainConfig(max_epochs=40, patience=40),
-                      regions=feats.regions, seed=4)
+                      cells=feats.cells, seed=4)
         assert backbone_checksum(state) == before
 
     def test_constant_labels_converge(self):
@@ -1133,6 +1133,22 @@ class TestFinetuneHead:
                           TrainConfig(max_epochs=2, patience=2),
                           [regions[i] for i in kept], seed=0)
 
+    def test_row_order_of_the_embeddings_is_irrelevant(self):
+        # Rows and their cells shuffled by one permutation: the lookup
+        # finds the same embedding rows, so head and log are bit-identical.
+        e, regions, labels = self.embedding_problem(seed=40)
+        split = make_split(labels, masked_ratio=0.4, seed=17)
+        train = TrainConfig(max_epochs=15, patience=15)
+        cells = np.array(regions)
+        perm = np.random.default_rng(41).permutation(len(cells))
+        head, log = finetune_head(e, labels, split, train, cells, seed=9)
+        again, log_again = finetune_head(e[perm], labels, split, train,
+                                         cells[perm], seed=9)
+        assert log_again == log
+        assert again.labels == head.labels
+        for name, arr in head.params.items():
+            assert again.params[name].tobytes() == arr.tobytes(), name
+
     def test_predictions_match_reference_head_bitwise(self):
         e, regions, labels = self.embedding_problem(seed=38)
         split = make_split(labels, masked_ratio=0.4, seed=15)
@@ -1182,7 +1198,7 @@ class TestCheckpointsAndIo:
                                     train, seed=9)
         backbone, emb, _ = pretrain_contrastive(
             graph, feats, SslConfig(batch_size=12, epochs=1), config, seed=9)
-        head, _ = finetune_head(emb, labels, split, train, feats.regions,
+        head, _ = finetune_head(emb, labels, split, train, feats.cells,
                                 seed=9)
         for name, state, kind in (("model", model, "model"),
                                   ("backbone", backbone, "model"),
@@ -1213,13 +1229,24 @@ class TestCheckpointsAndIo:
 
     def test_embeddings_round_trip(self, tmp_path):
         rng = np.random.default_rng(39)
-        regions = [(x, y) for y in range(3) for x in range(4)]
+        cells = np.array([(x, y) for y in range(3) for x in range(4)])
         emb = rng.normal(size=(12, 5))
         path = tmp_path / "emb.csv"
-        write_embeddings(regions, emb, str(path), header_comments=["d = 5"])
-        got_regions, got = load_embeddings(str(path))
-        assert got_regions == regions
+        write_embeddings(cells, emb, str(path), header_comments=["d = 5"])
+        got_cells, got = load_embeddings(str(path))
+        assert np.array_equal(got_cells, cells)
         assert np.array_equal(got, emb)
+
+    def test_write_of_load_rewrites_the_body_byte_for_byte(self, tmp_path):
+        # File order, not (y, x) order, and repr floats survive the trip.
+        path, again = tmp_path / "emb.csv", tmp_path / "again.csv"
+        body = ("x_r,y_r,e_0,e_1\n3,1,0.1,-2.5e-17\n0,0,1e+300,7.0\n"
+                "-2,5,0.0,-0.0\n")
+        path.write_text("# d = 2\n" + body)
+        cells, emb = load_embeddings(str(path))
+        assert cells.dtype == np.int64
+        write_embeddings(cells, emb, str(again))
+        assert again.read_text() == body
 
     def test_parameter_shapes_checked_against_config(self, tmp_path):
         config = HgnnConfig(n_layers=1, hidden_dim=4)
@@ -1287,8 +1314,8 @@ class TestCheckpointsAndIo:
             assert str(path) in str(info.value)
 
     def test_embeddings_repeated_region_rejected(self, tmp_path):
-        # finetune_head would take the region's last row and `similarity`
-        # its first, so a repeat has no one meaning.
+        # A repeated region would have two embedding rows, so the file
+        # has no one meaning for it.
         path = tmp_path / "emb.csv"
         path.write_text("# d = 2\nx_r,y_r,e_0,e_1\n0,0,1.0,2.0\n1,0,0.5,0.5\n"
                         "\n0,0,3.0,4.0\n")

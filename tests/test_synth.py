@@ -23,17 +23,17 @@ def loop_generate(config):
     patch_xy = rng.random((config.n_patches, 2)) * [config.n_cols,
                                                     config.n_rows]
     patch_arch = rng.integers(0, config.n_archetypes, size=config.n_patches)
-    centers = np.array([(x + 0.5, y + 0.5) for x, y in grid.regions()])
+    centers = np.array([(x + 0.5, y + 0.5) for x, y in grid.cells().tolist()])
     d2 = ((centers[:, None, :] - patch_xy[None, :, :]) ** 2).sum(axis=2)
     archetype = patch_arch[np.argmin(d2, axis=1)]
     p = config.pixels_per_cell
     classes = np.zeros((grid.n_rows * p, grid.n_cols * p), dtype=np.int64)
-    for idx, (x, y) in enumerate(grid.regions()):
+    for idx, (x, y) in enumerate(grid.cells().tolist()):
         classes[y * p:(y + 1) * p, x * p:(x + 1) * p] = rng.choice(
             config.n_classes, size=(p, p), p=res.class_mix[archetype[idx]])
     km_lon, km_lat = grid.km_per_degree()
     lons, lats, cats = [], [], []
-    for idx, (x, y) in enumerate(grid.regions()):
+    for idx, (x, y) in enumerate(grid.cells().tolist()):
         for k in range(config.n_categories):
             lam = res.poi_rates[archetype[idx], k]
             count = 0
@@ -354,7 +354,7 @@ class TestBlockDrawsMatchLoop:
         y = (np.array(env) + np.array(soc) + smooth + np.array(jump)
              + noise).tolist()
         assert ledger["labels"] == y
-        assert labels.cells.tolist() == [list(r) for r in lc.grid.regions()]
+        assert labels.cells.tolist() == lc.grid.cells().tolist()
         assert labels.values.tolist() == y
 
     def test_unreachable_rate_raises_at_once(self):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                      PoiTable, open_commented)
+                      PoiTable, data_lines, open_commented)
 from .features import featurize_all
 from .hetgraph import build_graph
 from . import baselines
@@ -292,14 +292,15 @@ def write_similarity(cells: np.ndarray, sims: np.ndarray, path: str,
 
 
 def load_report(path: str) -> dict[str, str]:
+    """Read a report's ``key = value`` lines, each key once."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for i, line in data_lines(path):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key):
+            raise GeoDataError(f"{path}: line {i}: expected 'key = value', got {line!r}")
+        if key in out:
+            raise GeoDataError(f"{path}: line {i}: repeated report key {key!r}")
+        out[key] = value
     if not out:
         raise GeoDataError(f"{path}: empty report")
     return out

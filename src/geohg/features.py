@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable,
+from .geodata import (GeoDataError, GridSpec, LandCoverGrid, PoiTable, csv_rows,
                       open_commented)
 
 
@@ -141,27 +141,12 @@ def _columns(n_env: int, n_soc: int) -> list[str]:
 
 
 def load_features(path: str) -> FeatureTable:
-    """Read back a features CSV written by :func:`save_features`.
-
-    Raises GeoDataError, naming the file, on a header other than
-    x_r,y_r,pos_0,pos_1,env_0..,soc_0..,poi_count, and, naming the line,
-    on a row of the wrong width, a non-integer x_r, y_r or poi_count, a
-    feature value that is unparsable, NaN or infinite, or a pos_0,pos_1
-    other than its x_r,y_r.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        rows = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append((lineno, line.split(",")))
-    if header is None:
-        raise GeoDataError(f"{path}: missing header")
+    """Read back a features CSV written by :func:`save_features`. Raises
+    GeoDataError, naming the file, on a header other than x_r,y_r,pos_0,pos_1,
+    env_0..,soc_0..,poi_count, and, naming the line, on a row of the wrong
+    width, a non-integer x_r, y_r or poi_count, a feature value that is
+    unparsable, NaN or infinite, or a pos_0,pos_1 other than its x_r,y_r."""
+    header, rows = csv_rows(path)
     n_env = sum(1 for c in header if c.startswith("env_"))
     n_soc = sum(1 for c in header if c.startswith("soc_"))
     if header != _columns(n_env, n_soc):
@@ -171,8 +156,6 @@ def load_features(path: str) -> FeatureTable:
     cells, values, counts = [], [], []
     for lineno, parts in rows:
         where = f"{path}: line {lineno}"
-        if len(parts) != len(header):
-            raise GeoDataError(f"{where}: row width {len(parts)} != header {len(header)}")
         try:
             x, y, poi_count = int(parts[0]), int(parts[1]), int(parts[-1])
         except ValueError as exc:
@@ -191,6 +174,6 @@ def load_features(path: str) -> FeatureTable:
         counts.append(poi_count)
     return FeatureTable(cells=np.array(cells, dtype=np.int64).reshape(-1, 2),
                         matrix=np.array(values, dtype=np.float64).reshape(
-                            len(rows), width),
+                            len(values), width),
                         poi_counts=np.array(counts, dtype=np.int64),
                         n_env=n_env)

@@ -13,6 +13,12 @@ File formats (all plain text, see README):
   * POIs           -- CSV ``lon,lat,category`` with header; category is an integer index or a
                       name resolved through a categories manifest (one name per line)
   * labels         -- CSV ``x_r,y_r,value`` with header
+  * features       -- CSV ``x_r,y_r,pos_0,pos_1,env_0..,soc_0..,poi_count`` (features module)
+  * embeddings     -- CSV ``x_r,y_r,e_0..e_<d-1>`` (model module)
+  * reports        -- ``key = value`` lines, each key once (evaluation module)
+
+Loaders read through :func:`data_lines` and :func:`csv_rows`: blank and ``#`` lines are
+skipped anywhere, rows must be as wide as the header, and errors name the 1-based file line.
 
 Conventions: a region is an ``(x, y)`` integer cell, ``(0, 0)`` at the grid origin
 (south-west corner), x east, y north; regions travel as (n, 2) int64 ``cells`` columns,
@@ -226,19 +232,19 @@ def cell_rows(cells: np.ndarray, queries: np.ndarray,
 
 def load_gridspec(path: str) -> GridSpec:
     values: dict[str, str] = {}
-    for raw in _data_lines(path):
+    for i, raw in data_lines(path):
         if "=" in raw:
             key, _, val = raw.partition("=")
         else:
             parts = raw.split(None, 1)
             if len(parts) != 2:
-                raise GeoDataError(f"{path}: cannot parse grid spec line {raw!r}")
+                raise GeoDataError(f"{path}: line {i}: cannot parse grid spec line {raw!r}")
             key, val = parts
         key = key.strip()
         if key not in GridSpec.__dataclass_fields__:
-            raise GeoDataError(f"{path}: unknown grid spec key {key!r}")
+            raise GeoDataError(f"{path}: line {i}: unknown grid spec key {key!r}")
         if key in values:
-            raise GeoDataError(f"{path}: repeated grid spec key {key!r}")
+            raise GeoDataError(f"{path}: line {i}: repeated grid spec key {key!r}")
         values[key] = val.strip()
     try:
         return GridSpec(origin_lon=float(values["origin_lon"]),
@@ -264,28 +270,24 @@ def save_gridspec(grid: GridSpec, path: str,
 
 def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
     """Parse a land-cover class grid and validate it against the region grid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        header = next((line for _, line in lines
-                       if not line.lstrip().startswith("#")), "").split()
-        if len(header) != 4 or header[0] != "LANDCOVER":
-            raise GeoDataError(f"{path}: expected header 'LANDCOVER rows cols classes'")
+    lines = data_lines(path)
+    header = next(lines, (0, ""))[1].split()
+    if len(header) != 4 or header[0] != "LANDCOVER":
+        raise GeoDataError(f"{path}: expected header 'LANDCOVER rows cols classes'")
+    try:
+        pixel_rows, pixel_cols, n_classes = (int(v) for v in header[1:])
+    except ValueError as exc:
+        raise GeoDataError(f"{path}: non-integer header field ({exc})") from exc
+    rows = []
+    for i, line in lines:
         try:
-            pixel_rows, pixel_cols, n_classes = (int(v) for v in header[1:])
+            row = np.array(line.split(), dtype=np.int64)
         except ValueError as exc:
-            raise GeoDataError(f"{path}: non-integer header field ({exc})") from exc
-        rows = []
-        for i, line in lines:
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                row = np.array(line.split(), dtype=np.int64)
-            except ValueError as exc:
-                raise GeoDataError(f"{path}: line {i}: bad pixel row: {exc}") from exc
-            if row.size != pixel_cols:
-                raise GeoDataError(
-                    f"{path}: line {i}: pixel row has {row.size} codes, expected {pixel_cols}")
-            rows.append(row)
+            raise GeoDataError(f"{path}: line {i}: bad pixel row: {exc}") from exc
+        if row.size != pixel_cols:
+            raise GeoDataError(
+                f"{path}: line {i}: pixel row has {row.size} codes, expected {pixel_cols}")
+        rows.append(row)
     if len(rows) != pixel_rows:
         raise GeoDataError(f"{path}: found {len(rows)} pixel rows, header says {pixel_rows}")
     classes = np.vstack(rows) if rows else np.zeros((0, pixel_cols), dtype=np.int64)
@@ -314,11 +316,12 @@ def save_landcover(lc: LandCoverGrid, path: str,
 
 
 def load_categories(path: str) -> list[str]:
-    """Category manifest: one name per line, line number = category index."""
-    names = [line for line in _data_lines(path)]
-    if len(set(names)) != len(names):
-        raise GeoDataError(f"{path}: duplicate category names")
-    return names
+    """Category manifest: one name per line, the n-th name is category n."""
+    names: dict[str, int] = {}      # name -> its file line
+    for i, name in data_lines(path):
+        if names.setdefault(name, i) != i:
+            raise GeoDataError(f"{path}: line {i}: category {name!r} repeats line {names[name]}")
+    return list(names)
 
 
 def load_pois(path: str, categories: Optional[Sequence[str]] = None,
@@ -328,7 +331,7 @@ def load_pois(path: str, categories: Optional[Sequence[str]] = None,
     if n_categories is None and categories is not None:
         n_categories = len(categories)
     lons, lats, cats = [], [], []
-    for i, parts in _csv_rows(path, "lon,lat,category"):
+    for i, parts in csv_rows(path, "lon,lat,category")[1]:
         try:
             lon, lat = float(parts[0]), float(parts[1])
         except ValueError as exc:
@@ -358,8 +361,8 @@ def save_pois(pois: PoiTable, path: str,
 
 
 def load_labels(path: str, grid: GridSpec) -> LabelSet:
-    rows: dict[Region, float] = {}      # in file order
-    for i, parts in _csv_rows(path, "x_r,y_r,value"):
+    values: dict[Region, float] = {}      # in file order
+    for i, parts in csv_rows(path, "x_r,y_r,value")[1]:
         try:
             region = (int(parts[0]), int(parts[1]))
             value = float(parts[2])
@@ -367,13 +370,13 @@ def load_labels(path: str, grid: GridSpec) -> LabelSet:
             raise GeoDataError(f"{path}: line {i}: {exc}") from exc
         if not grid.contains(region):
             raise GeoDataError(f"{path}: line {i}: region {region} outside grid")
-        if region in rows:
+        if region in values:
             raise GeoDataError(f"{path}: line {i}: duplicate region {region}")
         if not math.isfinite(value):
             raise GeoDataError(f"{path}: line {i}: non-finite value")
-        rows[region] = value
-    return LabelSet(cells=np.reshape(np.array(list(rows), dtype=np.int64), (-1, 2)),
-                    values=list(rows.values()))
+        values[region] = value
+    return LabelSet(cells=np.reshape(np.array(list(values), dtype=np.int64), (-1, 2)),
+                    values=list(values.values()))
 
 
 def save_labels(labels: LabelSet, path: str,
@@ -392,36 +395,32 @@ def open_commented(path: str, header_comments: Sequence[str] = ()) -> Iterator[T
         yield fh
 
 
-def _data_lines(path: str) -> Iterator[str]:
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based file line, stripped text) per non-blank, non-``#`` line of ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
-
-
-def _csv_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for a simple headed CSV, skipping blank
-    lines and '#' comments (including any before the header). The first
-    other line must be ``header`` itself. Line numbers count from 1."""
-    names = header.split(",")
-    with open(path, "r", encoding="utf-8") as fh:
-        saw_header = False
         for i, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not saw_header:
-                if [f.strip() for f in line.split(",")] != names:
-                    raise GeoDataError(
-                        f"{path}: line {i}: expected header '{header}', "
-                        f"got '{line}'")
-                saw_header = True
-                continue
+            if line and not line.startswith("#"):
+                yield i, line
+
+
+def csv_rows(path: str, header: Optional[str] = None
+             ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A headed CSV as (header fields, stream of (file line, fields)): the header is the first
+    data line, fields stripped, and must read ``header`` if given; each row must be as wide."""
+    lines = data_lines(path)
+    lineno, text = next(lines, (0, ""))
+    if not text:
+        raise GeoDataError(f"{path}: empty file, expected a header")
+    names = [field.strip() for field in text.split(",")]
+    if header is not None and names != header.split(","):
+        raise GeoDataError(f"{path}: line {lineno}: expected header '{header}', got '{text}'")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for i, line in lines:
             parts = line.split(",")
             if len(parts) != len(names):
-                raise GeoDataError(
-                    f"{path}: line {i}: expected {len(names)} fields ({header}), got {len(parts)}")
+                raise GeoDataError(f"{path}: line {i}: expected {len(names)} fields "
+                                   f"({','.join(names)}), got {len(parts)}")
             yield i, parts
-        if not saw_header:
-            raise GeoDataError(f"{path}: empty file, expected header '{header}'")
+    return names, rows()

@@ -59,7 +59,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import (DenseMean, NumericError, PaddedGather, RelationBlock,
                      Tensor)
-from .geodata import (GeoDataError, LabelSet, cell_rows, first_rows,
+from .geodata import (GeoDataError, LabelSet, cell_rows, csv_rows, first_rows,
                       open_commented)
 from .features import FeatureTable
 from .hetgraph import HeteroGraph
@@ -830,33 +830,28 @@ def write_embeddings(cells: np.ndarray, embeddings: np.ndarray,
 
 def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read write_embeddings' CSV as (cells, embeddings); malformed or non-finite
-    rows raise GeoDataError naming the file, a repeated region its lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = [(i, line.strip().split(",")) for i, line in enumerate(fh, 1)
-                    if line.strip() and not line.strip().startswith("#")]
-    linenos, lines = [i for i, _ in numbered], [parts for _, parts in numbered]
-    d = len(lines[0]) - 2 if lines else 0
-    if d < 1 or lines[0] != ["x_r", "y_r"] + [f"e_{i}" for i in range(d)]:
+    rows raise GeoDataError naming the file, a bad row or repeated region its lines."""
+    header, rows = csv_rows(path)
+    d = len(header) - 2
+    if d < 1 or header != ["x_r", "y_r"] + [f"e_{i}" for i in range(d)]:
         raise GeoDataError(f"{path}: not an embeddings CSV "
                            f"(header x_r,y_r,e_0..e_<d-1>)")
-    if len(lines) < 2:
+    linenos, cells, embeddings = [], [], []
+    for lineno, parts in rows:
+        try:
+            cells.append((int(parts[0]), int(parts[1])))
+            embeddings.append([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise GeoDataError(f"{path}: line {lineno}: {exc}") from None
+        linenos.append(lineno)
+    if not linenos:
         raise GeoDataError(f"{path}: no embedding rows")
-    header, rows = lines[0], lines[1:]
-    for parts in rows:
-        if len(parts) != len(header):
-            raise GeoDataError(f"{path}: row width {len(parts)} != "
-                               f"header {len(header)}")
-    try:
-        cells = np.array([(int(p[0]), int(p[1])) for p in rows], dtype=np.int64)
-        embeddings = np.array([[float(v) for v in p[2:]] for p in rows])
-    except ValueError as exc:
-        raise GeoDataError(f"{path}: {exc}") from exc
+    cells, embeddings = np.array(cells, dtype=np.int64), np.array(embeddings)
     first = first_rows(cells)
     i = int(np.argmax(first != np.arange(len(cells))))    # the first repeat
     if first[i] != i:
-        raise GeoDataError(f"{path}: line {linenos[i + 1]}: region "
-                           f"{tuple(cells[i].tolist())} repeats line "
-                           f"{linenos[first[i] + 1]}")
+        raise GeoDataError(f"{path}: line {linenos[i]}: region {tuple(cells[i].tolist())} "
+                           f"repeats line {linenos[first[i]]}")
     if not np.all(np.isfinite(embeddings)):
         raise GeoDataError(f"{path}: non-finite embedding values")
     return cells, embeddings

@@ -33,9 +33,9 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
-    Building ops records parent links and a backward closure; ``backward()``
-    on a scalar result fills ``grad`` for every reachable tensor that has
-    ``requires_grad`` set.
+    Ops record parent links and a backward closure only for a result that
+    requires a gradient; ``backward()`` on a scalar result fills ``grad``
+    for every reachable tensor that has ``requires_grad`` set.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -46,8 +46,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -425,3 +425,25 @@ class TestArtifactFiles:
         path.write_text("# only comments\n")
         with pytest.raises(GeoDataError, match="empty"):
             load_report(str(path))
+
+    def test_line_without_key_and_value_rejected(self, tmp_path):
+        # Read as the key "garbage" with an empty value, it would pass
+        # for a report field.
+        path = tmp_path / "report.txt"
+        path.write_text("# c\nmae = 1.0\n\ngarbage\n")
+        with pytest.raises(GeoDataError, match="line 4: expected 'key = value', "
+                                               "got 'garbage'") as err:
+            load_report(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+        path.write_text("mae = 1.0\n = 2.0\n")
+        with pytest.raises(GeoDataError, match="line 2: expected 'key = value'"):
+            load_report(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # A second value would silently replace the first.
+        path = tmp_path / "report.txt"
+        path.write_text("mae = 1.0\n# c\nrmse = 1.5\nmae = 2.0\n")
+        with pytest.raises(GeoDataError,
+                           match="line 4: repeated report key 'mae'") as err:
+            load_report(str(path))
+        assert str(err.value).startswith(f"{path}: ")

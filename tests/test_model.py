@@ -541,6 +541,22 @@ class TestFoldedLayerZero:
             assert len(calls) == config.n_layers - 1, name
 
 
+def test_forward_without_gradients_records_no_tape():
+    # With no leaf requiring a gradient, the result keeps no parent links
+    # and no backward closure, so no layer's saved arrays outlive it.
+    _, feats, graph, _, _ = synth_world(6, 5, seed=8)
+    config = HgnnConfig(n_layers=3, hidden_dim=4)
+    state = init_state(config, graph.n_env, graph.n_soc, seed=0)
+    gt = prepare_graph(graph, feats)
+    h = backbone_forward(gt, geohg.model._leaves(state.params,
+                                                 requires_grad=False), config)
+    assert h._parents == () and h._backward is None
+    assert not h.requires_grad
+    trained = backbone_forward(gt, geohg.model._leaves(state.params), config)
+    assert trained._parents and trained._backward is not None
+    assert np.array_equal(h.data, trained.data)
+
+
 def full_mse_reference(gt, leaves, config, train_internal, targets):
     """The supervised loss with the whole last layer and head."""
     h = backbone_forward(gt, leaves, config)

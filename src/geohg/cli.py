@@ -166,9 +166,12 @@ def _forget(args: argparse.Namespace, *groups: FlagGroup) -> None:
 
 
 def _load_world(args: argparse.Namespace):
+    """(grid, feature table, POI category count K) of the world flags. The
+    table is built here, once per command, and every stage reads it; the
+    baselines read neither raster nor POIs, so theirs is None."""
     grid = load_gridspec(args.grid)
     if getattr(args, "method", None) in BASELINES:   # no raster or POI read
-        return grid, None, None, args.n_categories
+        return grid, None, args.n_categories
     lc = load_landcover(args.landcover, grid)
     categories = load_categories(args.categories) if args.categories else None
     n_categories = args.n_categories
@@ -176,7 +179,8 @@ def _load_world(args: argparse.Namespace):
         n_categories = len(categories)
     pois = load_pois(args.pois, categories=categories,
                      n_categories=n_categories)
-    return grid, lc, pois, n_categories
+    features = featurize_all(grid, lc, pois, n_categories=n_categories)
+    return grid, features, n_categories
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +204,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    grid, lc, pois, n_categories = _load_world(args)
-    feats = featurize_all(grid, lc, pois, n_categories=n_categories)
+    grid, feats, n_categories = _load_world(args)
     save_features(feats, args.out, _echo(args, n_categories=n_categories))
     print(f"featurize: wrote {len(feats.cells)} region rows -> {args.out}")
     return 0
@@ -220,11 +223,10 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    grid, lc, pois, n_categories = _load_world(args)
+    grid, feats, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     resolved = _resolve(args)
     settings = _settings(resolved)
-    feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, settings.theta_env, settings.theta_soc)
     split = make_split(labels, args.masked_ratio, args.seed)
     state, log = train_end_to_end(graph, feats, labels, split, settings.hgnn,
@@ -239,10 +241,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    grid, lc, pois, n_categories = _load_world(args)
+    grid, feats, n_categories = _load_world(args)
     resolved = _resolve(args)
     settings = _settings(resolved)
-    feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, settings.theta_env, settings.theta_soc)
     state, embeddings, log = pretrain_contrastive(graph, feats, settings.ssl,
                                                   settings.hgnn, args.seed)
@@ -277,10 +278,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    grid, lc, pois, n_categories = _load_world(args)
+    grid, feats, n_categories = _load_world(args)
     state = load_checkpoint(args.checkpoint)
     theta_env, theta_soc = state.thresholds
-    feats = featurize_all(grid, lc, pois, n_categories=n_categories)
     graph = build_graph(grid, feats, theta_env, theta_soc)
     values = predict_all(state, graph, feats)
     echo = _echo(args, n_categories=n_categories, theta_env=theta_env,
@@ -306,7 +306,7 @@ def _run_and_write(method: str, inputs: ExperimentInputs,
 def cmd_baseline(args: argparse.Namespace) -> int:
     grid = load_gridspec(args.grid)
     labels = load_labels(args.labels, grid)
-    inputs = ExperimentInputs(grid=grid, lc=None, pois=None, labels=labels)
+    inputs = ExperimentInputs(grid=grid, labels=labels)
     settings = RunSettings(idw_power=args.power, idw_k=args.idw_k,
                            uk_k=args.uk_k)
     result = _run_and_write(args.method, inputs, settings,
@@ -323,11 +323,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.method in BASELINES:    # they read no model setting
         del args.task
         _forget(args, *MODEL_GROUPS)
-    grid, lc, pois, n_categories = _load_world(args)
+    grid, feats, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     resolved = _resolve(args)
-    inputs = ExperimentInputs(grid=grid, lc=lc, pois=pois, labels=labels,
-                              n_categories=n_categories)
+    inputs = ExperimentInputs(grid=grid, labels=labels, features=feats)
     echo = _echo(args, n_categories=n_categories, **resolved)
     result = _run_and_write(args.method, inputs, _settings(resolved),
                             args.masked_ratio, args.seed,
@@ -371,12 +370,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          "most one --theta-env and one --theta-soc value")
     for te, ts, _ in combos:
         check_thresholds(te, ts)
-    grid, lc, pois, n_categories = _load_world(args)
+    grid, feats, n_categories = _load_world(args)
     labels = load_labels(args.labels, grid)
     for m in args.masked_ratio:   # make_split's rules, before any run writes
         make_split(labels, m, args.seed)
-    inputs = ExperimentInputs(grid=grid, lc=lc, pois=pois, labels=labels,
-                              n_categories=n_categories)
+    inputs = ExperimentInputs(grid=grid, labels=labels, features=feats)
 
     results = []
     for (te, ts, m), tag in zip(combos, tags):

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodata import (GeoDataError, GridSpec, LabelSet, LandCoverGrid,
-                      PoiTable, data_lines, open_commented)
-from .features import featurize_all
+from .geodata import (GeoDataError, GridSpec, LabelSet, data_lines,
+                      open_commented)
+from .features import FeatureTable
 from .hetgraph import build_graph
 from . import baselines
 from .model import (HgnnConfig, SslConfig, TrainConfig, LogRow,
@@ -137,11 +137,14 @@ def score(y_true: np.ndarray, y_pred: np.ndarray, runtime: float,
 
 @dataclass(frozen=True)
 class ExperimentInputs:
+    """One world for :func:`run_experiment`: its grid, its label set and
+    the feature table of every region, as :func:`featurize_all` builds it.
+    Featurize once and share the inputs across runs. The baselines read
+    only the labels, so their inputs may leave ``features`` None."""
+
     grid: GridSpec
-    lc: Optional[LandCoverGrid]       # baselines run without raster/POI views
-    pois: Optional[PoiTable]
     labels: LabelSet
-    n_categories: Optional[int] = None
+    features: Optional[FeatureTable] = None
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,9 @@ class ExperimentResult:
 def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
                    seed: int,
                    settings: RunSettings = RunSettings()) -> ExperimentResult:
-    """Featurize, split, fit by the chosen method, and score masked regions.
+    """Split, fit by the chosen method, and score masked regions. The model
+    methods build their graph from ``inputs.features`` at the settings'
+    thresholds; the baselines interpolate the available labels.
 
     Every random choice (split, parameter init, batch order) derives from the
     single seed, so identical calls are bit-reproducible.
@@ -181,11 +186,10 @@ def run_experiment(inputs: ExperimentInputs, method: str, masked_ratio: float,
     log: tuple[LogRow, ...] = ()
 
     if method in ("geohg", "geohg-ssl"):
-        if inputs.lc is None or inputs.pois is None:
+        features = inputs.features
+        if features is None:
             raise ValueError(f"method {method!r} needs land-cover and POI inputs")
         index = inputs.grid.region_index(inputs.labels.cells)  # features: row-major
-        features = featurize_all(inputs.grid, inputs.lc, inputs.pois,
-                                 n_categories=inputs.n_categories)
         graph = build_graph(inputs.grid, features, settings.theta_env,
                             settings.theta_soc)
         if method == "geohg":

@@ -231,7 +231,7 @@ def cell_rows(cells: np.ndarray, queries: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def load_gridspec(path: str) -> GridSpec:
-    values: dict[str, str] = {}
+    values: dict[str, float] = {}
     for i, raw in data_lines(path):
         if "=" in raw:
             key, _, val = raw.partition("=")
@@ -245,16 +245,18 @@ def load_gridspec(path: str) -> GridSpec:
             raise GeoDataError(f"{path}: line {i}: unknown grid spec key {key!r}")
         if key in values:
             raise GeoDataError(f"{path}: line {i}: repeated grid spec key {key!r}")
-        values[key] = val.strip()
+        try:
+            values[key] = (int if key in ("n_cols", "n_rows") else float)(val.strip())
+        except ValueError as exc:
+            raise GeoDataError(f"{path}: line {i}: bad grid spec value ({exc})") from None
     try:
-        return GridSpec(origin_lon=float(values["origin_lon"]),
-                        origin_lat=float(values["origin_lat"]),
-                        n_cols=int(values["n_cols"]),
-                        n_rows=int(values["n_rows"]),
-                        cell_km=float(values.get("cell_km", "1.0")))
+        return GridSpec(origin_lon=values["origin_lon"],
+                        origin_lat=values["origin_lat"],
+                        n_cols=values["n_cols"], n_rows=values["n_rows"],
+                        cell_km=values.get("cell_km", 1.0))
     except KeyError as exc:
         raise GeoDataError(f"{path}: missing grid spec key {exc}") from exc
-    except ValueError as exc:
+    except GeoDataError as exc:
         raise GeoDataError(f"{path}: bad grid spec value ({exc})") from exc
 
 
@@ -287,12 +289,12 @@ def load_landcover(path: str, grid: GridSpec) -> LandCoverGrid:
         if row.size != pixel_cols:
             raise GeoDataError(
                 f"{path}: line {i}: pixel row has {row.size} codes, expected {pixel_cols}")
+        if row.size and (row.min() < 0 or row.max() >= n_classes):
+            raise GeoDataError(f"{path}: line {i}: class code out of range [0, {n_classes})")
         rows.append(row)
     if len(rows) != pixel_rows:
         raise GeoDataError(f"{path}: found {len(rows)} pixel rows, header says {pixel_rows}")
     classes = np.vstack(rows) if rows else np.zeros((0, pixel_cols), dtype=np.int64)
-    if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
-        raise GeoDataError(f"{path}: class code out of range [0, {n_classes})")
     if not pixel_rows or pixel_rows % grid.n_rows or pixel_cols % grid.n_cols:
         raise GeoDataError(
             f"{path}: pixel grid {pixel_rows}x{pixel_cols} does not tile "

@@ -60,45 +60,6 @@ class HeteroGraph:
     def n_nodes(self) -> int:
         return self.n_regions + self.n_env + self.n_soc
 
-    def validate(self, grid: GridSpec) -> None:
-        """Check the structural invariants on ``grid``; raises GeoDataError
-        on violation."""
-        theta_env, theta_soc = self.thresholds
-        for name, fam, lo, hi, theta in (
-                ("RNR", self.edges_rnr, 0, self.n_regions, None),
-                ("ELR", self.edges_elr, self.n_regions,
-                 self.n_regions + self.n_env, theta_env),
-                ("SLR", self.edges_slr, self.n_regions + self.n_env,
-                 self.n_nodes, theta_soc)):
-            e = fam.endpoints
-            if len(fam) == 0:
-                continue
-            if name == "RNR":
-                if e.min() < 0 or e.max() >= self.n_regions:
-                    raise GeoDataError("RNR endpoint out of region range")
-                if np.any(fam.weights != 1.0):
-                    raise GeoDataError("RNR weight not 1")
-            else:
-                src, dst = e[:, 0], e[:, 1]
-                if src.min() < 0 or src.max() >= self.n_regions:
-                    raise GeoDataError(f"{name} source not a region")
-                if dst.min() < lo or dst.max() >= hi:
-                    raise GeoDataError(f"{name} target not in entity range")
-            if np.any(e[:, 0] >= e[:, 1]):
-                raise GeoDataError(f"{name} edges not in canonical src < dst order")
-            pairs = e[:, 0].astype(np.int64) * self.n_nodes + e[:, 1]
-            if np.unique(pairs).size != pairs.size:
-                raise GeoDataError(f"duplicate {name} edges")
-            if theta is not None and np.any(fam.weights < theta):
-                raise GeoDataError(f"{name} weight below threshold {theta}")
-        if len(self.edges_rnr):
-            e = self.edges_rnr.endpoints
-            x = e % grid.n_cols
-            y = e // grid.n_cols
-            cheb = np.maximum(np.abs(x[:, 0] - x[:, 1]), np.abs(y[:, 0] - y[:, 1]))
-            if np.any(cheb != 1):
-                raise GeoDataError("RNR edge endpoints not 8-neighbors")
-
 
 def build_rnr(grid: GridSpec) -> EdgeFamily:
     """One weight-1 edge per unordered pair of 8-neighboring cells."""
@@ -164,15 +125,13 @@ def build_graph(grid: GridSpec, features: FeatureTable,
         raise GeoDataError(f"feature row {wrong[0]} is region "
                            f"{tuple(features.cells[wrong[0]].tolist())}: rows "
                            f"must follow the grid's row-major order")
-    graph = HeteroGraph(n_regions=grid.n_regions,
-                        n_env=features.n_env,
-                        n_soc=features.soc.shape[1],
-                        edges_rnr=build_rnr(grid),
-                        edges_elr=build_elr(features, theta_env),
-                        edges_slr=build_slr(features, theta_soc),
-                        thresholds=(theta_env, theta_soc))
-    graph.validate(grid)
-    return graph
+    return HeteroGraph(n_regions=grid.n_regions,
+                       n_env=features.n_env,
+                       n_soc=features.soc.shape[1],
+                       edges_rnr=build_rnr(grid),
+                       edges_elr=build_elr(features, theta_env),
+                       edges_slr=build_slr(features, theta_soc),
+                       thresholds=(theta_env, theta_soc))
 
 
 def save_graph(graph: HeteroGraph, path: str,

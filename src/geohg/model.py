@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, asdict
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -829,8 +830,9 @@ def write_embeddings(cells: np.ndarray, embeddings: np.ndarray,
 
 
 def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read write_embeddings' CSV as (cells, embeddings); malformed or non-finite
-    rows raise GeoDataError naming the file, a bad row or repeated region its lines."""
+    """Read write_embeddings' CSV as (cells, embeddings); a bad header raises
+    GeoDataError naming the file, a malformed or non-finite row or a repeated
+    region naming its lines."""
     header, rows = csv_rows(path)
     d = len(header) - 2
     if d < 1 or header != ["x_r", "y_r"] + [f"e_{i}" for i in range(d)]:
@@ -840,9 +842,12 @@ def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
     for lineno, parts in rows:
         try:
             cells.append((int(parts[0]), int(parts[1])))
-            embeddings.append([float(v) for v in parts[2:]])
+            row = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise GeoDataError(f"{path}: line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise GeoDataError(f"{path}: line {lineno}: non-finite embedding value")
+        embeddings.append(row)
         linenos.append(lineno)
     if not linenos:
         raise GeoDataError(f"{path}: no embedding rows")
@@ -852,8 +857,6 @@ def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
     if first[i] != i:
         raise GeoDataError(f"{path}: line {linenos[i]}: region {tuple(cells[i].tolist())} "
                            f"repeats line {linenos[first[i]]}")
-    if not np.all(np.isfinite(embeddings)):
-        raise GeoDataError(f"{path}: non-finite embedding values")
     return cells, embeddings
 
 

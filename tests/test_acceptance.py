@@ -16,6 +16,7 @@ from geohg.baselines import VariogramModel, idw_predict, uk_predict
 from geohg.cli import dispatch
 from geohg.evaluation import (ExperimentInputs, RunSettings, mae, make_split,
                               r2, rmse, run_experiment)
+from geohg.features import featurize_all
 from geohg.geodata import GridSpec
 from geohg.hetgraph import build_elr, build_rnr, build_slr, rnr_edge_count
 from geohg.model import (HgnnConfig, SslConfig, TrainConfig,
@@ -36,8 +37,8 @@ def big_world():
     cfg = SynthConfig(n_cols=48, n_rows=48, pixels_per_cell=4,
                       n_patches=200, seed=11)
     lc, pois, labels, _ = generate(cfg)
-    inputs = ExperimentInputs(grid=lc.grid, lc=lc, pois=pois, labels=labels,
-                              n_categories=cfg.n_categories)
+    features = featurize_all(lc.grid, lc, pois, n_categories=cfg.n_categories)
+    inputs = ExperimentInputs(grid=lc.grid, labels=labels, features=features)
     settings = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=48),
                            train=TrainConfig(max_epochs=300, patience=50))
     return inputs, settings

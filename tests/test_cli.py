@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -323,6 +324,25 @@ class TestSweep:
         assert summary[0].startswith("theta_env,")
         assert len(summary) == 3
 
+    def test_runs_share_one_feature_table(self, world_dir, tmp_path,
+                                          monkeypatch):
+        # Every module that binds featurize_all counts into one list.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return featurize_all(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("geohg")
+                    and getattr(module, "featurize_all", None) is featurize_all):
+                monkeypatch.setattr(module, "featurize_all", counted)
+        assert run(tmp_path, "sweep", *world_flags(world_dir),
+                   "--labels", str(world_dir / "labels.csv"),
+                   "--method", "geohg", "--theta-env", "0.4,0.6",
+                   "--masked-ratio", "0.5,0.8", *FAST_MODEL) == 0
+        assert len(list(tmp_path.glob("report_*.txt"))) == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("flag,values", [
         ("--theta-env", ""), ("--theta-soc", " , "), ("--masked-ratio", ",")])

@@ -12,6 +12,7 @@ from geohg.evaluation import (EvalSplit, ExperimentInputs, ExperimentResult,
                               run_experiment, score, similarity_map,
                               write_predictions, write_report,
                               write_similarity)
+from geohg.features import featurize_all
 from geohg.geodata import GeoDataError, GridSpec, LabelSet
 from geohg.model import HgnnConfig, SslConfig, TrainConfig
 
@@ -41,9 +42,9 @@ def written_rows(labels, result, path):
 
 def world_inputs(n_cols=10, n_rows=10, seed=0, with_lc=True):
     cfg, lc, pois, labels, _ = synth_raw(n_cols, n_rows, seed=seed)
-    return ExperimentInputs(grid=lc.grid, lc=lc if with_lc else None,
-                            pois=pois, labels=labels,
-                            n_categories=cfg.n_categories)
+    features = (featurize_all(lc.grid, lc, pois, n_categories=cfg.n_categories)
+                if with_lc else None)
+    return ExperimentInputs(grid=lc.grid, labels=labels, features=features)
 
 
 FAST = RunSettings(hgnn=HgnnConfig(n_layers=2, hidden_dim=8),
@@ -331,8 +332,7 @@ class TestRunExperiment:
                                             for y in range(3, 9)]
         labels = LabelSet(cells=cells,
                           values=[10.0, 20.0] + list(range(len(cells) - 2)))
-        inputs = ExperimentInputs(grid=GridSpec(0.0, 0.0, 9, 9), lc=None,
-                                  pois=None, labels=labels)
+        inputs = ExperimentInputs(grid=GridSpec(0.0, 0.0, 9, 9), labels=labels)
 
         def row_1_first(split):
             available = split.available().tolist()
@@ -423,8 +423,9 @@ class TestArtifactFiles:
     def test_empty_report_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# only comments\n")
-        with pytest.raises(GeoDataError, match="empty"):
+        with pytest.raises(GeoDataError) as err:
             load_report(str(path))
+        assert str(err.value) == f"{path}: empty report"
 
     def test_line_without_key_and_value_rejected(self, tmp_path):
         # Read as the key "garbage" with an empty value, it would pass

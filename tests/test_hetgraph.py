@@ -5,8 +5,8 @@ import pytest
 
 from geohg.features import featurize_all
 from geohg.geodata import GeoDataError, GridSpec, LandCoverGrid, PoiTable
-from geohg.hetgraph import (EdgeFamily, HeteroGraph, build_elr, build_graph,
-                            build_rnr, build_slr, rnr_edge_count, save_graph)
+from geohg.hetgraph import (build_elr, build_graph, build_rnr, build_slr,
+                            rnr_edge_count, save_graph)
 
 from _worlds import parse_graph_export, table, take_rows
 
@@ -35,6 +35,30 @@ def random_features(n_regions, n_env=5, n_soc=4, seed=0, n_cols=None):
 
 def edge_set(family):
     return {(int(s), int(d)) for s, d in family.endpoints}
+
+
+def assert_invariants(graph, grid):
+    """The rules build_graph keeps by construction: each family's endpoints
+    in their node ranges, src < dst, each pair once, ELR and SLR weights at
+    or above their threshold, and RNR weight 1 between 8-neighbours only."""
+    theta_env, theta_soc = graph.thresholds
+    env, soc = graph.n_regions, graph.n_regions + graph.n_env
+    for fam, lo, hi, theta in (
+            (graph.edges_rnr, 0, graph.n_regions, None),
+            (graph.edges_elr, env, soc, theta_env),
+            (graph.edges_slr, soc, graph.n_nodes, theta_soc)):
+        src, dst = fam.endpoints.T
+        assert np.all((src >= 0) & (src < graph.n_regions))
+        assert np.all((dst >= lo) & (dst < hi))
+        assert np.all(src < dst)
+        assert len(edge_set(fam)) == len(fam)
+        if theta is not None:
+            assert np.all(fam.weights >= theta)
+    assert np.all(graph.edges_rnr.weights == 1.0)
+    y, x = np.divmod(graph.edges_rnr.endpoints, grid.n_cols)
+    assert np.all(np.maximum(abs(x[:, 0] - x[:, 1]),
+                             abs(y[:, 0] - y[:, 1])) == 1)
+    assert len(graph.edges_rnr) == rnr_edge_count(grid.n_rows, grid.n_cols)
 
 
 class TestBuildRnr:
@@ -165,30 +189,18 @@ class TestBuildGraph:
     def test_default_thresholds_pass_invariants(self):
         grid, feats = self.grid_world()
         graph = build_graph(grid, feats, theta_env=0.6, theta_soc=0.9)
-        graph.validate(grid)  # raises on violation
+        assert_invariants(graph, grid)
         assert graph.n_regions == 16 and graph.n_env == 11 and graph.n_soc == 6
         assert graph.n_nodes == 16 + 11 + 6
 
-    @staticmethod
-    def with_rnr_weight(weight):
-        """A 2x2 grid's graph whose second RNR edge weighs ``weight``."""
-        rnr = build_rnr(make_grid(2, 2))
-        weights = rnr.weights.copy()
-        weights[1] = weight
-        return HeteroGraph(n_regions=4, n_env=1, n_soc=1,
-                           edges_rnr=EdgeFamily(rnr.endpoints.copy(), weights))
-
-    @pytest.mark.parametrize("weight", [0.0, -2.0])
-    def test_validate_rejects_non_positive_rnr_weight(self, weight):
-        with pytest.raises(GeoDataError, match="RNR weight not 1"):
-            self.with_rnr_weight(weight).validate(make_grid(2, 2))
-
-    # The model's RNR mean is 1/in-degree per neighbour, so an RNR weight
-    # other than exactly 1 is rejected, not only a non-positive one.
-    @pytest.mark.parametrize("weight", [0.5, 2.0, math.nan])
-    def test_validate_rejects_rnr_weight_other_than_one(self, weight):
-        with pytest.raises(GeoDataError, match="RNR weight not 1"):
-            self.with_rnr_weight(weight).validate(make_grid(2, 2))
+    @pytest.mark.parametrize("n_cols,n_rows,seed", [(4, 4, 0), (7, 5, 3)])
+    def test_invariants_hold_over_a_threshold_ladder(self, n_cols, n_rows,
+                                                     seed):
+        grid, feats = self.grid_world(n_cols, n_rows, seed)
+        for theta_env, theta_soc in ((0.0, 0.0), (0.1, 0.3), (0.2, 0.6),
+                                     (0.4, 0.9), (0.6, 1.2), (1.0, 99.0)):
+            assert_invariants(build_graph(grid, feats, theta_env, theta_soc),
+                              grid)
 
     def test_raising_thresholds_never_adds_edges(self):
         grid, feats = self.grid_world(seed=5)

@@ -130,17 +130,34 @@ def test_comments_and_blank_lines_anywhere_load_the_same(tmp_path, name):
     assert canonical(load(path, name)) == want
 
 
-@pytest.mark.parametrize("name", LOADERS)
-def test_a_bad_row_names_its_one_based_file_line(tmp_path, name):
+def assert_bad_row_named(tmp_path, name, which, spoil, error):
+    """Spoil data row ``which`` of the written file, among comments and
+    blank lines; loading it must raise ``error`` naming its file line."""
     path, lines = written(tmp_path, name)
     lines = [extra for line in lines for extra in ("# note", "", line)]
-    last = data_rows(lines)[-1]
-    lines[last] = LOADERS[name][2](lines[last])
+    row = data_rows(lines)[which]
+    lines[row] = spoil(lines[row])
     rewrite(path, lines + ["# end"])
-    match = re.escape(LOADERS[name][3])
-    with pytest.raises(GeoDataError, match=match) as err:
+    with pytest.raises(GeoDataError, match=re.escape(error)) as err:
         load(path, name)
-    assert str(err.value).startswith(f"{path}: line {last + 1}: ")
+    assert str(err.value).startswith(f"{path}: line {row + 1}: ")
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_bad_row_names_its_one_based_file_line(tmp_path, name):
+    assert_bad_row_named(tmp_path, name, -1, *LOADERS[name][2:])
+
+
+# A value checked only after the whole file is read would name no line.
+@pytest.mark.parametrize("name,which,spoil,error", [
+    ("gridspec", 2, lambda row: "n_cols = x", "bad grid spec value"),
+    ("landcover", -1, lambda row: row.rsplit(" ", 1)[0] + " 11",
+     "class code out of range [0, 11)"),
+    ("embeddings", -1, lambda row: row.rsplit(",", 1)[0] + ",inf",
+     "non-finite embedding value")], ids=["gridspec", "landcover", "embeddings"])
+def test_a_bad_value_names_its_one_based_file_line(tmp_path, name, which,
+                                                    spoil, error):
+    assert_bad_row_named(tmp_path, name, which, spoil, error)
 
 
 @pytest.mark.parametrize("name", HEADED)
